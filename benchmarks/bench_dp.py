@@ -1,22 +1,20 @@
-"""Time the compiled DP fill kernel against the numpy fallback.
+"""Time the scheduler's DP kernel and report its peak traced memory.
 
-Both kernels fill the same (n+1, cap_t+1, cap_e+1) int64 table; the
-scheduler picks whichever imported. Run from the repository root:
+``knapsack_2d`` keeps two int64 value layers and one take-bit per
+(device, t, e) cell. Each shape is timed best-of-``--repeats`` on random unit
+costs, then run once more under ``tracemalloc`` for the peak of the numpy
+buffers it allocates. Run from the repository root:
 
-    python3 benchmarks/bench_dp.py
+    PYTHONPATH=src python3 benchmarks/bench_dp.py
 """
 
 import argparse
 import time
+import tracemalloc
 
 import numpy as np
 
-from relaydiff import _dp_numpy
-
-try:
-    from relaydiff import _dp_core
-except ImportError:
-    _dp_core = None
+from relaydiff.scheduler import knapsack_2d
 
 
 def random_instance(rng, n, cap_t, cap_e):
@@ -26,13 +24,22 @@ def random_instance(rng, n, cap_t, cap_e):
     return unit_t, unit_e, sizes
 
 
-def best_of(kernel, args, repeats):
+def best_of(args, repeats):
     best = float("inf")
     for _ in range(repeats):
         started = time.perf_counter()
-        table = kernel(*args)
+        knapsack_2d(*args)
         best = min(best, time.perf_counter() - started)
-    return best, table
+    return best
+
+
+def traced_peak(args):
+    tracemalloc.start()
+    try:
+        knapsack_2d(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def main():
@@ -44,21 +51,13 @@ def main():
     rng = np.random.default_rng(args.seed)
     shapes = [(10, 100, 100), (20, 200, 200), (25, 400, 400), (40, 800, 800)]
 
-    print(f"{'n':>4} {'cap_t':>6} {'cap_e':>6} {'numpy':>10} {'compiled':>10} {'speedup':>8}")
+    print(f"{'n':>4} {'cap_t':>6} {'cap_e':>6} {'time':>10} {'peak':>10}")
     for n, cap_t, cap_e in shapes:
         unit_t, unit_e, sizes = random_instance(rng, n, cap_t, cap_e)
         kernel_args = (unit_t, unit_e, sizes, cap_t, cap_e)
-        t_numpy, table_numpy = best_of(_dp_numpy.fill_dp_table, kernel_args, args.repeats)
-        if _dp_core is None:
-            print(f"{n:>4} {cap_t:>6} {cap_e:>6} {t_numpy:>9.4f}s {'missing':>10} {'':>8}")
-            continue
-        t_core, table_core = best_of(_dp_core.fill_dp_table, kernel_args, args.repeats)
-        if not np.array_equal(np.asarray(table_numpy), np.asarray(table_core)):
-            raise SystemExit("kernel outputs disagree")
-        print(
-            f"{n:>4} {cap_t:>6} {cap_e:>6} {t_numpy:>9.4f}s {t_core:>9.4f}s "
-            f"{t_numpy / t_core:>7.2f}x"
-        )
+        seconds = best_of(kernel_args, args.repeats)
+        peak_mb = traced_peak(kernel_args) / 2**20
+        print(f"{n:>4} {cap_t:>6} {cap_e:>6} {seconds * 1e3:>8.1f}ms {peak_mb:>8.1f}MB")
 
 
 if __name__ == "__main__":

@@ -4,9 +4,9 @@ Subcommands cover the full workflow: generate a scenario, schedule it (DP,
 greedy baseline, or exhaustive oracle), simulate a plan with optional
 failures, run the split baseline, and sweep budget grids into CSV.
 
-Exit codes: 0 success, 2 usage errors (argparse), 3 validation or
-configuration errors, 4 infeasible recovery (the partial trace is still
-written when -o is given).
+Exit codes: 0 success, 2 usage errors (argparse), 3 validation,
+configuration or file (OSError) errors, 4 infeasible recovery (the partial
+trace is still written when -o is given).
 """
 
 from __future__ import annotations
@@ -322,7 +322,7 @@ def main(argv=None) -> int:
     except (ValidationError, ConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -6,12 +6,13 @@ variants' byte sizes. Three methods share one plan type:
 
 * :func:`select_devices_dp`: the production path. Exact stage costs are
   discretized (ceiling for costs, floor for capacities, so any plan that fits
-  in units also fits exactly) and a knapsack-style table over
-  (device prefix, time units, energy units) is filled by one of two
-  interchangeable kernels: a compiled Cython loop or a vectorized numpy
-  fallback, whichever imports (``DP_BACKEND`` says which). Backtracking
-  prefers skipping a device when both choices tie. The DP result is finally
-  compared against the greedy baseline and the better objective wins, which
+  in units also fits exactly) and a 0/1 knapsack over (time units, energy
+  units) is solved one device at a time with numpy. Only two value layers
+  are kept (the best values so far and the shifted take values); per device,
+  a take-bit for every (time, energy) cell records whether taking it beat
+  skipping it, and the backtrack walks those bits from the full-capacity
+  corner. A tie keeps the device skipped. The DP result is finally compared
+  against the greedy baseline and the better objective wins, which
   guarantees the method never loses to no-selection through rounding alone.
 * :func:`select_devices_oracle`: exhaustive subset enumeration with exact
   float feasibility. Exponential; guarded to small fleets. Ties prefer fewer
@@ -34,20 +35,13 @@ from .cost_model import StageCost, aggregate_costs, stage_cost_for
 from .errors import ConfigurationError, ValidationError
 from .scenario import Device, Scenario
 
-try:
-    from ._dp_core import fill_dp_table
-    DP_BACKEND = "compiled"
-except ImportError:  # pragma: no cover - exercised only without the extension
-    from ._dp_numpy import fill_dp_table
-    DP_BACKEND = "numpy"
-
 METHODS = ("dp", "oracle", "no_ds")
 
 # Default grid: budgets map to about 200 units per axis.
 DEFAULT_GRID_UNITS = 200
 
-# Refuse to allocate absurd DP tables instead of swapping the machine.
-MAX_DP_CELLS = 200_000_000
+# Refuse to allocate absurd DP buffers instead of swapping the machine.
+MAX_DP_BYTES = 1 << 30
 
 ORACLE_MAX_DEVICES = 25
 
@@ -191,6 +185,43 @@ def select_devices_no_ds(scenario: Scenario, budgets: Budgets) -> SchedulePlan:
     return _build_plan(devices, costs, picked, budgets, "no_ds", None)
 
 
+def knapsack_2d(unit_t, unit_e, sizes, cap_t: int, cap_e: int) -> list[int]:
+    """Indices of a max-``sizes`` subset whose unit costs fit (cap_t, cap_e).
+
+    Among optimal subsets, the one returned leaves a device out whenever
+    taking it only ties: with ``value`` the best over devices before j,
+    device j is taken at cell (t, e) iff
+    ``value[t - unit_t[j], e - unit_e[j]] + sizes[j] > value[t, e]``.
+    """
+
+    n = len(sizes)
+    value = np.zeros((cap_t + 1, cap_e + 1), dtype=np.int64)
+    scratch = np.empty_like(value)
+    taken = np.zeros((n, cap_t + 1, cap_e + 1), dtype=bool)
+    for j in range(n):
+        ct, ce = int(unit_t[j]), int(unit_e[j])
+        if ct > cap_t or ce > cap_e:
+            continue
+        # Every take value is read from the layer before device j, so it is
+        # computed into the scratch layer before `value` is updated in place.
+        take = scratch[: cap_t + 1 - ct, : cap_e + 1 - ce]
+        np.add(value[: cap_t + 1 - ct, : cap_e + 1 - ce], sizes[j], out=take)
+        keep = value[ct:, ce:]
+        bits = taken[j, ct:, ce:]
+        np.greater(take, keep, out=bits)
+        np.copyto(keep, take, where=bits)
+
+    picked: list[int] = []
+    t, e = cap_t, cap_e
+    for j in range(n - 1, -1, -1):
+        if taken[j, t, e]:
+            picked.append(j)
+            t -= int(unit_t[j])
+            e -= int(unit_e[j])
+    picked.reverse()
+    return picked
+
+
 def select_devices_dp(
     scenario: Scenario,
     budgets: Budgets,
@@ -202,30 +233,21 @@ def select_devices_dp(
     devices, costs = _eligible(scenario)
     n = len(devices)
 
-    unit_t = np.array([cost_units(c.t_total(), disc.dt_s) for c in costs], dtype=np.int64)
-    unit_e = np.array([cost_units(c.e_total(), disc.de_j) for c in costs], dtype=np.int64)
-    sizes = np.array([dev.variant.size_bytes for dev in devices], dtype=np.int64)
     cap_t = capacity_units(budgets.t_max_s, disc.dt_s)
     cap_e = capacity_units(budgets.e_max_j, disc.de_j)
 
-    cells = (n + 1) * (cap_t + 1) * (cap_e + 1)
-    if cells > MAX_DP_CELLS:
+    # One take-bit per (device, t, e) plus two int64 value layers.
+    nbytes = (n + 2 * 8) * (cap_t + 1) * (cap_e + 1)
+    if nbytes > MAX_DP_BYTES:
         raise ConfigurationError(
-            f"DP table would need {cells} cells; coarsen the discretization "
-            f"(dt_s={disc.dt_s}, de_j={disc.de_j})"
+            f"DP would allocate {nbytes} bytes (limit {MAX_DP_BYTES}); coarsen the "
+            f"discretization (dt_s={disc.dt_s}, de_j={disc.de_j})"
         )
 
-    table = fill_dp_table(unit_t, unit_e, sizes, cap_t, cap_e)
-
-    # Backtrack from the full-capacity corner; ties keep the device skipped.
-    picked: list[int] = []
-    t, e = cap_t, cap_e
-    for j in range(n, 0, -1):
-        if table[j, t, e] != table[j - 1, t, e]:
-            picked.append(j - 1)
-            t -= int(unit_t[j - 1])
-            e -= int(unit_e[j - 1])
-    picked.reverse()
+    unit_t = np.array([cost_units(c.t_total(), disc.dt_s) for c in costs], dtype=np.int64)
+    unit_e = np.array([cost_units(c.e_total(), disc.de_j) for c in costs], dtype=np.int64)
+    sizes = np.array([dev.variant.size_bytes for dev in devices], dtype=np.int64)
+    picked = knapsack_2d(unit_t, unit_e, sizes, cap_t, cap_e)
 
     # Rounding can exclude subsets that fit exactly; never do worse than the
     # no-selection baseline on the exact problem.

@@ -216,3 +216,18 @@ def test_missing_scenario_file_is_a_validation_error(tmp_path):
         "-o", str(tmp_path / "p.json"),
     ])
     assert code == EXIT_VALIDATION
+
+
+def test_directory_as_output_file_is_a_validation_error(tmp_path, capsys):
+    code = main(["gen-scenario", "--devices", "5", "-o", str(tmp_path)])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_directory_as_scenario_file_is_a_validation_error(tmp_path, capsys):
+    code = main([
+        "schedule", "-s", str(tmp_path), "--t-max", "2", "--e-max", "200",
+        "-o", str(tmp_path / "p.json"),
+    ])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("error: ")

@@ -1,0 +1,95 @@
+"""The rolling-layer DP kernel must pick what the full 3-D table picks.
+
+A naive triple-loop fill and the backtrack over its (n+1, cap_t+1, cap_e+1)
+table, both implemented here, serve as a reference that shares no code with
+the production kernel.
+"""
+
+import numpy as np
+
+from relaydiff.scheduler import knapsack_2d
+
+
+def reference_fill(unit_t, unit_e, sizes, cap_t, cap_e):
+    n = len(sizes)
+    table = np.zeros((n + 1, cap_t + 1, cap_e + 1), dtype=np.int64)
+    for j in range(1, n + 1):
+        ct, ce, size = unit_t[j - 1], unit_e[j - 1], sizes[j - 1]
+        for t in range(cap_t + 1):
+            for e in range(cap_e + 1):
+                best = table[j - 1, t, e]
+                if t >= ct and e >= ce:
+                    take = table[j - 1, t - ct, e - ce] + size
+                    if take > best:
+                        best = take
+                table[j, t, e] = best
+    return table
+
+
+def reference_pick(unit_t, unit_e, sizes, cap_t, cap_e):
+    """Optimum and backtracked indices; a tie keeps the device skipped."""
+
+    table = reference_fill(unit_t, unit_e, sizes, cap_t, cap_e)
+    picked = []
+    t, e = cap_t, cap_e
+    for j in range(len(sizes), 0, -1):
+        if table[j, t, e] != table[j - 1, t, e]:
+            picked.append(j - 1)
+            t -= int(unit_t[j - 1])
+            e -= int(unit_e[j - 1])
+    picked.reverse()
+    return int(table[-1, cap_t, cap_e]), picked
+
+
+def random_instance(rng, n_max=8, cap_max=30):
+    n = int(rng.integers(0, n_max + 1))
+    unit_t = rng.integers(0, cap_max + 2, size=n).astype(np.int64)
+    unit_e = rng.integers(0, cap_max + 2, size=n).astype(np.int64)
+    sizes = rng.integers(1, 10**9, size=n).astype(np.int64)
+    cap_t = int(rng.integers(0, cap_max + 1))
+    cap_e = int(rng.integers(0, cap_max + 1))
+    return unit_t, unit_e, sizes, cap_t, cap_e
+
+
+def assert_matches_reference(unit_t, unit_e, sizes, cap_t, cap_e):
+    optimum, expected = reference_pick(unit_t, unit_e, sizes, cap_t, cap_e)
+    picked = knapsack_2d(unit_t, unit_e, sizes, cap_t, cap_e)
+    assert picked == expected
+    assert sum(int(sizes[i]) for i in picked) == optimum
+    return picked
+
+
+def test_kernel_matches_reference():
+    rng = np.random.default_rng(1234)
+    for _ in range(25):
+        assert_matches_reference(*random_instance(rng))
+
+
+def test_kernel_matches_reference_on_larger_instances():
+    rng = np.random.default_rng(99)
+    for _ in range(5):
+        assert_matches_reference(*random_instance(rng, n_max=20, cap_max=120))
+
+
+def test_zero_cost_items_are_always_taken():
+    unit_t = np.zeros(3, dtype=np.int64)
+    unit_e = np.zeros(3, dtype=np.int64)
+    sizes = np.array([5, 7, 11], dtype=np.int64)
+    assert assert_matches_reference(unit_t, unit_e, sizes, 0, 0) == [0, 1, 2]
+
+
+def test_unit_cost_above_capacity_is_never_taken():
+    unit_t = np.array([2, 6, 1], dtype=np.int64)
+    unit_e = np.array([1, 1, 4], dtype=np.int64)
+    sizes = np.array([5, 100, 100], dtype=np.int64)
+    # device 1 exceeds the time capacity, device 2 the energy capacity
+    assert assert_matches_reference(unit_t, unit_e, sizes, 5, 3) == [0]
+
+
+def test_tie_keeps_the_later_device_skipped():
+    unit_t = np.array([3, 3], dtype=np.int64)
+    unit_e = np.array([2, 2], dtype=np.int64)
+    sizes = np.array([9, 9], dtype=np.int64)
+    # Room for one of two identical devices. Taking device 1 only ties with
+    # the best over device 0 alone, so device 1 stays skipped.
+    assert assert_matches_reference(unit_t, unit_e, sizes, 4, 3) == [0]

@@ -5,6 +5,8 @@ DP and greedy baselines are then held to the oracle-derived expectations.
 All fixture totals are dyadic, so equalities are exact.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -23,9 +25,10 @@ from relaydiff import (
     select_devices_no_ds,
     select_devices_oracle,
 )
+from relaydiff import scheduler
 from relaydiff.scheduler import (
     DEFAULT_GRID_UNITS,
-    MAX_DP_CELLS,
+    MAX_DP_BYTES,
     ORACLE_MAX_DEVICES,
     capacity_units,
     cost_units,
@@ -155,9 +158,28 @@ def test_oracle_guard_refuses_large_fleets():
 
 
 def test_dp_refuses_absurd_tables(three_device_scenario):
-    with pytest.raises(ConfigurationError, match="cells"):
+    with pytest.raises(ConfigurationError, match="bytes"):
         select_devices_dp(three_device_scenario, Budgets(2.0, 200.0), Discretization(1e-9, 1e-9))
-    assert MAX_DP_CELLS == 200_000_000
+    assert MAX_DP_BYTES == 1 << 30
+
+
+def test_dp_byte_guard_refuses_before_allocating(three_device_scenario, monkeypatch):
+    # 3 devices on the default 201x201-cell grid: one take-bit per device and
+    # cell plus two int64 value layers.
+    needed = (3 + 2 * 8) * 201 * 201
+    budgets = Budgets(2.0, 200.0)
+    monkeypatch.setattr(scheduler, "MAX_DP_BYTES", needed)
+    assert select_devices_dp(three_device_scenario, budgets).device_ids == (0, 2)
+
+    monkeypatch.setattr(scheduler, "MAX_DP_BYTES", needed - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigurationError, match=f"allocate {needed} bytes"):
+            select_devices_dp(three_device_scenario, budgets)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < needed // 10
 
 
 # -- discretization helpers ----------------------------------------------------
