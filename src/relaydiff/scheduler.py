@@ -7,13 +7,18 @@ variants' byte sizes. Three methods share one plan type:
 * :func:`select_devices_dp`: the production path. Exact stage costs are
   discretized (ceiling for costs, floor for capacities, so any plan that fits
   in units also fits exactly) and a 0/1 knapsack over (time units, energy
-  units) is solved one device at a time with numpy. Only two value layers
-  are kept (the best values so far and the shifted take values); per device,
-  a take-bit for every (time, energy) cell records whether taking it beat
-  skipping it, and the backtrack walks those bits from the full-capacity
-  corner. A tie keeps the device skipped. The DP result is finally compared
-  against the greedy baseline and the better objective wins, which
-  guarantees the method never loses to no-selection through rounding alone.
+  units) is solved one device at a time with numpy. Devices that cannot be
+  in the returned plan are dropped first: those over capacity, and those
+  that at least as many bigger, no costlier devices could replace as any
+  fitting set can hold. Sizes are divided by their gcd, so the two value
+  layers (the best values so far and the shifted take values) use the
+  narrowest unsigned dtype that holds the largest reachable value; per kept
+  device, a take-bit for every (time, energy) cell, packed 8 devices per
+  byte, records whether taking it beat skipping it, and the backtrack walks
+  those bits from the full-capacity corner. A tie keeps the device skipped.
+  The DP result is finally compared against the greedy baseline and the
+  better objective wins, which guarantees the method never loses to
+  no-selection through rounding alone.
 * :func:`select_devices_oracle`: exhaustive subset enumeration with exact
   float feasibility. Exponential; guarded to small fleets. Ties prefer fewer
   devices, then the lexicographically smallest id set.
@@ -42,6 +47,10 @@ DEFAULT_GRID_UNITS = 200
 
 # Refuse to allocate absurd DP buffers instead of swapping the machine.
 MAX_DP_BYTES = 1 << 30
+
+# Replacer counting compares at most this many (replacer, target) device pairs
+# at a time.
+_PRUNE_BLOCK_PAIRS = 1 << 20
 
 ORACLE_MAX_DEVICES = 25
 
@@ -185,39 +194,114 @@ def select_devices_no_ds(scenario: Scenario, budgets: Budgets) -> SchedulePlan:
     return _build_plan(devices, costs, picked, budgets, "no_ds", None)
 
 
-def knapsack_2d(unit_t, unit_e, sizes, cap_t: int, cap_e: int) -> list[int]:
-    """Indices of a max-``sizes`` subset whose unit costs fit (cap_t, cap_e).
+def prune_dominated(unit_t, unit_e, sizes, cap_t: int, cap_e: int) -> tuple[np.ndarray, int]:
+    """Ascending indices of the devices the canonical optimum can hold, and k_max.
 
-    Among optimal subsets, the one returned leaves a device out whenever
-    taking it only ties: with ``value`` the best over devices before j,
-    device j is taken at cell (t, e) iff
-    ``value[t - unit_t[j], e - unit_e[j]] + sizes[j] > value[t, e]``.
+    ``k_max`` is the largest k such that the k smallest ``unit_t`` and the k
+    smallest ``unit_e`` of the fitting devices each sum to at most their
+    capacity, so no fitting subset has more than ``k_max`` members. A fitting
+    device i *replaces* device j if neither of its unit costs is larger and
+    it is bigger, or equally big with a lower index. A device with at least
+    ``k_max`` replacers is never in the canonical optimum (see
+    :func:`knapsack_2d`): a fitting set holding it lacks one of them, and
+    swapping that one in is strictly better, or ties with a set that is
+    lexicographically smaller from the highest index down. Such devices and
+    every device over capacity are dropped; the canonical optimum of the
+    remaining devices is the same subset.
     """
 
-    n = len(sizes)
-    value = np.zeros((cap_t + 1, cap_e + 1), dtype=np.int64)
+    unit_t = np.asarray(unit_t, dtype=np.int64)
+    unit_e = np.asarray(unit_e, dtype=np.int64)
+    fit = np.flatnonzero((unit_t <= cap_t) & (unit_e <= cap_e))
+    ut, ue = unit_t[fit], unit_e[fit]
+    k_max = int(np.count_nonzero(
+        (np.cumsum(np.sort(ut)) <= cap_t) & (np.cumsum(np.sort(ue)) <= cap_e)
+    ))
+
+    # rank[a] > rank[b] iff fitting device a is bigger than b, or equally big
+    # with a lower index. Sizes stay Python ints, which never wrap.
+    fit_sizes = [int(sizes[i]) for i in fit.tolist()]
+    order = sorted(range(len(fit)), key=lambda a: (fit_sizes[a], -a))
+    rank = np.empty(len(fit), dtype=np.int64)
+    rank[order] = np.arange(len(fit))
+
+    # Count replacers a block of columns at a time, never all n x n at once.
+    replacers = np.empty(len(fit), dtype=np.int64)
+    block = max(1, _PRUNE_BLOCK_PAIRS // max(len(fit), 1))
+    for lo in range(0, len(fit), block):
+        cols = slice(lo, lo + block)
+        replaces = (ut[:, None] <= ut[cols]) & (ue[:, None] <= ue[cols])
+        replaces &= rank[:, None] > rank[cols]
+        replacers[cols] = np.count_nonzero(replaces, axis=0)
+    return fit[replacers < k_max], k_max
+
+
+def knapsack_2d(unit_t, unit_e, sizes, cap_t: int, cap_e: int) -> list[int]:
+    """Indices of the canonical max-``sizes`` subset whose unit costs fit (cap_t, cap_e).
+
+    The canonical optimum is the optimal subset whose membership, read from
+    the highest index down, is lexicographically smallest: a device is left
+    out whenever taking it only ties. Devices that can never be in it are
+    dropped first (:func:`prune_dominated`). Sizes are divided by their gcd
+    and the value layers take the narrowest unsigned dtype that holds the sum
+    of the ``k_max`` largest scaled sizes, the most any cell can hold. With
+    ``value`` the best over kept devices before j, device j is taken at cell
+    (t, e) iff ``value[t - unit_t[j], e - unit_e[j]] + sizes[j] > value[t, e]``;
+    that take-bit is bit ``j % 8`` of byte plane ``j // 8``.
+
+    Raises ConfigurationError if the value bound does not fit 64 bits or the
+    buffers would exceed ``MAX_DP_BYTES``, before any DP buffer is allocated.
+    """
+
+    kept, k_max = prune_dominated(unit_t, unit_e, sizes, cap_t, cap_e)
+    kept = kept.tolist()
+    scaled = [int(sizes[i]) for i in kept]
+    gcd = math.gcd(*scaled) or 1
+    scaled = [size // gcd for size in scaled]
+    bound = sum(sorted(scaled, reverse=True)[:k_max])
+    if bound >> 64:
+        raise ConfigurationError(
+            f"DP values reach {bound} (sizes divided by their gcd {gcd}); "
+            "that does not fit 64 bits"
+        )
+    dtype = np.min_scalar_type(bound)
+
+    # Per cell: one take-bit byte plane per 8 kept devices, one shift byte,
+    # and two value layers.
+    nbytes = (-(-len(kept) // 8) + 1 + 2 * dtype.itemsize) * (cap_t + 1) * (cap_e + 1)
+    if nbytes > MAX_DP_BYTES:
+        raise ConfigurationError(
+            f"DP would allocate {nbytes} bytes (limit {MAX_DP_BYTES}) for a "
+            f"{cap_t + 1}x{cap_e + 1}-cell grid; coarsen the discretization"
+        )
+
+    value = np.zeros((cap_t + 1, cap_e + 1), dtype=dtype)
     scratch = np.empty_like(value)
-    taken = np.zeros((n, cap_t + 1, cap_e + 1), dtype=bool)
-    for j in range(n):
-        ct, ce = int(unit_t[j]), int(unit_e[j])
-        if ct > cap_t or ce > cap_e:
-            continue
+    shifted = np.empty(value.shape, dtype=np.uint8)
+    planes = np.zeros(((len(kept) + 7) // 8, cap_t + 1, cap_e + 1), dtype=np.uint8)
+    for j, i in enumerate(kept):
+        ct, ce = int(unit_t[i]), int(unit_e[i])
+        rows, cols = cap_t + 1 - ct, cap_e + 1 - ce
         # Every take value is read from the layer before device j, so it is
         # computed into the scratch layer before `value` is updated in place.
-        take = scratch[: cap_t + 1 - ct, : cap_e + 1 - ce]
-        np.add(value[: cap_t + 1 - ct, : cap_e + 1 - ce], sizes[j], out=take)
+        take = scratch[:rows, :cols]
+        np.add(value[:rows, :cols], dtype.type(scaled[j]), out=take)
         keep = value[ct:, ce:]
-        bits = taken[j, ct:, ce:]
-        np.greater(take, keep, out=bits)
-        np.copyto(keep, take, where=bits)
+        bits = shifted[:rows, :cols]
+        np.greater(take, keep, out=bits.view(bool))
+        np.maximum(keep, take, out=keep)
+        np.left_shift(bits, j % 8, out=bits)
+        plane = planes[j // 8, ct:, ce:]
+        np.bitwise_or(plane, bits, out=plane)
 
     picked: list[int] = []
     t, e = cap_t, cap_e
-    for j in range(n - 1, -1, -1):
-        if taken[j, t, e]:
-            picked.append(j)
-            t -= int(unit_t[j])
-            e -= int(unit_e[j])
+    for j in range(len(kept) - 1, -1, -1):
+        if int(planes[j // 8, t, e]) >> (j % 8) & 1:
+            i = kept[j]
+            picked.append(i)
+            t -= int(unit_t[i])
+            e -= int(unit_e[i])
     picked.reverse()
     return picked
 
@@ -231,22 +315,13 @@ def select_devices_dp(
 
     disc = default_discretization(budgets) if discretization is None else discretization
     devices, costs = _eligible(scenario)
-    n = len(devices)
 
     cap_t = capacity_units(budgets.t_max_s, disc.dt_s)
     cap_e = capacity_units(budgets.e_max_j, disc.de_j)
 
-    # One take-bit per (device, t, e) plus two int64 value layers.
-    nbytes = (n + 2 * 8) * (cap_t + 1) * (cap_e + 1)
-    if nbytes > MAX_DP_BYTES:
-        raise ConfigurationError(
-            f"DP would allocate {nbytes} bytes (limit {MAX_DP_BYTES}); coarsen the "
-            f"discretization (dt_s={disc.dt_s}, de_j={disc.de_j})"
-        )
-
     unit_t = np.array([cost_units(c.t_total(), disc.dt_s) for c in costs], dtype=np.int64)
     unit_e = np.array([cost_units(c.e_total(), disc.de_j) for c in costs], dtype=np.int64)
-    sizes = np.array([dev.variant.size_bytes for dev in devices], dtype=np.int64)
+    sizes = [dev.variant.size_bytes for dev in devices]
     picked = knapsack_2d(unit_t, unit_e, sizes, cap_t, cap_e)
 
     # Rounding can exclude subsets that fit exactly; never do worse than the

@@ -10,7 +10,7 @@ sweeps with the same seeds byte-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .baseline_split import SplitConfig, pick_split_pair, simulate_split
@@ -116,13 +116,26 @@ def _pipeline_row(scenario: Scenario, plan, budgets: Budgets) -> dict:
     }
 
 
-def _split_row(scenario: Scenario, budgets: Budgets, dp_stages: int) -> dict:
-    n_devices = sum(1 for dev in scenario.devices if dev.available)
+def _split_pair(scenario: Scenario) -> SplitConfig | None:
+    """The world's split pair, or None with fewer than two available devices.
+
+    The pick scores per-step latency only, so one pick serves every budget
+    cell; each cell sets its own step count.
+    """
+
+    if sum(1 for dev in scenario.devices if dev.available) < 2:
+        return None
+    return pick_split_pair(scenario)
+
+
+def _split_row(
+    scenario: Scenario, budgets: Budgets, dp_stages: int, pair: SplitConfig | None
+) -> dict:
     n_steps = scenario.steps_per_stage * dp_stages
-    if n_steps < 1 or n_devices < 2:
+    if n_steps < 1 or pair is None:
         # Nothing comparable to run; an idle run trivially fits the budgets.
         return _empty_metrics()
-    config = pick_split_pair(scenario, n_steps=n_steps)
+    config = replace(pair, n_steps=n_steps)
     trace = simulate_split(scenario, config, budgets)
     device_a = scenario.device(config.device_a_id)
     device_b = scenario.device(config.device_b_id)
@@ -175,6 +188,7 @@ def run_sweep(
 
     rows = []
     for world in scenarios:
+        pair = _split_pair(world) if "split" in spec.methods else None
         for t_max in spec.t_max_grid:
             for e_max in spec.e_max_grid:
                 budgets = Budgets(t_max_s=t_max, e_max_j=e_max)
@@ -187,7 +201,7 @@ def run_sweep(
                         if dp_plan is None and method in ("dp", "split"):
                             raise ConfigurationError("dp plan unavailable for this cell")
                         if method == "split":
-                            metrics = _split_row(world, budgets, dp_plan.n_stages)
+                            metrics = _split_row(world, budgets, dp_plan.n_stages, pair)
                         elif method == "dp":
                             metrics = _pipeline_row(world, dp_plan, budgets)
                         else:

@@ -1,13 +1,14 @@
-"""The rolling-layer DP kernel must pick what the full 3-D table picks.
+"""The pruned, packed DP kernel must pick what the full 3-D table picks.
 
 A naive triple-loop fill and the backtrack over its (n+1, cap_t+1, cap_e+1)
 table, both implemented here, serve as a reference that shares no code with
-the production kernel.
+the production kernel: no dominance pruning, no gcd scaling, one int64 value
+per cell.
 """
 
 import numpy as np
 
-from relaydiff.scheduler import knapsack_2d
+from relaydiff.scheduler import knapsack_2d, prune_dominated
 
 
 def reference_fill(unit_t, unit_e, sizes, cap_t, cap_e):
@@ -72,10 +73,11 @@ def test_kernel_matches_reference_on_larger_instances():
 
 
 def test_zero_cost_items_are_always_taken():
-    unit_t = np.zeros(3, dtype=np.int64)
-    unit_e = np.zeros(3, dtype=np.int64)
-    sizes = np.array([5, 7, 11], dtype=np.int64)
-    assert assert_matches_reference(unit_t, unit_e, sizes, 0, 0) == [0, 1, 2]
+    # 20 devices spread their take-bits over three byte planes.
+    unit_t = np.zeros(20, dtype=np.int64)
+    unit_e = np.zeros(20, dtype=np.int64)
+    sizes = np.arange(5, 25, dtype=np.int64)
+    assert assert_matches_reference(unit_t, unit_e, sizes, 0, 0) == list(range(20))
 
 
 def test_unit_cost_above_capacity_is_never_taken():
@@ -93,3 +95,50 @@ def test_tie_keeps_the_later_device_skipped():
     # Room for one of two identical devices. Taking device 1 only ties with
     # the best over device 0 alone, so device 1 stays skipped.
     assert assert_matches_reference(unit_t, unit_e, sizes, 4, 3) == [0]
+
+
+def test_kernel_matches_reference_on_four_size_values():
+    # Model sizes take four values (one param_count at 4/8/16/32 bits), all
+    # multiples of a large gcd; zero-cost and over-capacity devices included.
+    rng = np.random.default_rng(2024)
+    fitting = kept = 0
+    for _ in range(40):
+        n = int(rng.integers(1, 13))
+        cap_t, cap_e = int(rng.integers(0, 21)), int(rng.integers(0, 21))
+        unit_t = rng.integers(0, 24, size=n).astype(np.int64)
+        unit_e = rng.integers(0, 24, size=n).astype(np.int64)
+        unit_t[rng.random(n) < 0.15] = 0
+        unit_e[rng.random(n) < 0.15] = 0
+        sizes = rng.choice([1, 2, 4, 8], size=n).astype(np.int64) * 500_000_000
+        assert_matches_reference(unit_t, unit_e, sizes, cap_t, cap_e)
+        fitting += int(np.count_nonzero((unit_t <= cap_t) & (unit_e <= cap_e)))
+        kept += len(prune_dominated(unit_t, unit_e, sizes, cap_t, cap_e)[0])
+    assert kept < fitting  # some instances actually prune
+
+
+def test_device_with_one_replacer_too_few_is_kept():
+    # Unit costs (5,5), (5,6), (5,5) under (10,10): no three fit, so k_max = 2.
+    # Device 2 has one replacer (device 0: no costlier, bigger); device 1
+    # costs more energy, so it is no replacer. Device 2 is kept, and the
+    # optimum needs it. Device 1 has two replacers and is dropped.
+    unit_t = np.array([5, 5, 5], dtype=np.int64)
+    unit_e = np.array([5, 6, 5], dtype=np.int64)
+    sizes = np.array([4, 1, 2], dtype=np.int64) * 10**9
+    kept, k_max = prune_dominated(unit_t, unit_e, sizes, 10, 10)
+    assert k_max == 2
+    assert kept.tolist() == [0, 2]
+    assert assert_matches_reference(unit_t, unit_e, sizes, 10, 10) == [0, 2]
+
+
+def test_device_with_k_max_replacers_is_dropped():
+    # Unit costs (5,5), (4,4), (5,5) under (10,10): k_max = 2. Device 2 has
+    # two replacers: device 0 is bigger, device 1 is as big with a lower
+    # index. {0, 2} ties {0, 1}, which is the canonical optimum.
+    unit_t = np.array([5, 4, 5], dtype=np.int64)
+    unit_e = np.array([5, 4, 5], dtype=np.int64)
+    sizes = np.array([4, 2, 2], dtype=np.int64) * 10**9
+    kept, k_max = prune_dominated(unit_t, unit_e, sizes, 10, 10)
+    assert k_max == 2
+    assert kept.tolist() == [0, 1]
+    assert assert_matches_reference(unit_t, unit_e, sizes, 10, 10) == [0, 1]
+

@@ -21,11 +21,13 @@ from relaydiff import (
     load_plan,
     mark_unavailable,
     save_plan,
+    save_scenario,
     select_devices_dp,
     select_devices_no_ds,
     select_devices_oracle,
 )
 from relaydiff import scheduler
+from relaydiff.cli import EXIT_VALIDATION, main
 from relaydiff.scheduler import (
     DEFAULT_GRID_UNITS,
     MAX_DP_BYTES,
@@ -164,9 +166,10 @@ def test_dp_refuses_absurd_tables(three_device_scenario):
 
 
 def test_dp_byte_guard_refuses_before_allocating(three_device_scenario, monkeypatch):
-    # 3 devices on the default 201x201-cell grid: one take-bit per device and
-    # cell plus two int64 value layers.
-    needed = (3 + 2 * 8) * 201 * 201
+    # At most 3 kept devices on the default 201x201-cell grid: one take-bit
+    # byte plane, one shift byte and two value layers per cell. The 4/2/3 GB
+    # sizes divide by their gcd (1 GB) to 4/2/3, so values up to 9 fit uint8.
+    needed = (1 + 1 + 2 * 1) * 201 * 201
     budgets = Budgets(2.0, 200.0)
     monkeypatch.setattr(scheduler, "MAX_DP_BYTES", needed)
     assert select_devices_dp(three_device_scenario, budgets).device_ids == (0, 2)
@@ -180,6 +183,61 @@ def test_dp_byte_guard_refuses_before_allocating(three_device_scenario, monkeypa
     finally:
         tracemalloc.stop()
     assert peak < needed // 10
+
+
+def test_dp_peak_memory_on_a_fine_grid():
+    # 40 devices on a pinned 1000x1000-unit grid; the int64 table with one
+    # bool take-bit array per device peaked at 53.7 MB.
+    scenario = generate_scenario(40, seed=3)
+    budgets = Budgets(2.0, 200.0)
+    disc = Discretization(budgets.t_max_s / 1000, budgets.e_max_j / 1000)
+    tracemalloc.start()
+    try:
+        plan = select_devices_dp(scenario, budgets, disc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert plan.n_stages >= 1
+    assert peak < 16 * 2**20
+
+
+def _huge_model_scenario(param_counts):
+    # Every 32-bit device costs exactly (1.0 s, 0.375 J) per stage, a whole
+    # number of DYADIC_DISC units, so the DP rounding is lossless.
+    devices = [
+        dyadic_device(i, 32, count, step_latency_s=0.125, compute_power_w=0.25,
+                      tx_power_w=0.5, rx_power_w=0.5, pos_m=(50.0 * (i + 1), 50.0))
+        for i, count in enumerate(param_counts)
+    ]
+    return dyadic_scenario(devices, {i: (2.0**23, 2.0**23) for i in range(len(devices))})
+
+
+def test_dp_sizes_beyond_int64_match_the_oracle():
+    # Six 4 * (2**60 + 8i)-byte models sum past 2**63; an int64 value layer
+    # wrapped and the DP returned (0,) where the oracle takes all six.
+    scenario = _huge_model_scenario([2**60 + 8 * i for i in range(6)])
+    budgets = Budgets(6.0, 2.25)
+    oracle = select_devices_oracle(scenario, budgets)
+    assert oracle.device_ids == (0, 1, 2, 3, 4, 5)
+    plan = select_devices_dp(scenario, budgets, DYADIC_DISC)
+    assert plan.device_ids == oracle.device_ids
+    assert plan.objective_bytes == oracle.objective_bytes == sum(
+        4 * (2**60 + 8 * i) for i in range(6)
+    )
+
+
+def test_dp_value_bound_beyond_64_bits_is_a_configuration_error(tmp_path):
+    # Sizes 2**72 and 2**72 + 32 have gcd 32: scaled, each needs 68 bits.
+    scenario = _huge_model_scenario([2**70, 2**70 + 8])
+    with pytest.raises(ConfigurationError, match="64 bits"):
+        select_devices_dp(scenario, Budgets(2.0, 0.75), DYADIC_DISC)
+
+    save_scenario(scenario, tmp_path / "huge.json")
+    code = main([
+        "schedule", "-s", str(tmp_path / "huge.json"), "--t-max", "2.0", "--e-max", "0.75",
+        "-o", str(tmp_path / "plan.json"),
+    ])
+    assert code == EXIT_VALIDATION
 
 
 # -- discretization helpers ----------------------------------------------------

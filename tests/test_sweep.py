@@ -10,8 +10,10 @@ from relaydiff import (
     SweepSpec,
     ValidationError,
     generate_scenario,
+    pick_split_pair,
     run_sweep,
 )
+from relaydiff import sweep
 from relaydiff.sweep import CSV_COLUMNS, rows_to_csv
 
 
@@ -75,6 +77,25 @@ def test_split_rows_have_two_stages(small_scenario):
     assert row["n_stages"] == 2
     assert row["objective_bytes"] > 0
     assert row["replans"] == 0
+
+
+def test_split_pair_is_picked_once_per_world(monkeypatch):
+    calls = []
+
+    def counting_pick(scenario, n_steps=None):
+        calls.append(scenario.seed)
+        return pick_split_pair(scenario, n_steps)
+
+    monkeypatch.setattr(sweep, "pick_split_pair", counting_pick)
+    spec = SweepSpec(
+        t_max_grid=(1.0, 2.0, 3.0), e_max_grid=(100.0, 200.0), methods=("dp", "split"),
+        repetitions=2,
+    )
+    rows = run_sweep(spec, n_devices=6, base_seed=7)
+    assert len(rows) == 2 * 6 * 2
+    # One pick per world, whatever the step counts of its twelve split rows.
+    assert calls == [7, 8]
+    assert len({row["n_stages"] for row in rows if row["method"] == "dp"}) > 1
 
 
 def test_failing_cells_become_infeasible_rows():
