@@ -1,12 +1,17 @@
 """Time the scheduler's DP kernel and report its peak traced memory.
 
 ``knapsack_2d`` first drops devices that can never be in the returned plan,
-then fills narrow unsigned value layers and one take-bit per kept device and
-(t, e) cell, packed 8 devices per byte. Each shape is timed
+then fills one of two tables: the grid (narrow unsigned value layers and one
+take-bit per kept device and (t, e) cell, packed 8 devices per byte) or, when
+the value bound is below the energy capacity, the value table (the fewest
+energy units per (t, v) cell, one layer per kept device). Each shape is timed
 best-of-``--repeats`` on random unit costs and four-valued model sizes (one
 parameter count at 4, 8, 16 and 32 bits), then run once more under
 ``tracemalloc`` for the peak of the numpy buffers it allocates. The ``kept``
-column counts the devices left after pruning. Run from the repository root:
+column counts the devices left after pruning and ``table`` names the table
+that ran. The last two shapes sit on either side of the choice: the same
+devices and time axis, with the energy axis just above or below the value
+bound. Run from the repository root:
 
     PYTHONPATH=src python3 benchmarks/bench_dp.py
 """
@@ -17,6 +22,7 @@ import tracemalloc
 
 import numpy as np
 
+from relaydiff import scheduler
 from relaydiff.scheduler import knapsack_2d, prune_dominated
 
 PARAM_COUNT = 1_000_000_000
@@ -28,6 +34,26 @@ def random_instance(rng, n, cap_t, cap_e):
     unit_e = rng.integers(1, max(2, cap_e // 4), size=n, dtype=np.int64)
     sizes = rng.choice(SIZES, size=n)
     return unit_t, unit_e, sizes
+
+
+def table_used(kernel_args):
+    """``grid`` or ``value``: the table one ``knapsack_2d`` call filled."""
+
+    used = []
+    fills = {"grid": scheduler._grid_dp, "value": scheduler._value_dp}
+    try:
+        for label, fill in fills.items():
+
+            def counted(*args, _fill=fill, _label=label):
+                used.append(_label)
+                return _fill(*args)
+
+            setattr(scheduler, fill.__name__, counted)
+        knapsack_2d(*kernel_args)
+    finally:
+        for fill in fills.values():
+            setattr(scheduler, fill.__name__, fill)
+    return used[0]
 
 
 def best_of(args, repeats):
@@ -55,17 +81,27 @@ def main():
     args = parser.parse_args()
 
     rng = np.random.default_rng(args.seed)
-    shapes = [(10, 100, 100), (20, 200, 200), (25, 400, 400), (40, 800, 800)]
+    cases = []
+    for n, cap_t, cap_e in [(10, 100, 100), (20, 200, 200), (25, 400, 400), (40, 800, 800)]:
+        cases.append((*random_instance(rng, n, cap_t, cap_e), cap_t, cap_e))
+    # One 40-device fleet whose value bound (at seed 0) is 64 when 64 energy
+    # units fit and 72 when 80 do: the grid runs at cap_e = 64, the value
+    # table at 80.
+    unit_t, unit_e, sizes = random_instance(rng, 40, 800, 160)
+    cases += [(unit_t, unit_e, sizes, 800, cap_e) for cap_e in (64, 80)]
 
-    print(f"{'n':>4} {'kept':>5} {'cap_t':>6} {'cap_e':>6} {'time':>10} {'peak':>10}")
-    for n, cap_t, cap_e in shapes:
-        unit_t, unit_e, sizes = random_instance(rng, n, cap_t, cap_e)
-        kernel_args = (unit_t, unit_e, sizes, cap_t, cap_e)
+    print(
+        f"{'n':>4} {'kept':>5} {'cap_t':>6} {'cap_e':>6} {'table':>7} "
+        f"{'time':>10} {'peak':>10}"
+    )
+    for kernel_args in cases:
+        unit_t, _, _, cap_t, cap_e = kernel_args
         kept = len(prune_dominated(*kernel_args)[0])
+        table = table_used(kernel_args)
         seconds = best_of(kernel_args, args.repeats)
         peak_mb = traced_peak(kernel_args) / 2**20
         print(
-            f"{n:>4} {kept:>5} {cap_t:>6} {cap_e:>6} "
+            f"{len(unit_t):>4} {kept:>5} {cap_t:>6} {cap_e:>6} {table:>7} "
             f"{seconds * 1e3:>8.1f}ms {peak_mb:>8.1f}MB"
         )
 

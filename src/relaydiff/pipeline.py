@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
+from .cost_model import stage_cost_for
 from .errors import ConfigurationError, LineageError, RecoveryInfeasible, ValidationError
 from .scenario import STAGE_PHASES, Scenario, mark_unavailable
 from .scheduler import Budgets, SchedulePlan, select_devices_dp
@@ -158,7 +159,9 @@ def simulate_pipeline(
 
     ``budgets`` defaults to the plan's own; the explicit parameter exists so a
     caller can judge feasibility (and recovery headroom) against different
-    caps than the plan was built for.
+    caps than the plan was built for. Every stage's stored cost must match
+    ``stage_cost_for`` on ``scenario`` within a 1e-12 relative tolerance, so a
+    plan made for another scenario raises ValidationError.
     """
 
     budgets = plan.budgets if budgets is None else budgets
@@ -168,8 +171,16 @@ def simulate_pipeline(
             raise ConfigurationError(
                 f"injected failure for device {dev_id} which is not in the plan"
             )
-    for dev_id in plan.device_ids:
-        scenario.device(dev_id)  # raises ConfigurationError if missing
+    for dev_id, cost in plan.stages:
+        # scenario.device raises ConfigurationError for an unknown id.
+        expected = stage_cost_for(scenario, scenario.device(dev_id))
+        for field in fields(cost):
+            stored, recomputed = getattr(cost, field.name), getattr(expected, field.name)
+            if not math.isclose(stored, recomputed, rel_tol=1e-12, abs_tol=1e-12):
+                raise ValidationError(
+                    f"plan stage of device {dev_id}: {field.name} {stored} disagrees with "
+                    f"the scenario ({recomputed}); was the plan made for another scenario?"
+                )
 
     rng = np.random.default_rng(failures.rng_seed)
     injected = dict(failures.injected)
@@ -329,7 +340,14 @@ def trace_from_dict(data: dict) -> SimTrace:
 
     t_tran = math.fsum(e.duration_s for e in events if e.kind in ("download", "upload"))
     t_cmp = math.fsum(e.duration_s for e in events if e.kind == "compute")
-    for name, recomputed in (("t_tran_s", t_tran), ("t_cmp_s", t_cmp)):
+    t_total = t_tran + t_cmp
+    tran_fraction = t_tran / t_total if t_total > 0 else 0.0
+    for name, recomputed in (
+        ("t_tran_s", t_tran),
+        ("t_cmp_s", t_cmp),
+        ("t_total_s", t_total),
+        ("tran_fraction", tran_fraction),
+    ):
         stored = data.get(name)
         if isinstance(stored, bool) or not isinstance(stored, (int, float)):
             raise ValidationError(f"trace.{name}: expected a number, got {stored!r}")
@@ -352,11 +370,11 @@ def trace_from_dict(data: dict) -> SimTrace:
 
     return SimTrace(
         events=tuple(events),
-        t_total_s=_field("t_total_s", float),
+        t_total_s=t_total,
         e_total_j=_field("e_total_j", float),
         t_tran_s=t_tran,
         t_cmp_s=t_cmp,
-        tran_fraction=_field("tran_fraction", float),
+        tran_fraction=tran_fraction,
         stages_completed=_field("stages_completed", int),
         replans=_field("replans", int),
         completed=_field("completed", bool),

@@ -10,15 +10,17 @@ variants' byte sizes. Three methods share one plan type:
   units) is solved one device at a time with numpy. Devices that cannot be
   in the returned plan are dropped first: those over capacity, and those
   that at least as many bigger, no costlier devices could replace as any
-  fitting set can hold. Sizes are divided by their gcd, so the two value
-  layers (the best values so far and the shifted take values) use the
-  narrowest unsigned dtype that holds the largest reachable value; per kept
-  device, a take-bit for every (time, energy) cell, packed 8 devices per
-  byte, records whether taking it beat skipping it, and the backtrack walks
-  those bits from the full-capacity corner. A tie keeps the device skipped.
-  The DP result is finally compared against the greedy baseline and the
-  better objective wins, which guarantees the method never loses to
-  no-selection through rounding alone.
+  fitting set can hold. Sizes are divided by their gcd, which bounds the
+  value any fitting set reaches. The table then has a time axis and either
+  an energy axis (the best value per (time, energy) cell, plus a take-bit
+  per kept device and cell, packed 8 devices per byte) or, when the value
+  bound is shorter than the energy axis, a value axis (the fewest energy
+  units per (time, value) cell, one layer per kept device). Of the two, the
+  one with fewer cells runs unless only the other fits the byte limit. Both
+  backtracks return the same plan: a device is taken only if it beats
+  skipping it, so a tie keeps it skipped. The DP result is finally compared
+  against the greedy baseline and the better objective wins, which
+  guarantees the method never loses to no-selection through rounding alone.
 * :func:`select_devices_oracle`: exhaustive subset enumeration with exact
   float feasibility. Exponential; guarded to small fleets. Ties prefer fewer
   devices, then the lexicographically smallest id set.
@@ -242,15 +244,34 @@ def knapsack_2d(unit_t, unit_e, sizes, cap_t: int, cap_e: int) -> list[int]:
     The canonical optimum is the optimal subset whose membership, read from
     the highest index down, is lexicographically smallest: a device is left
     out whenever taking it only ties. Devices that can never be in it are
-    dropped first (:func:`prune_dominated`). Sizes are divided by their gcd
-    and the value layers take the narrowest unsigned dtype that holds the sum
-    of the ``k_max`` largest scaled sizes, the most any cell can hold. With
-    ``value`` the best over kept devices before j, device j is taken at cell
-    (t, e) iff ``value[t - unit_t[j], e - unit_e[j]] + sizes[j] > value[t, e]``;
-    that take-bit is bit ``j % 8`` of byte plane ``j // 8``.
+    dropped first (:func:`prune_dominated`), and sizes are divided by their
+    gcd; ``bound``, the sum of the ``k_max`` largest scaled sizes, is the
+    most any fitting subset is worth.
 
-    Raises ConfigurationError if the value bound does not fit 64 bits or the
-    buffers would exceed ``MAX_DP_BYTES``, before any DP buffer is allocated.
+    One of two tables is then filled, one 2-D layer per kept device:
+
+    * the grid, time × energy (:func:`_grid_dp`): ``value[t, e]``, the largest value within
+      (t, e) units, over (cap_t+1)·(cap_e+1) cells, in the narrowest unsigned
+      dtype that holds ``bound``. Device j is taken at (t, e) iff
+      ``value[t - unit_t[j], e - unit_e[j]] + sizes[j] > value[t, e]`` over
+      the devices before j; that take-bit is bit ``j % 8`` of byte plane
+      ``j // 8``, and the backtrack walks the bits from (cap_t, cap_e).
+    * the value table, time × value (:func:`_value_dp`): ``g[t, v]``, the fewest energy units
+      within t time units that reach a scaled value of at least v, over
+      (cap_t+1)·(bound+1) cells, saturating at ``cap_e + 1``. Every layer is
+      kept. The optimum V is the largest v with ``g[cap_t, v] <= cap_e``;
+      from the top down, device j is skipped iff the devices before it
+      already reach V within (t, e), that is iff ``g_j[t, V] <= e``, and
+      taken otherwise (t, e and V drop by its costs and size). That is the
+      grid's rule: the best over the devices before j at (t, e) is at least
+      V exactly when taking j does not beat skipping it, so both tables
+      return the same subset.
+
+    Among the tables whose buffers fit ``MAX_DP_BYTES``, the one with fewer
+    cells per device runs: the value table iff ``bound < cap_e``.
+
+    Raises ConfigurationError if the value bound does not fit 64 bits or
+    neither table fits ``MAX_DP_BYTES``, before any DP buffer is allocated.
     """
 
     kept, k_max = prune_dominated(unit_t, unit_e, sizes, cap_t, cap_e)
@@ -264,44 +285,93 @@ def knapsack_2d(unit_t, unit_e, sizes, cap_t: int, cap_e: int) -> list[int]:
             f"DP values reach {bound} (sizes divided by their gcd {gcd}); "
             "that does not fit 64 bits"
         )
-    dtype = np.min_scalar_type(bound)
+    ct = [int(unit_t[i]) for i in kept]
+    ce = [int(unit_e[i]) for i in kept]
 
-    # Per cell: one take-bit byte plane per 8 kept devices, one shift byte,
-    # and two value layers.
-    nbytes = (-(-len(kept) // 8) + 1 + 2 * dtype.itemsize) * (cap_t + 1) * (cap_e + 1)
-    if nbytes > MAX_DP_BYTES:
-        raise ConfigurationError(
-            f"DP would allocate {nbytes} bytes (limit {MAX_DP_BYTES}) for a "
-            f"{cap_t + 1}x{cap_e + 1}-cell grid; coarsen the discretization"
-        )
+    # Grid, per cell: one take-bit byte plane per 8 kept devices, one shift
+    # byte and two value layers. Value table, per cell: every layer and one
+    # scratch layer.
+    grid_dtype = np.min_scalar_type(bound)
+    grid_bytes = (-(-len(kept) // 8) + 1 + 2 * grid_dtype.itemsize) * (cap_t + 1) * (cap_e + 1)
+    value_dtype = np.min_scalar_type(cap_e + 1)
+    value_bytes = (len(kept) + 2) * (cap_t + 1) * (bound + 1) * value_dtype.itemsize
+    tables = [
+        (grid_bytes, cap_e + 1, _grid_dp, (grid_dtype,)),
+        (value_bytes, bound + 1, _value_dp, (bound, value_dtype)),
+    ]
+    if bound < cap_e:
+        tables.reverse()
+    for nbytes, _, fill, extra in tables:
+        if nbytes <= MAX_DP_BYTES:
+            return [kept[j] for j in fill(ct, ce, scaled, cap_t, cap_e, *extra)]
+    nbytes, cols, _, _ = tables[0]
+    raise ConfigurationError(
+        f"DP would allocate {nbytes} bytes (limit {MAX_DP_BYTES}) for a "
+        f"{cap_t + 1}x{cols}-cell table; coarsen the discretization"
+    )
+
+
+def _grid_dp(ct, ce, scaled, cap_t, cap_e, dtype) -> list[int]:
+    """Ascending kept positions of the canonical optimum, from the grid."""
 
     value = np.zeros((cap_t + 1, cap_e + 1), dtype=dtype)
     scratch = np.empty_like(value)
     shifted = np.empty(value.shape, dtype=np.uint8)
-    planes = np.zeros(((len(kept) + 7) // 8, cap_t + 1, cap_e + 1), dtype=np.uint8)
-    for j, i in enumerate(kept):
-        ct, ce = int(unit_t[i]), int(unit_e[i])
-        rows, cols = cap_t + 1 - ct, cap_e + 1 - ce
+    planes = np.zeros(((len(scaled) + 7) // 8, cap_t + 1, cap_e + 1), dtype=np.uint8)
+    for j, size in enumerate(scaled):
+        rows, cols = cap_t + 1 - ct[j], cap_e + 1 - ce[j]
         # Every take value is read from the layer before device j, so it is
         # computed into the scratch layer before `value` is updated in place.
         take = scratch[:rows, :cols]
-        np.add(value[:rows, :cols], dtype.type(scaled[j]), out=take)
-        keep = value[ct:, ce:]
+        np.add(value[:rows, :cols], dtype.type(size), out=take)
+        keep = value[ct[j]:, ce[j]:]
         bits = shifted[:rows, :cols]
         np.greater(take, keep, out=bits.view(bool))
         np.maximum(keep, take, out=keep)
         np.left_shift(bits, j % 8, out=bits)
-        plane = planes[j // 8, ct:, ce:]
+        plane = planes[j // 8, ct[j]:, ce[j]:]
         np.bitwise_or(plane, bits, out=plane)
 
     picked: list[int] = []
     t, e = cap_t, cap_e
-    for j in range(len(kept) - 1, -1, -1):
+    for j in range(len(scaled) - 1, -1, -1):
         if int(planes[j // 8, t, e]) >> (j % 8) & 1:
-            i = kept[j]
-            picked.append(i)
-            t -= int(unit_t[i])
-            e -= int(unit_e[i])
+            picked.append(j)
+            t -= ct[j]
+            e -= ce[j]
+    picked.reverse()
+    return picked
+
+
+def _value_dp(ct, ce, scaled, cap_t, cap_e, bound, dtype) -> list[int]:
+    """Ascending kept positions of the canonical optimum, from the value table."""
+
+    inf = cap_e + 1
+    layers = np.empty((len(scaled) + 1, cap_t + 1, bound + 1), dtype=dtype)
+    layers[0] = inf
+    layers[0, :, 0] = 0
+    scratch = np.empty(layers.shape[1:], dtype=dtype)
+    for j, size in enumerate(scaled):
+        before, after = layers[j], layers[j + 1]
+        low, rows = size + 1, cap_t + 1 - ct[j]
+        after[:ct[j]] = before[:ct[j]]
+        # Values up to `size` need device j alone, since g[., 0] = 0.
+        np.minimum(before[ct[j]:, :low], dtype.type(ce[j]), out=after[ct[j]:, :low])
+        # Above it, g[t - ct, v - size] + ce, saturated so it never passes inf.
+        take = scratch[:rows, :bound + 1 - low]
+        np.minimum(before[:rows, 1:bound + 1 - size], dtype.type(inf - ce[j]), out=take)
+        np.add(take, dtype.type(ce[j]), out=take)
+        np.minimum(before[ct[j]:, low:], take, out=after[ct[j]:, low:])
+
+    picked: list[int] = []
+    t, e = cap_t, cap_e
+    target = int(np.count_nonzero(layers[-1, cap_t] <= cap_e)) - 1
+    for j in range(len(scaled) - 1, -1, -1):
+        if int(layers[j, t, target]) > e:
+            picked.append(j)
+            t -= ct[j]
+            e -= ce[j]
+            target = max(target - scaled[j], 0)
     picked.reverse()
     return picked
 

@@ -8,6 +8,8 @@ trace totals with ``==`` instead of tolerances.
 
 from __future__ import annotations
 
+import collections
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from relaydiff import (
     Scenario,
     generate_scenario,
 )
+from relaydiff import scheduler
 
 # One latent is 2**18 bytes = 2**21 bits, so a 2**m bps link moves it in
 # exactly 2**(21 - m) seconds.
@@ -173,3 +176,19 @@ def make_dyadic_instance(rng: np.random.Generator, n_devices: int | None = None)
         e_max_j=float(rng.integers(1, 49)),
     )
     return scenario, budgets
+
+
+@pytest.fixture
+def table_calls(monkeypatch):
+    """Calls of each DP table fill, counted by a wrapper around its helper."""
+
+    calls = collections.Counter()
+    for name in ("_grid_dp", "_value_dp"):
+        fill = getattr(scheduler, name)
+
+        def counted(*args, _fill=fill, _name=name):
+            calls[_name] += 1
+            return _fill(*args)
+
+        monkeypatch.setattr(scheduler, name, counted)
+    return calls

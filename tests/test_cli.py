@@ -231,3 +231,36 @@ def test_directory_as_scenario_file_is_a_validation_error(tmp_path, capsys):
     ])
     assert code == EXIT_VALIDATION
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_main_reuses_one_parser_without_carrying_arguments_over(workdir, tmp_path, monkeypatch):
+    from relaydiff import cli
+
+    injected = []
+    real_simulate = cli.simulate_pipeline
+
+    def recording_simulate(scenario, plan, failures, budgets):
+        injected.append(failures.injected)
+        return real_simulate(scenario, plan, failures, budgets)
+
+    monkeypatch.setattr(cli, "simulate_pipeline", recording_simulate)
+    common = ["simulate", "-s", str(workdir / "s.json"), "-p", str(workdir / "plan.json")]
+    assert main(common + ["--fail", "3:compute", "-o", str(tmp_path / "a.json")]) == EXIT_OK
+    assert main(common + ["-o", str(tmp_path / "b.json")]) == EXIT_OK
+    assert injected == [((3, "compute"),), ()]
+    assert load_trace(tmp_path / "a.json").replans == 1
+    assert load_trace(tmp_path / "b.json").replans == 0
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()
+
+
+def test_simulate_plan_from_another_scenario_is_a_validation_error(workdir, tmp_path, capsys):
+    assert main([
+        "gen-scenario", "--devices", "20", "--area", "500", "--seed", "43",
+        "-o", str(tmp_path / "other.json"),
+    ]) == EXIT_OK
+    code = main([
+        "simulate", "-s", str(tmp_path / "other.json"), "-p", str(workdir / "plan.json"),
+    ])
+    assert code == EXIT_VALIDATION
+    assert "another scenario" in capsys.readouterr().err

@@ -1,9 +1,9 @@
-"""The pruned, packed DP kernel must pick what the full 3-D table picks.
+"""The pruned DP kernel must pick what the full 3-D table picks, by either table.
 
 A naive triple-loop fill and the backtrack over its (n+1, cap_t+1, cap_e+1)
 table, both implemented here, serve as a reference that shares no code with
-the production kernel: no dominance pruning, no gcd scaling, one int64 value
-per cell.
+the production kernel: no dominance pruning, no gcd scaling, no value table,
+one int64 value per cell.
 """
 
 import numpy as np
@@ -142,3 +142,25 @@ def test_device_with_k_max_replacers_is_dropped():
     assert kept.tolist() == [0, 1]
     assert assert_matches_reference(unit_t, unit_e, sizes, 10, 10) == [0, 1]
 
+
+def test_both_tables_match_reference(table_calls):
+    # Sizes of 0-5 GB against capacities of up to 30 units put the value
+    # bound on both sides of cap_e, so each table runs.
+    rng = np.random.default_rng(4321)
+    for _ in range(60):
+        unit_t, unit_e, _, cap_t, cap_e = random_instance(rng, n_max=10, cap_max=30)
+        sizes = rng.integers(0, 6, size=len(unit_t)).astype(np.int64) * 10**9
+        assert_matches_reference(unit_t, unit_e, sizes, cap_t, cap_e)
+    assert table_calls["_value_dp"] >= 1
+    assert table_calls["_grid_dp"] >= 1
+
+
+def test_value_table_saturates_instead_of_wrapping(table_calls):
+    # cap_e = 254 makes the value table's energies uint8 with 255 for
+    # "unreachable". Devices 1 and 2 together need 10 + 250 = 260 units; a
+    # wrapping add would store 4 and claim a value of 3 within the budget.
+    unit_t = np.array([1, 1, 1], dtype=np.int64)
+    unit_e = np.array([200, 10, 250], dtype=np.int64)
+    sizes = np.array([1, 1, 2], dtype=np.int64)
+    assert assert_matches_reference(unit_t, unit_e, sizes, 3, 254) == [0, 1]
+    assert table_calls == {"_value_dp": 1}

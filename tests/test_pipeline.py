@@ -14,6 +14,7 @@ from relaydiff import (
     RecoveryInfeasible,
     ValidationError,
     aggregate_latent_lineage,
+    generate_scenario,
     load_trace,
     save_trace,
     select_devices_dp,
@@ -227,3 +228,30 @@ def test_trace_summary_is_flat(two_stage_scenario):
         "completed": True,
         "feasible": True,
     }
+
+
+def test_trace_loader_rejects_and_recomputes_time_totals(recovery_scenario, recovery_budgets):
+    plan = select_devices_dp(recovery_scenario, recovery_budgets)
+    trace = simulate_pipeline(
+        recovery_scenario, plan, FailureSpec(injected=((1, "compute"),))
+    )
+    for name, tampered in (("t_total_s", 999.0), ("tran_fraction", 7.0)):
+        data = trace_to_dict(trace)
+        data[name] = tampered
+        with pytest.raises(ValidationError, match=f"trace.{name}"):
+            trace_from_dict(data)
+
+    # Within the 1e-12 tolerance the file loads, with the recomputed values.
+    data = trace_to_dict(trace)
+    data["t_total_s"] *= 1 + 1e-14
+    data["tran_fraction"] *= 1 - 1e-14
+    loaded = trace_from_dict(data)
+    assert loaded.t_total_s == trace.t_total_s == loaded.t_tran_s + loaded.t_cmp_s
+    assert loaded.tran_fraction == trace.tran_fraction
+
+
+def test_plan_from_another_scenario_is_rejected():
+    plan = select_devices_dp(generate_scenario(20, seed=1), Budgets(2.0, 200.0))
+    assert plan.stages
+    with pytest.raises(ValidationError, match="another scenario"):
+        simulate_pipeline(generate_scenario(20, seed=2), plan)

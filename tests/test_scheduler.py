@@ -166,23 +166,48 @@ def test_dp_refuses_absurd_tables(three_device_scenario):
 
 
 def test_dp_byte_guard_refuses_before_allocating(three_device_scenario, monkeypatch):
-    # At most 3 kept devices on the default 201x201-cell grid: one take-bit
-    # byte plane, one shift byte and two value layers per cell. The 4/2/3 GB
-    # sizes divide by their gcd (1 GB) to 4/2/3, so values up to 9 fit uint8.
-    needed = (1 + 1 + 2 * 1) * 201 * 201
+    # The 4/2/3 GB sizes divide by their gcd (1 GB) to 4/2/3; no three fit,
+    # so values reach at most 4 + 3 = 7. A 2**-13 s time unit gives 16385
+    # time cells, so each table needs far more than the call's fixed ~6 kB.
     budgets = Budgets(2.0, 200.0)
-    monkeypatch.setattr(scheduler, "MAX_DP_BYTES", needed)
-    assert select_devices_dp(three_device_scenario, budgets).device_ids == (0, 2)
+    cases = [
+        # 201 energy cells > 8 value cells: the value table, three kept
+        # layers, the empty layer and one scratch layer of uint8 energies.
+        (Discretization(2**-13, 1.0), (3 + 2) * 16385 * 8),
+        # 8 energy cells <= 8 value cells: the grid, one take-bit byte plane,
+        # one shift byte and two uint8 value layers per cell.
+        (Discretization(2**-13, 28.0), (1 + 1 + 2 * 1) * 16385 * 8),
+    ]
+    for disc, needed in cases:
+        monkeypatch.setattr(scheduler, "MAX_DP_BYTES", needed)
+        assert select_devices_dp(three_device_scenario, budgets, disc).device_ids == (0, 2)
 
-    monkeypatch.setattr(scheduler, "MAX_DP_BYTES", needed - 1)
-    tracemalloc.start()
-    try:
-        with pytest.raises(ConfigurationError, match=f"allocate {needed} bytes"):
-            select_devices_dp(three_device_scenario, budgets)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < needed // 10
+        monkeypatch.setattr(scheduler, "MAX_DP_BYTES", needed - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigurationError, match=f"allocate {needed} bytes"):
+                select_devices_dp(three_device_scenario, budgets, disc)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < needed // 10
+
+
+def test_dp_falls_back_to_the_grid_when_the_value_table_is_too_big(
+    three_device_scenario, monkeypatch, table_calls
+):
+    # 9 energy cells > 8 value cells, so the value table runs by default;
+    # but its (3 + 2) * 8 bytes per time cell exceed the grid's 4 * 9.
+    budgets = Budgets(2.0, 200.0)
+    disc = Discretization(2**-7, 25.0)
+    free = select_devices_dp(three_device_scenario, budgets, disc)
+    assert table_calls == {"_value_dp": 1}
+
+    monkeypatch.setattr(scheduler, "MAX_DP_BYTES", (1 + 1 + 2 * 1) * 257 * 9)
+    assert (3 + 2) * 257 * 8 > scheduler.MAX_DP_BYTES
+    assert select_devices_dp(three_device_scenario, budgets, disc) == free
+    assert table_calls == {"_value_dp": 1, "_grid_dp": 1}
+    assert free.device_ids == (0, 2)
 
 
 def test_dp_peak_memory_on_a_fine_grid():
