@@ -8,22 +8,25 @@ energy units per (t, v) cell, one layer per kept device). Each shape is timed
 best-of-``--repeats`` on random unit costs and four-valued model sizes (one
 parameter count at 4, 8, 16 and 32 bits), then run once more under
 ``tracemalloc`` for the peak of the numpy buffers it allocates. The ``kept``
-column counts the devices left after pruning and ``table`` names the table
-that ran. The last two shapes sit on either side of the choice: the same
-devices and time axis, with the energy axis just above or below the value
-bound. Run from the repository root:
+column counts the devices left after pruning, ``kbound`` is the sum of the
+``k_max`` largest scaled sizes, ``bound`` the value bound the kernel used
+(the least of ``kbound`` and the two axes' Dantzig bounds), and ``table``
+names the table that ran. The last two shapes sit on either side of the
+choice: the same devices and time axis, with the energy axis just below or
+just above the value bound. Run from the repository root:
 
     PYTHONPATH=src python3 benchmarks/bench_dp.py
 """
 
 import argparse
+import math
 import time
 import tracemalloc
 
 import numpy as np
 
 from relaydiff import scheduler
-from relaydiff.scheduler import knapsack_2d, prune_dominated
+from relaydiff.scheduler import knapsack_2d, lp_bound, prune_dominated
 
 PARAM_COUNT = 1_000_000_000
 SIZES = np.array([PARAM_COUNT * bits // 8 for bits in (4, 8, 16, 32)], dtype=np.int64)
@@ -34,6 +37,23 @@ def random_instance(rng, n, cap_t, cap_e):
     unit_e = rng.integers(1, max(2, cap_e // 4), size=n, dtype=np.int64)
     sizes = rng.choice(SIZES, size=n)
     return unit_t, unit_e, sizes
+
+
+def value_bounds(unit_t, unit_e, sizes, cap_t, cap_e):
+    """(kept devices, k_max bound, bound used), computed as ``knapsack_2d`` does."""
+
+    kept, k_max = prune_dominated(unit_t, unit_e, sizes, cap_t, cap_e)
+    kept = kept.tolist()
+    scaled = [int(sizes[i]) for i in kept]
+    gcd = math.gcd(*scaled) or 1
+    scaled = [size // gcd for size in scaled]
+    k_max_bound = sum(sorted(scaled, reverse=True)[:k_max])
+    bound = min(
+        k_max_bound,
+        lp_bound([int(unit_t[i]) for i in kept], scaled, cap_t),
+        lp_bound([int(unit_e[i]) for i in kept], scaled, cap_e),
+    )
+    return len(kept), k_max_bound, bound
 
 
 def table_used(kernel_args):
@@ -84,25 +104,24 @@ def main():
     cases = []
     for n, cap_t, cap_e in [(10, 100, 100), (20, 200, 200), (25, 400, 400), (40, 800, 800)]:
         cases.append((*random_instance(rng, n, cap_t, cap_e), cap_t, cap_e))
-    # One 40-device fleet whose value bound (at seed 0) is 64 when 64 energy
-    # units fit and 72 when 80 do: the grid runs at cap_e = 64, the value
-    # table at 80.
-    unit_t, unit_e, sizes = random_instance(rng, 40, 800, 160)
-    cases += [(unit_t, unit_e, sizes, 800, cap_e) for cap_e in (64, 80)]
+    # One 40-device fleet whose value bound (at seed 0) is 100 at both 96 and
+    # 104 energy units: the grid runs at cap_e = 96, the value table at 104.
+    unit_t, unit_e, sizes = random_instance(rng, 40, 800, 32)
+    cases += [(unit_t, unit_e, sizes, 800, cap_e) for cap_e in (96, 104)]
 
     print(
-        f"{'n':>4} {'kept':>5} {'cap_t':>6} {'cap_e':>6} {'table':>7} "
-        f"{'time':>10} {'peak':>10}"
+        f"{'n':>4} {'kept':>5} {'cap_t':>6} {'cap_e':>6} {'kbound':>7} {'bound':>6} "
+        f"{'table':>6} {'time':>10} {'peak':>10}"
     )
     for kernel_args in cases:
         unit_t, _, _, cap_t, cap_e = kernel_args
-        kept = len(prune_dominated(*kernel_args)[0])
+        kept, k_max_bound, bound = value_bounds(*kernel_args)
         table = table_used(kernel_args)
         seconds = best_of(kernel_args, args.repeats)
         peak_mb = traced_peak(kernel_args) / 2**20
         print(
-            f"{len(unit_t):>4} {kept:>5} {cap_t:>6} {cap_e:>6} {table:>7} "
-            f"{seconds * 1e3:>8.1f}ms {peak_mb:>8.1f}MB"
+            f"{len(unit_t):>4} {kept:>5} {cap_t:>6} {cap_e:>6} {k_max_bound:>7} {bound:>6} "
+            f"{table:>6} {seconds * 1e3:>8.1f}ms {peak_mb:>8.1f}MB"
         )
 
 

@@ -10,13 +10,21 @@ Aggregation convention: totals over many cost terms use ``math.fsum`` and
 ``t_total`` is defined as ``t_tran + t_cmp``. Both choices make the accounting
 identities exact in floating point (order-independent, no drift), so a plan's
 predicted totals match a failure-free execution trace bit for bit.
+
+:class:`FleetCosts` holds the same six phase costs for a whole fleet as numpy
+arrays. Both it and :func:`stage_cost` evaluate one phase formula, made only
+of correctly rounded multiplications and divisions, so every array element
+equals the matching :func:`stage_cost_for` field bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable
+
+import numpy as np
 
 from .errors import ConfigurationError
 from .scenario import Device, LinkParams, Scenario
@@ -100,6 +108,15 @@ def transfer_time(n_bytes: int, rate_bps: float) -> float:
     return BITS_PER_BYTE * n_bytes / rate_bps
 
 
+def _phase_costs(latent_bytes, k_steps, rate_down, rate_up, step_latency_s, rx_w, compute_w, tx_w):
+    """(t_down, t_cmp, t_up, e_down, e_cmp, e_up) of a stage, for floats or arrays alike."""
+
+    t_down = transfer_time(latent_bytes, rate_down)
+    t_up = transfer_time(latent_bytes, rate_up)
+    t_cmp = k_steps * step_latency_s
+    return t_down, t_cmp, t_up, rx_w * t_down, compute_w * t_cmp, tx_w * t_up
+
+
 def stage_cost(
     device: Device,
     link: LinkParams,
@@ -113,17 +130,16 @@ def stage_cost(
         raise ConfigurationError(f"k_steps must be >= 0, got {k_steps}")
     if latent_bytes < 0:
         raise ConfigurationError(f"latent_bytes must be >= 0, got {latent_bytes}")
-    t_down = transfer_time(latent_bytes, link_rate(device, link, "down", server_pos_m))
-    t_up = transfer_time(latent_bytes, link_rate(device, link, "up", server_pos_m))
-    t_cmp = k_steps * device.step_latency_s
-    return StageCost(
-        t_down_s=t_down,
-        t_cmp_s=t_cmp,
-        t_up_s=t_up,
-        e_down_j=device.rx_power_w * t_down,
-        e_cmp_j=device.compute_power_w * t_cmp,
-        e_up_j=device.tx_power_w * t_up,
-    )
+    return StageCost(*_phase_costs(
+        latent_bytes,
+        k_steps,
+        link_rate(device, link, "down", server_pos_m),
+        link_rate(device, link, "up", server_pos_m),
+        device.step_latency_s,
+        device.rx_power_w,
+        device.compute_power_w,
+        device.tx_power_w,
+    ))
 
 
 def stage_cost_for(scenario: Scenario, device: Device) -> StageCost:
@@ -135,6 +151,86 @@ def stage_cost_for(scenario: Scenario, device: Device) -> StageCost:
         scenario.latent_bytes,
         scenario.steps_per_stage,
         scenario.server_pos_m,
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class FleetCosts:
+    """Stage costs of a scenario's available devices, one array element each.
+
+    ``devices`` holds the available devices in ascending id order; element i
+    of every array belongs to ``devices[i]`` and equals the matching field (or
+    ``t_total()``/``e_total()``) of ``stage_cost_for(scenario, devices[i])``.
+    """
+
+    devices: tuple[Device, ...]
+    t_down_s: np.ndarray
+    t_cmp_s: np.ndarray
+    t_up_s: np.ndarray
+    e_down_j: np.ndarray
+    e_cmp_j: np.ndarray
+    e_up_j: np.ndarray
+    t_total_s: np.ndarray
+    e_total_j: np.ndarray
+
+    def stage_cost(self, i: int) -> StageCost:
+        return StageCost(
+            float(self.t_down_s[i]),
+            float(self.t_cmp_s[i]),
+            float(self.t_up_s[i]),
+            float(self.e_down_j[i]),
+            float(self.e_cmp_j[i]),
+            float(self.e_up_j[i]),
+        )
+
+    def totals(self, index) -> CostTotals:
+        """:func:`aggregate_costs` of the stage costs at ``index``, a slice or positions."""
+
+        return CostTotals(
+            t_tran_s=math.fsum(self.t_down_s[index].tolist() + self.t_up_s[index].tolist()),
+            t_cmp_s=math.fsum(self.t_cmp_s[index].tolist()),
+            e_total_j=math.fsum(
+                self.e_down_j[index].tolist()
+                + self.e_cmp_j[index].tolist()
+                + self.e_up_j[index].tolist()
+            ),
+        )
+
+
+def fleet_costs(scenario: Scenario) -> FleetCosts:
+    """Stage costs of every available device of ``scenario``, as arrays.
+
+    ``link_rate`` runs once per device: without a rate override the Shannon
+    rate is the same in both directions.
+    """
+
+    devices = tuple(sorted((dev for dev in scenario.devices if dev.available), key=attrgetter("id")))
+    link, server = scenario.link, scenario.server_pos_m
+    overrides = link.rate_override_bps or {}
+    up = [link_rate(dev, link, "up", server) for dev in devices]
+    down = [
+        link_rate(dev, link, "down", server) if dev.id in overrides else rate
+        for dev, rate in zip(devices, up)
+    ]
+
+    def column(name):
+        return np.array([getattr(dev, name) for dev in devices], dtype=np.float64)
+
+    phases = _phase_costs(
+        scenario.latent_bytes,
+        scenario.steps_per_stage,
+        np.array(down, dtype=np.float64),
+        np.array(up, dtype=np.float64),
+        column("step_latency_s"),
+        column("rx_power_w"),
+        column("compute_power_w"),
+        column("tx_power_w"),
+    )
+    t_down, t_cmp, t_up, e_down, e_cmp, e_up = phases
+    return FleetCosts(
+        devices, *phases,
+        t_total_s=t_down + t_cmp + t_up,
+        e_total_j=e_down + e_cmp + e_up,
     )
 
 

@@ -29,6 +29,7 @@ from .scenario import STAGE_PHASES, Scenario, mark_unavailable
 from .scheduler import Budgets, SchedulePlan, select_devices_dp
 
 EVENT_KINDS = ("download", "compute", "upload", "checkpoint", "failure", "replan")
+MARKER_KINDS = ("checkpoint", "failure", "replan")
 
 
 @dataclass(frozen=True)
@@ -338,6 +339,22 @@ def trace_from_dict(data: dict) -> SimTrace:
         except KeyError as exc:
             raise ValidationError(f"{path}: missing required field {exc.args[0]!r}")
 
+    # The simulator's clock starts at 0.0, each event starts exactly where the
+    # previous one ended, and markers take no time.
+    clock = 0.0
+    for i, event in enumerate(events):
+        if event.t_start_s != clock:
+            raise ValidationError(
+                f"trace.events[{i}].t_start_s: {event.t_start_s} is not where the "
+                f"timeline stands ({clock})"
+            )
+        if event.kind in MARKER_KINDS and event.t_end_s != event.t_start_s:
+            raise ValidationError(
+                f"trace.events[{i}]: a {event.kind} marker must be zero-width, "
+                f"got {event.t_start_s}..{event.t_end_s}"
+            )
+        clock = event.t_end_s
+
     t_tran = math.fsum(e.duration_s for e in events if e.kind in ("download", "upload"))
     t_cmp = math.fsum(e.duration_s for e in events if e.kind == "compute")
     t_total = t_tran + t_cmp
@@ -368,6 +385,14 @@ def trace_from_dict(data: dict) -> SimTrace:
             raise ValidationError(f"trace.{name}: expected a number, got {value!r}")
         return float(value)
 
+    method = str(data.get("method", ""))
+    kinds = [e.kind for e in events]
+    # A split step computes once on each device and writes no checkpoint.
+    stages = kinds.count("compute") / 2 if method == "split" else kinds.count("checkpoint")
+    for name, recounted in (("stages_completed", stages), ("replans", kinds.count("replan"))):
+        if _field(name, int) != recounted:
+            raise ValidationError(f"trace.{name}: {data[name]} inconsistent with events ({recounted})")
+
     return SimTrace(
         events=tuple(events),
         t_total_s=t_total,
@@ -375,11 +400,11 @@ def trace_from_dict(data: dict) -> SimTrace:
         t_tran_s=t_tran,
         t_cmp_s=t_cmp,
         tran_fraction=tran_fraction,
-        stages_completed=_field("stages_completed", int),
-        replans=_field("replans", int),
+        stages_completed=data["stages_completed"],
+        replans=data["replans"],
         completed=_field("completed", bool),
         feasible=_field("feasible", bool),
-        method=str(data.get("method", "")),
+        method=method,
     )
 
 

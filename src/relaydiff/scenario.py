@@ -169,12 +169,14 @@ class Scenario:
                     raise ValidationError(
                         f"link.rate_override_bps[{dev_id}]: no such device id"
                     )
+        # id -> position in `devices`, for device(); not a field.
+        object.__setattr__(self, "_position", seen)
 
     def device(self, device_id: int) -> Device:
-        for dev in self.devices:
-            if dev.id == device_id:
-                return dev
-        raise ConfigurationError(f"no device with id {device_id}")
+        position = self._position.get(device_id)
+        if position is None:
+            raise ConfigurationError(f"no device with id {device_id}")
+        return self.devices[position]
 
     def total_model_bytes(self) -> int:
         return sum(dev.variant.size_bytes for dev in self.devices)

@@ -4,23 +4,31 @@ Each selected device runs exactly one relay stage, so a selection's cost is
 the sum of its per-stage costs and its value is the sum of the selected
 variants' byte sizes. Three methods share one plan type:
 
-* :func:`select_devices_dp`: the production path. Exact stage costs are
-  discretized (ceiling for costs, floor for capacities, so any plan that fits
-  in units also fits exactly) and a 0/1 knapsack over (time units, energy
-  units) is solved one device at a time with numpy. Devices that cannot be
-  in the returned plan are dropped first: those over capacity, and those
-  that at least as many bigger, no costlier devices could replace as any
-  fitting set can hold. Sizes are divided by their gcd, which bounds the
-  value any fitting set reaches. The table then has a time axis and either
-  an energy axis (the best value per (time, energy) cell, plus a take-bit
-  per kept device and cell, packed 8 devices per byte) or, when the value
-  bound is shorter than the energy axis, a value axis (the fewest energy
-  units per (time, value) cell, one layer per kept device). Of the two, the
-  one with fewer cells runs unless only the other fits the byte limit. Both
-  backtracks return the same plan: a device is taken only if it beats
-  skipping it, so a tie keeps it skipped. The DP result is finally compared
-  against the greedy baseline and the better objective wins, which
-  guarantees the method never loses to no-selection through rounding alone.
+* :func:`select_devices_dp`: the production path. The fleet's stage costs
+  are computed once, as arrays (:class:`~relaydiff.cost_model.FleetCosts`),
+  and discretized (ceiling for costs, floor for capacities, so a plan that
+  fits in units also fits exactly, up to float rounding) and a 0/1 knapsack
+  over (time units, energy units) is solved one device at a time with numpy.
+  Devices that cannot be in the returned plan are dropped first: those over
+  capacity, and those that at least as many bigger, no costlier devices
+  could replace as any fitting set can hold. Replacing is transitive, so
+  devices can be decided in descending size order against only the devices
+  kept so far. Sizes are divided by their gcd, and the value any fitting set
+  reaches is bounded by the least of the k largest sizes (k being the most
+  devices any fitting set holds) and the fractional (Dantzig) optimum of
+  each axis alone; each is a relaxation, so the bound is never below the
+  optimum. The table then has a
+  time axis and either an energy axis (the best value per (time, energy)
+  cell, plus a take-bit per kept device and cell, packed 8 devices per
+  byte) or, when the value bound is shorter than the energy axis, a value
+  axis (the fewest energy units per (time, value) cell, one layer per kept
+  device). Of the two, the one with fewer cells runs unless only the other
+  fits the byte limit. Both backtracks return the same plan: a device is
+  taken only if it beats skipping it, so a tie keeps it skipped. The DP
+  result is finally compared against the greedy baseline, which it must
+  beat and which replaces a DP pick that misses the exact budgets by float
+  rounding, so the method never loses to no-selection through rounding
+  alone.
 * :func:`select_devices_oracle`: exhaustive subset enumeration with exact
   float feasibility. Exponential; guarded to small fleets. Ties prefer fewer
   devices, then the lexicographically smallest id set.
@@ -31,6 +39,7 @@ variants' byte sizes. Three methods share one plan type:
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -38,9 +47,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .cost_model import StageCost, aggregate_costs, stage_cost_for
+from .cost_model import FleetCosts, StageCost, aggregate_costs, fleet_costs
 from .errors import ConfigurationError, ValidationError
-from .scenario import Device, Scenario
+from .scenario import Scenario
 
 METHODS = ("dp", "oracle", "no_ds")
 
@@ -50,9 +59,11 @@ DEFAULT_GRID_UNITS = 200
 # Refuse to allocate absurd DP buffers instead of swapping the machine.
 MAX_DP_BYTES = 1 << 30
 
-# Replacer counting compares at most this many (replacer, target) device pairs
-# at a time.
-_PRUNE_BLOCK_PAIRS = 1 << 20
+# Devices are pruned this many at a time, in descending rank order.
+_PRUNE_BLOCK = 64
+
+# Sorts (cost, size) pairs with cost, size > 0 by descending size / cost.
+_BY_RATIO = functools.cmp_to_key(lambda a, b: b[1] * a[0] - a[1] * b[0])
 
 ORACLE_MAX_DEVICES = 25
 
@@ -93,15 +104,24 @@ def default_discretization(budgets: Budgets) -> Discretization:
     return Discretization(dt_s=dt, de_j=de)
 
 
-def cost_units(value: float, unit: float) -> int:
-    """ceil(value / unit), bumped so units * unit >= value holds in floats."""
+def cost_units(value, unit: float):
+    """ceil(value / unit), bumped so units * unit >= value holds in floats.
 
-    if value <= 0:
-        return 0
-    units = math.ceil(value / unit)
-    while units * unit < value:
-        units += 1
-    return units
+    ``value`` is a float (the result is an int) or an array of floats (the
+    result is an int64 array, element by element the same rule).
+    """
+
+    value = np.asarray(value, dtype=np.float64)
+    with np.errstate(over="ignore"):  # an infinite quotient is refused below
+        ceiled = np.ceil(np.maximum(value, 0.0) / unit)
+    if not (ceiled < 2.0**63).all():
+        raise ConfigurationError(
+            f"a cost of {value.max()} is 2**63 or more units of {unit}; coarsen the discretization"
+        )
+    units = ceiled.astype(np.int64)
+    while (short := units * unit < value).any():
+        units += short
+    return units if units.ndim else int(units)
 
 
 def capacity_units(budget: float, unit: float) -> int:
@@ -141,26 +161,19 @@ class SchedulePlan:
         return len(self.stages)
 
 
-def _eligible(scenario: Scenario) -> tuple[list[Device], list[StageCost]]:
-    devices = sorted(
-        (dev for dev in scenario.devices if dev.available), key=lambda dev: dev.id
-    )
-    return devices, [stage_cost_for(scenario, dev) for dev in devices]
-
-
 def _build_plan(
-    devices: list[Device],
-    costs: list[StageCost],
-    picked: list[int],
+    fleet: FleetCosts,
+    picked,
     budgets: Budgets,
     method: str,
     discretization: Discretization | None,
 ) -> SchedulePlan:
     picked = sorted(picked)
-    totals = aggregate_costs(costs[i] for i in picked)
+    costs = [fleet.stage_cost(i) for i in picked]
+    totals = aggregate_costs(costs)
     plan = SchedulePlan(
-        stages=tuple((devices[i].id, costs[i]) for i in picked),
-        objective_bytes=sum(devices[i].variant.size_bytes for i in picked),
+        stages=tuple((fleet.devices[i].id, cost) for i, cost in zip(picked, costs)),
+        objective_bytes=sum(fleet.devices[i].variant.size_bytes for i in picked),
         t_total_s=totals.t_total_s,
         e_total_j=totals.e_total_j,
         budgets=budgets,
@@ -175,25 +188,37 @@ def _build_plan(
     return plan
 
 
-def _greedy_indices(costs: list[StageCost], budgets: Budgets) -> list[int]:
-    """Ascending-id admission on exact totals; stops at the first misfit."""
+def _fits(fleet: FleetCosts, index, budgets: Budgets) -> bool:
+    totals = fleet.totals(index)
+    return totals.t_total_s <= budgets.t_max_s and totals.e_total_j <= budgets.e_max_j
 
-    admitted: list[int] = []
-    for i, _ in enumerate(costs):
-        trial = aggregate_costs(costs[j] for j in admitted + [i])
-        if trial.t_total_s <= budgets.t_max_s and trial.e_total_j <= budgets.e_max_j:
-            admitted.append(i)
+
+def _greedy_count(fleet: FleetCosts, budgets: Budgets) -> int:
+    """Length of the longest ascending-id prefix whose exact totals fit.
+
+    Every cost is >= 0 and exactly rounded sums are monotone, so a prefix
+    fits only if every shorter one does: gallop to a misfit, then bisect.
+    """
+
+    n = len(fleet.devices)
+    step = 1
+    while step <= n and _fits(fleet, slice(0, step), budgets):
+        step *= 2
+    good, bad = step // 2, min(step, n + 1)
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        if _fits(fleet, slice(0, mid), budgets):
+            good = mid
         else:
-            break
-    return admitted
+            bad = mid
+    return good
 
 
 def select_devices_no_ds(scenario: Scenario, budgets: Budgets) -> SchedulePlan:
     """Baseline without device selection: first devices that happen to fit."""
 
-    devices, costs = _eligible(scenario)
-    picked = _greedy_indices(costs, budgets)
-    return _build_plan(devices, costs, picked, budgets, "no_ds", None)
+    fleet = fleet_costs(scenario)
+    return _build_plan(fleet, range(_greedy_count(fleet, budgets)), budgets, "no_ds", None)
 
 
 def prune_dominated(unit_t, unit_e, sizes, cap_t: int, cap_e: int) -> tuple[np.ndarray, int]:
@@ -210,32 +235,76 @@ def prune_dominated(unit_t, unit_e, sizes, cap_t: int, cap_e: int) -> tuple[np.n
     lexicographically smaller from the highest index down. Such devices and
     every device over capacity are dropped; the canonical optimum of the
     remaining devices is the same subset.
+
+    Devices are decided in descending rank order, a block at a time, each
+    counting its replacers among the devices kept so far and the earlier
+    devices of its own block. That decides exactly as the count over all
+    devices would: replacing is transitive, so every replacer of j that was
+    dropped brings ``k_max`` kept replacers of its own, all of which replace
+    j. A device with ``k_max`` replacers therefore has ``k_max`` kept ones,
+    and any count between the two gives the same keep/drop answer.
     """
 
     unit_t = np.asarray(unit_t, dtype=np.int64)
     unit_e = np.asarray(unit_e, dtype=np.int64)
     fit = np.flatnonzero((unit_t <= cap_t) & (unit_e <= cap_e))
-    ut, ue = unit_t[fit], unit_e[fit]
     k_max = int(np.count_nonzero(
-        (np.cumsum(np.sort(ut)) <= cap_t) & (np.cumsum(np.sort(ue)) <= cap_e)
+        (np.cumsum(np.sort(unit_t[fit])) <= cap_t) & (np.cumsum(np.sort(unit_e[fit])) <= cap_e)
     ))
 
-    # rank[a] > rank[b] iff fitting device a is bigger than b, or equally big
-    # with a lower index. Sizes stay Python ints, which never wrap.
+    # Descending rank: bigger first, equally big by ascending index (a stable
+    # reverse sort keeps equal keys in order). Sizes stay Python ints, which
+    # never wrap.
     fit_sizes = [int(sizes[i]) for i in fit.tolist()]
-    order = sorted(range(len(fit)), key=lambda a: (fit_sizes[a], -a))
-    rank = np.empty(len(fit), dtype=np.int64)
-    rank[order] = np.arange(len(fit))
+    order = fit[sorted(range(len(fit)), key=fit_sizes.__getitem__, reverse=True)]
+    dtype = np.min_scalar_type(max(cap_t, cap_e))
+    ut, ue = unit_t[order].astype(dtype), unit_e[order].astype(dtype)
 
-    # Count replacers a block of columns at a time, never all n x n at once.
-    replacers = np.empty(len(fit), dtype=np.int64)
-    block = max(1, _PRUNE_BLOCK_PAIRS // max(len(fit), 1))
-    for lo in range(0, len(fit), block):
-        cols = slice(lo, lo + block)
-        replaces = (ut[:, None] <= ut[cols]) & (ue[:, None] <= ue[cols])
-        replaces &= rank[:, None] > rank[cols]
-        replacers[cols] = np.count_nonzero(replaces, axis=0)
-    return fit[replacers < k_max], k_max
+    # The kept devices' costs, followed by the current block's.
+    cand_t, cand_e = np.empty_like(ut), np.empty_like(ue)
+    earlier = np.tri(_PRUNE_BLOCK, k=-1, dtype=bool).T  # earlier[a, b] iff a < b
+    kept = np.empty(len(order), dtype=np.int64)
+    n_kept = 0
+    for lo in range(0, len(order), _PRUNE_BLOCK):
+        bt, be = ut[lo:lo + _PRUNE_BLOCK], ue[lo:lo + _PRUNE_BLOCK]
+        top = n_kept + len(bt)
+        cand_t[n_kept:top], cand_e[n_kept:top] = bt, be
+        replaces = cand_t[:top, None] <= bt
+        replaces &= cand_e[:top, None] <= be
+        replaces[n_kept:] &= earlier[:len(bt), :len(bt)]
+        keep = np.flatnonzero(np.count_nonzero(replaces, axis=0) < k_max)
+        new = slice(n_kept, n_kept + len(keep))
+        kept[new], cand_t[new], cand_e[new] = keep + lo, bt[keep], be[keep]
+        n_kept += len(keep)
+    return np.sort(order[kept[:n_kept]]), k_max
+
+
+def lp_bound(costs, sizes, cap: int) -> int:
+    """Dantzig's bound on one axis: the best fractional fill of ``cap``, floored.
+
+    Exact in Python ints. Zero-cost devices add their whole size and
+    zero-size ones add nothing, so both stay out of the ratio sort.
+    """
+
+    total, items = 0, []
+    for cost, size in zip(costs, sizes):
+        if size and not cost:
+            total += size
+        elif size:
+            items.append((cost, size))
+    # Integer true division is correctly rounded, hence monotone in the exact
+    # ratio: the float sort can only leave distinct ratios that round alike
+    # out of order, and the exact comparison then fixes those in one pass
+    # over the nearly sorted list.
+    items.sort(key=lambda item: item[1] / item[0], reverse=True)
+    items.sort(key=_BY_RATIO)
+    room = cap
+    for cost, size in items:
+        if cost > room:
+            return total + room * size // cost
+        room -= cost
+        total += size
+    return total
 
 
 def knapsack_2d(unit_t, unit_e, sizes, cap_t: int, cap_e: int) -> list[int]:
@@ -245,8 +314,10 @@ def knapsack_2d(unit_t, unit_e, sizes, cap_t: int, cap_e: int) -> list[int]:
     the highest index down, is lexicographically smallest: a device is left
     out whenever taking it only ties. Devices that can never be in it are
     dropped first (:func:`prune_dominated`), and sizes are divided by their
-    gcd; ``bound``, the sum of the ``k_max`` largest scaled sizes, is the
-    most any fitting subset is worth.
+    gcd. ``bound`` is the most any fitting subset is worth: the least of the
+    sum of the ``k_max`` largest scaled sizes and the Dantzig bounds
+    (:func:`lp_bound`) of the time and the energy axis alone, each of which
+    relaxes the problem, so none is below the optimum.
 
     One of two tables is then filled, one 2-D layer per kept device:
 
@@ -279,14 +350,18 @@ def knapsack_2d(unit_t, unit_e, sizes, cap_t: int, cap_e: int) -> list[int]:
     scaled = [int(sizes[i]) for i in kept]
     gcd = math.gcd(*scaled) or 1
     scaled = [size // gcd for size in scaled]
-    bound = sum(sorted(scaled, reverse=True)[:k_max])
+    ct = [int(unit_t[i]) for i in kept]
+    ce = [int(unit_e[i]) for i in kept]
+    bound = min(
+        sum(sorted(scaled, reverse=True)[:k_max]),
+        lp_bound(ct, scaled, cap_t),
+        lp_bound(ce, scaled, cap_e),
+    )
     if bound >> 64:
         raise ConfigurationError(
             f"DP values reach {bound} (sizes divided by their gcd {gcd}); "
             "that does not fit 64 bits"
         )
-    ct = [int(unit_t[i]) for i in kept]
-    ce = [int(unit_e[i]) for i in kept]
 
     # Grid, per cell: one take-bit byte plane per 8 kept devices, one shift
     # byte and two value layers. Value table, per cell: every layer and one
@@ -344,30 +419,34 @@ def _grid_dp(ct, ce, scaled, cap_t, cap_e, dtype) -> list[int]:
 
 
 def _value_dp(ct, ce, scaled, cap_t, cap_e, bound, dtype) -> list[int]:
-    """Ascending kept positions of the canonical optimum, from the value table."""
+    """Ascending kept positions of the canonical optimum, from the value table.
+
+    Each layer is stored value-major, ``layer[v, t]``, so every numpy call
+    walks rows of cap_t + 1 time cells rather than short value rows.
+    """
 
     inf = cap_e + 1
-    layers = np.empty((len(scaled) + 1, cap_t + 1, bound + 1), dtype=dtype)
+    layers = np.empty((len(scaled) + 1, bound + 1, cap_t + 1), dtype=dtype)
     layers[0] = inf
-    layers[0, :, 0] = 0
+    layers[0, 0] = 0
     scratch = np.empty(layers.shape[1:], dtype=dtype)
     for j, size in enumerate(scaled):
         before, after = layers[j], layers[j + 1]
-        low, rows = size + 1, cap_t + 1 - ct[j]
-        after[:ct[j]] = before[:ct[j]]
-        # Values up to `size` need device j alone, since g[., 0] = 0.
-        np.minimum(before[ct[j]:, :low], dtype.type(ce[j]), out=after[ct[j]:, :low])
-        # Above it, g[t - ct, v - size] + ce, saturated so it never passes inf.
-        take = scratch[:rows, :bound + 1 - low]
-        np.minimum(before[:rows, 1:bound + 1 - size], dtype.type(inf - ce[j]), out=take)
+        low, cols = size + 1, cap_t + 1 - ct[j]
+        after[:, :ct[j]] = before[:, :ct[j]]
+        # Values up to `size` need device j alone, since g[0, .] = 0.
+        np.minimum(before[:low, ct[j]:], dtype.type(ce[j]), out=after[:low, ct[j]:])
+        # Above it, g[v - size, t - ct] + ce, saturated so it never passes inf.
+        take = scratch[:bound + 1 - low, :cols]
+        np.minimum(before[1:bound + 1 - size, :cols], dtype.type(inf - ce[j]), out=take)
         np.add(take, dtype.type(ce[j]), out=take)
-        np.minimum(before[ct[j]:, low:], take, out=after[ct[j]:, low:])
+        np.minimum(before[low:, ct[j]:], take, out=after[low:, ct[j]:])
 
     picked: list[int] = []
     t, e = cap_t, cap_e
-    target = int(np.count_nonzero(layers[-1, cap_t] <= cap_e)) - 1
+    target = int(np.count_nonzero(layers[-1, :, cap_t] <= cap_e)) - 1
     for j in range(len(scaled) - 1, -1, -1):
-        if int(layers[j, t, target]) > e:
+        if int(layers[j, target, t]) > e:
             picked.append(j)
             t -= ct[j]
             e -= ce[j]
@@ -384,23 +463,26 @@ def select_devices_dp(
     """Constraint-discretized DP selection (see module docstring)."""
 
     disc = default_discretization(budgets) if discretization is None else discretization
-    devices, costs = _eligible(scenario)
+    fleet = fleet_costs(scenario)
 
     cap_t = capacity_units(budgets.t_max_s, disc.dt_s)
     cap_e = capacity_units(budgets.e_max_j, disc.de_j)
 
-    unit_t = np.array([cost_units(c.t_total(), disc.dt_s) for c in costs], dtype=np.int64)
-    unit_e = np.array([cost_units(c.e_total(), disc.de_j) for c in costs], dtype=np.int64)
-    sizes = [dev.variant.size_bytes for dev in devices]
+    unit_t = cost_units(fleet.t_total_s, disc.dt_s)
+    unit_e = cost_units(fleet.e_total_j, disc.de_j)
+    sizes = [dev.variant.size_bytes for dev in fleet.devices]
     picked = knapsack_2d(unit_t, unit_e, sizes, cap_t, cap_e)
 
     # Rounding can exclude subsets that fit exactly; never do worse than the
-    # no-selection baseline on the exact problem.
-    greedy = _greedy_indices(costs, budgets)
-    if sum(sizes[i] for i in greedy) > sum(sizes[i] for i in picked):
-        picked = greedy
+    # no-selection baseline on the exact problem. A pick whose unit costs meet
+    # a capacity exactly can also miss the budget by an ulp, because a
+    # device's unit cost rounds its left-to-right phase sum while plan totals
+    # are fsums; the baseline, which fits exactly, replaces such a pick too.
+    greedy = _greedy_count(fleet, budgets)
+    if sum(sizes[:greedy]) > sum(sizes[i] for i in picked) or not _fits(fleet, picked, budgets):
+        picked = range(greedy)
 
-    return _build_plan(devices, costs, picked, budgets, "dp", disc)
+    return _build_plan(fleet, picked, budgets, "dp", disc)
 
 
 def select_devices_oracle(scenario: Scenario, budgets: Budgets) -> SchedulePlan:
@@ -411,17 +493,17 @@ def select_devices_oracle(scenario: Scenario, budgets: Budgets) -> SchedulePlan:
     breaking remaining ties by lexicographically smallest id tuple.
     """
 
-    devices, costs = _eligible(scenario)
-    n = len(devices)
+    fleet = fleet_costs(scenario)
+    n = len(fleet.devices)
     if n > ORACLE_MAX_DEVICES:
         raise ConfigurationError(
             f"oracle enumeration over {n} devices exceeds the {ORACLE_MAX_DEVICES}-device guard"
         )
 
-    t_one = [c.t_total() for c in costs]
-    e_one = [c.e_total() for c in costs]
-    size_one = [dev.variant.size_bytes for dev in devices]
-    ids = [dev.id for dev in devices]
+    t_one = fleet.t_total_s.tolist()
+    e_one = fleet.e_total_j.tolist()
+    size_one = [dev.variant.size_bytes for dev in fleet.devices]
+    ids = [dev.id for dev in fleet.devices]
 
     n_masks = 1 << n
     t_sum = [0.0] * n_masks
@@ -450,7 +532,7 @@ def select_devices_oracle(scenario: Scenario, budgets: Budgets) -> SchedulePlan:
                 best = mask
 
     picked = [i for i in range(n) if best >> i & 1]
-    return _build_plan(devices, costs, picked, budgets, "oracle", None)
+    return _build_plan(fleet, picked, budgets, "oracle", None)
 
 
 # -- plan files ----------------------------------------------------------------

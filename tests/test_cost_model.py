@@ -11,9 +11,10 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from relaydiff import ConfigurationError, Device, LinkParams, ModelVariant
+from relaydiff import ConfigurationError, Device, LinkParams, ModelVariant, Scenario
 from relaydiff.cost_model import (
     aggregate_costs,
+    fleet_costs,
     link_rate,
     split_step_cost,
     stage_cost,
@@ -209,3 +210,55 @@ def test_relay_symmetry_with_symmetric_rates(args_a, args_b, rate_a, rate_b, fea
 @given(st.integers(min_value=0, max_value=2**22), rates)
 def test_transfer_time_definition(n_bytes, rate):
     assert transfer_time(n_bytes, rate) == 8.0 * n_bytes / rate
+
+
+# -- fleet cost arrays -----------------------------------------------------------
+
+coords = st.floats(min_value=0.0, max_value=500.0, allow_nan=False)
+
+
+@st.composite
+def fleets(draw):
+    """Scenarios with random geometry, powers, overrides and availability."""
+
+    n = draw(st.integers(min_value=0, max_value=8))
+    devices, overrides = [], {}
+    for i in range(n):
+        step, cmp_w, tx, rx = draw(device_args)
+        devices.append(Device(
+            id=i, pos_m=(draw(coords), draw(coords)), variant=ModelVariant(32, 8),
+            step_latency_s=step, compute_power_w=cmp_w, tx_power_w=tx, rx_power_w=rx,
+            available=draw(st.booleans()),
+        ))
+        if draw(st.booleans()):
+            overrides[i] = (draw(rates), draw(rates))
+    link = make_link(
+        path_loss_exponent=draw(st.floats(min_value=2.0, max_value=4.0)),
+        rate_override_bps=overrides or None,
+    )
+    latent = draw(st.integers(min_value=1, max_value=2**21))
+    return Scenario(
+        area_m=(500.0, 500.0),
+        server_pos_m=(draw(coords), draw(coords)),
+        devices=tuple(draw(st.permutations(devices))),
+        link=link,
+        latent_bytes=latent,
+        feature_bytes=latent,
+        steps_per_stage=draw(st.integers(min_value=1, max_value=50)),
+        seed=0,
+    )
+
+
+@given(fleets())
+def test_fleet_costs_equal_stage_cost_for(scenario):
+    fleet = fleet_costs(scenario)
+    available = sorted((dev for dev in scenario.devices if dev.available), key=lambda dev: dev.id)
+    assert fleet.devices == tuple(available)
+    costs = [stage_cost_for(scenario, dev) for dev in available]
+    for i, expected in enumerate(costs):
+        assert fleet.stage_cost(i) == expected
+        assert fleet.t_total_s[i] == expected.t_total()
+        assert fleet.e_total_j[i] == expected.e_total()
+    for count in range(len(costs) + 1):
+        assert fleet.totals(slice(0, count)) == aggregate_costs(costs[:count])
+    assert fleet.totals(list(range(0, len(costs), 2))) == aggregate_costs(costs[::2])

@@ -2,13 +2,18 @@
 
 A naive triple-loop fill and the backtrack over its (n+1, cap_t+1, cap_e+1)
 table, both implemented here, serve as a reference that shares no code with
-the production kernel: no dominance pruning, no gcd scaling, no value table,
-one int64 value per cell.
+the production kernel: no dominance pruning, no gcd scaling, no value bound,
+no value table, one int64 value per cell. The rank-order prune and the LP
+value bound are each held to a direct reference as well: an all-pairs
+replacer count and a fractional knapsack sorted by exact ratios.
 """
+
+import functools
+from fractions import Fraction
 
 import numpy as np
 
-from relaydiff.scheduler import knapsack_2d, prune_dominated
+from relaydiff.scheduler import knapsack_2d, lp_bound, prune_dominated
 
 
 def reference_fill(unit_t, unit_e, sizes, cap_t, cap_e):
@@ -163,4 +168,116 @@ def test_value_table_saturates_instead_of_wrapping(table_calls):
     unit_e = np.array([200, 10, 250], dtype=np.int64)
     sizes = np.array([1, 1, 2], dtype=np.int64)
     assert assert_matches_reference(unit_t, unit_e, sizes, 3, 254) == [0, 1]
+    assert table_calls == {"_value_dp": 1}
+
+
+def reference_prune(unit_t, unit_e, sizes, cap_t, cap_e):
+    """prune_dominated's answer from every replacer of every device at once."""
+
+    unit_t, unit_e = np.asarray(unit_t), np.asarray(unit_e)
+    fit = np.flatnonzero((unit_t <= cap_t) & (unit_e <= cap_e))
+    ut, ue = unit_t[fit], unit_e[fit]
+    k_max = int(np.count_nonzero(
+        (np.cumsum(np.sort(ut)) <= cap_t) & (np.cumsum(np.sort(ue)) <= cap_e)
+    ))
+    rank_key = [(int(sizes[i]), -a) for a, i in enumerate(fit.tolist())]
+    replacers = [
+        sum(
+            ut[a] <= ut[b] and ue[a] <= ue[b] and rank_key[a] > rank_key[b]
+            for a in range(len(fit))
+        )
+        for b in range(len(fit))
+    ]
+    return [int(fit[b]) for b in range(len(fit)) if replacers[b] < k_max], k_max
+
+
+def test_rank_order_prune_matches_all_pairs_counting():
+    # Up to 200 devices span several 64-device blocks; few distinct costs and
+    # sizes make many ties and long replacer chains.
+    rng = np.random.default_rng(77)
+    pruned = 0
+    for _ in range(40):
+        n = int(rng.integers(0, 201))
+        cap_t, cap_e = int(rng.integers(0, 41)), int(rng.integers(0, 41))
+        unit_t = rng.integers(0, int(rng.integers(1, 12)), size=n).astype(np.int64)
+        unit_e = rng.integers(0, int(rng.integers(1, 12)), size=n).astype(np.int64)
+        sizes = rng.choice([0, 1, 2, 4, 8], size=n) * 10**9
+        kept, k_max = prune_dominated(unit_t, unit_e, sizes, cap_t, cap_e)
+        expected, expected_k_max = reference_prune(unit_t, unit_e, sizes, cap_t, cap_e)
+        assert (kept.tolist(), k_max) == (expected, expected_k_max)
+        pruned += n - len(expected)
+    assert pruned > 0
+
+
+def reference_lp_bound(costs, sizes, cap):
+    """The fractional knapsack optimum, floored, from exact ratios."""
+
+    total = sum(s for c, s in zip(costs, sizes) if c == 0)
+    items = sorted(
+        ((c, s) for c, s in zip(costs, sizes) if c > 0 and s > 0),
+        key=lambda item: Fraction(item[1], item[0]), reverse=True,
+    )
+    room = Fraction(cap)
+    for c, s in items:
+        share = min(Fraction(1), room / c)
+        total += share * s
+        room -= share * c
+    return int(total)
+
+
+def test_lp_bound_is_the_floored_fractional_optimum():
+    # Sizes of 2**62 + d round to one float, so sorting by float ratios
+    # alone would leave equal-cost devices in index order.
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        n = int(rng.integers(0, 12))
+        costs = [int(c) for c in rng.integers(0, 9, size=n)]
+        if rng.random() < 0.5:
+            sizes = [int(s) for s in rng.integers(0, 6, size=n)]
+        else:
+            sizes = [2**62 + int(d) for d in rng.integers(0, 4, size=n)]
+        cap = int(rng.integers(0, 20))
+        assert lp_bound(costs, sizes, cap) == reference_lp_bound(costs, sizes, cap)
+
+
+def comparator_only_lp_bound(costs, sizes, cap):
+    """Dantzig's bound with every device in one cross-multiplying sort."""
+
+    items = sorted(
+        zip(costs, sizes),
+        key=functools.cmp_to_key(lambda a, b: b[1] * a[0] - a[1] * b[0]),
+    )
+    total, room = 0, cap
+    for cost, size in items:
+        if cost > room:
+            return total + room * size // cost
+        room -= cost
+        total += size
+    return total
+
+
+def test_zero_cost_zero_size_device_does_not_break_the_value_bound():
+    # Device 1 costs nothing and is worth nothing, so a cross-multiplying
+    # comparator calls it equal to both others, and the sort leaves the
+    # low-ratio device 0 ahead of device 2. That bound (1) falls below the
+    # optimum (device 2 alone, worth 10), and a table cut at it misses it.
+    unit_t = np.array([1, 0, 1], dtype=np.int64)
+    unit_e = np.array([1, 0, 2], dtype=np.int64)
+    sizes = np.array([1, 0, 10], dtype=np.int64)
+    assert comparator_only_lp_bound(unit_t.tolist(), sizes.tolist(), 1) == 1
+    assert lp_bound(unit_t.tolist(), sizes.tolist(), 1) == 10
+    assert lp_bound(unit_e.tolist(), sizes.tolist(), 2) == 10
+    assert assert_matches_reference(unit_t, unit_e, sizes, 1, 2) == [2]
+
+
+def test_energy_axis_bound_alone_picks_the_value_table(table_calls):
+    # Six devices fit the energy capacity, so the k_max bound is 5*4 + 3 =
+    # 23, above cap_e = 20, and so is the time axis's bound (35); only the
+    # energy axis's Dantzig bound, 19, is below it.
+    unit_t = np.ones(10, dtype=np.int64)
+    unit_e = np.array([3] * 5 + [5] * 5, dtype=np.int64)
+    sizes = np.array([3] * 5 + [4] * 5, dtype=np.int64)
+    assert lp_bound(unit_t.tolist(), sizes.tolist(), 100) == 35
+    assert lp_bound(unit_e.tolist(), sizes.tolist(), 20) == 19
+    assert assert_matches_reference(unit_t, unit_e, sizes, 100, 20) == [0, 1, 2, 3, 4, 5]
     assert table_calls == {"_value_dp": 1}

@@ -4,7 +4,10 @@ Fixture worlds are dyadic (see conftest), so trace aggregates are asserted
 exactly: a failure-free run must reproduce its plan's totals bit-for-bit.
 """
 
+import math
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from relaydiff import (
     Budgets,
@@ -255,3 +258,89 @@ def test_plan_from_another_scenario_is_rejected():
     assert plan.stages
     with pytest.raises(ValidationError, match="another scenario"):
         simulate_pipeline(generate_scenario(20, seed=2), plan)
+
+
+def _recovered_trace(recovery_scenario, recovery_budgets):
+    plan = select_devices_dp(recovery_scenario, recovery_budgets)
+    trace = simulate_pipeline(recovery_scenario, plan, FailureSpec(injected=((1, "compute"),)))
+    assert trace.completed and trace.replans == 1
+    return trace
+
+
+def test_recovered_trace_roundtrips_through_the_loader(recovery_scenario, recovery_budgets):
+    trace = _recovered_trace(recovery_scenario, recovery_budgets)
+    assert set(kinds(trace)) >= {"checkpoint", "failure", "replan"}
+    assert trace_from_dict(trace_to_dict(trace)) == trace
+
+
+def test_trace_loader_rejects_a_timeline_that_does_not_start_at_zero(
+    recovery_scenario, recovery_budgets
+):
+    data = trace_to_dict(_recovered_trace(recovery_scenario, recovery_budgets))
+    data["events"][0]["t_start_s"] = 2.0**-10
+    with pytest.raises(ValidationError, match=r"events\[0\].t_start_s"):
+        trace_from_dict(data)
+
+
+def test_trace_loader_rejects_a_gap_between_events(recovery_scenario, recovery_budgets):
+    data = trace_to_dict(_recovered_trace(recovery_scenario, recovery_budgets))
+    event = data["events"][4]
+    event["t_start_s"] = (event["t_start_s"] + event["t_end_s"]) / 2
+    with pytest.raises(ValidationError, match=r"events\[4\].t_start_s"):
+        trace_from_dict(data)
+
+
+def test_trace_loader_rejects_markers_that_take_time(recovery_scenario, recovery_budgets):
+    trace = _recovered_trace(recovery_scenario, recovery_budgets)
+    for kind in ("checkpoint", "failure", "replan"):
+        data = trace_to_dict(trace)
+        i = kinds(trace).index(kind)
+        data["events"][i]["t_end_s"] += 0.25
+        with pytest.raises(ValidationError, match=rf"events\[{i}\]: a {kind} marker"):
+            trace_from_dict(data)
+
+
+def test_trace_loader_recounts_stages_and_replans(recovery_scenario, recovery_budgets):
+    trace = _recovered_trace(recovery_scenario, recovery_budgets)
+    for name in ("stages_completed", "replans"):
+        data = trace_to_dict(trace)
+        data[name] += 1
+        with pytest.raises(ValidationError, match=f"trace.{name}"):
+            trace_from_dict(data)
+
+
+budget_ulps = st.sampled_from([0, 1, 2, 64])
+
+
+def _ulps_above(value, count):
+    for _ in range(count):
+        value = math.nextafter(value, math.inf)
+    return value
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    world=st.integers(min_value=0, max_value=10**6),
+    n_devices=st.integers(min_value=2, max_value=12),
+    per_stage_prob=st.floats(min_value=0.5, max_value=0.95),
+    rng_seed=st.integers(min_value=0, max_value=10**6),
+    t_ulps=budget_ulps,
+    e_ulps=budget_ulps,
+)
+def test_recovery_stays_within_budgets_near_exhaustion(
+    world, n_devices, per_stage_prob, rng_seed, t_ulps, e_ulps
+):
+    # Budgets at or a few ulps above the plan's own totals leave re-plans
+    # residual budgets near zero, where a 1-ulp fsum split would show.
+    scenario = generate_scenario(n_devices, seed=world)
+    plan = select_devices_dp(scenario, Budgets(3.0, 300.0))
+    budgets = Budgets(_ulps_above(plan.t_total_s, t_ulps), _ulps_above(plan.e_total_j, e_ulps))
+    failures = FailureSpec(per_stage_prob=per_stage_prob, rng_seed=rng_seed)
+    try:
+        trace = simulate_pipeline(scenario, plan, failures, budgets=budgets)
+    except RecoveryInfeasible as exc:
+        assert exc.trace is not None and exc.trace.completed is False
+        return
+    assert trace.completed and trace.feasible
+    assert trace.t_total_s <= budgets.t_max_s
+    assert trace.e_total_j <= budgets.e_max_j

@@ -1,5 +1,6 @@
 """Scenario construction, generation, and serialization round-trips."""
 
+import dataclasses
 import json
 
 import pytest
@@ -21,6 +22,8 @@ from relaydiff.scenario import (
     scenario_to_dict,
     step_latency_for,
 )
+
+from conftest import dyadic_device, dyadic_scenario
 
 
 def test_generate_default_20_devices_in_area():
@@ -177,6 +180,22 @@ def test_device_lookup(three_device_scenario):
     assert three_device_scenario.device(1).id == 1
     with pytest.raises(ConfigurationError, match="no device with id 9"):
         three_device_scenario.device(9)
+
+
+def test_device_lookup_goes_by_id_not_position():
+    devices = [dyadic_device(i, 32, 10**9, step_latency_s=0.125, compute_power_w=1.0) for i in (2, 0, 1)]
+    scenario = dyadic_scenario(devices, {i: (2.0**23, 2.0**23) for i in range(3)})
+    for dev in devices:
+        assert scenario.device(dev.id) is dev
+    for missing in (5, 9, 100, -1):
+        with pytest.raises(ConfigurationError, match=f"no device with id {missing}"):
+            scenario.device(missing)
+
+    marked = mark_unavailable(scenario, {0})
+    assert marked.device(0).available is False
+    assert marked.device(0) == dataclasses.replace(devices[1], available=False)
+    assert marked.device(2) is devices[0] and marked.device(1) is devices[2]
+    assert scenario.device(0).available is True
 
 
 def test_total_model_bytes(three_device_scenario):

@@ -5,6 +5,7 @@ DP and greedy baselines are then held to the oracle-derived expectations.
 All fixture totals are dyadic, so equalities are exact.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -27,6 +28,7 @@ from relaydiff import (
     select_devices_oracle,
 )
 from relaydiff import scheduler
+from relaydiff.cost_model import aggregate_costs, stage_cost_for
 from relaydiff.cli import EXIT_VALIDATION, main
 from relaydiff.scheduler import (
     DEFAULT_GRID_UNITS,
@@ -265,6 +267,24 @@ def test_dp_value_bound_beyond_64_bits_is_a_configuration_error(tmp_path):
     assert code == EXIT_VALIDATION
 
 
+def test_dp_pick_missing_the_budget_by_an_ulp_yields_to_the_baseline():
+    # Device 1's energies sum left to right to exactly the energy budget, so
+    # its unit cost fills the default grid's energy capacity and the DP picks
+    # it; their fsum, which plan totals use, is one ulp above the budget. The
+    # pick used to raise "internal error: dp produced an infeasible plan".
+    scenario = mark_unavailable(generate_scenario(2, seed=852201), {0})
+    budgets = Budgets(0.36629260517351514, 4.6513510396789055)
+    disc = default_discretization(budgets)
+    cost = stage_cost_for(scenario, scenario.device(1))
+    assert cost.e_total() == budgets.e_max_j
+    assert cost_units(cost.e_total(), disc.de_j) == capacity_units(budgets.e_max_j, disc.de_j)
+    assert math.fsum([cost.e_down_j, cost.e_cmp_j, cost.e_up_j]) > budgets.e_max_j
+
+    plan = select_devices_dp(scenario, budgets)
+    assert plan.device_ids == ()
+    assert plan.objective_bytes == 0
+
+
 # -- discretization helpers ----------------------------------------------------
 
 
@@ -293,6 +313,58 @@ def test_cost_units_never_undercount(value, unit):
     assert units >= 0
     assert units * unit >= value
     assert (units == 0) == (value <= 0.0)
+
+
+def scalar_cost_units(value, unit):
+    """The per-device rounding rule, one Python float at a time."""
+
+    if value <= 0:
+        return 0
+    units = math.ceil(value / unit)
+    while units * unit < value:
+        units += 1
+    return units
+
+
+@given(
+    st.integers(min_value=0, max_value=10**6),
+    st.floats(min_value=1e-6, max_value=1e3, allow_nan=False),
+)
+def test_array_cost_units_match_the_scalar_rule_around_multiples(k, unit):
+    exact = k * unit
+    values = [exact, math.nextafter(exact, -math.inf), math.nextafter(exact, math.inf)]
+    units = cost_units(np.array(values), unit)
+    assert units.dtype == np.int64
+    assert units.tolist() == [scalar_cost_units(v, unit) for v in values]
+    assert [cost_units(v, unit) for v in values] == units.tolist()
+
+
+def test_cost_units_beyond_int64_is_a_configuration_error():
+    with pytest.raises(ConfigurationError, match="2\\*\\*63"):
+        cost_units(np.array([1.0, 1e12]), 1e-9)
+    with pytest.raises(ConfigurationError, match="2\\*\\*63"):
+        cost_units(1e300, 1e-9)
+
+
+@given(seeds, st.integers(min_value=0, max_value=30))
+def test_no_ds_is_the_longest_fitting_id_prefix(seed, n_devices):
+    # The prefix search bisects; the reference re-sums every prefix in turn.
+    rng = np.random.default_rng(seed)
+    scenario = generate_scenario(max(n_devices, 1), seed=seed)
+    scenario = mark_unavailable(scenario, {d.id for d in scenario.devices if rng.random() < 0.2})
+    budgets = Budgets(float(rng.uniform(0.0, 6.0)), float(rng.uniform(0.0, 600.0)))
+    costs = [
+        stage_cost_for(scenario, dev)
+        for dev in sorted(scenario.devices, key=lambda dev: dev.id) if dev.available
+    ]
+    count = 0
+    while count < len(costs):
+        totals = aggregate_costs(costs[:count + 1])
+        if totals.t_total_s > budgets.t_max_s or totals.e_total_j > budgets.e_max_j:
+            break
+        count += 1
+    plan = select_devices_no_ds(scenario, budgets)
+    assert [cost for _, cost in plan.stages] == costs[:count]
 
 
 @given(
