@@ -8,12 +8,14 @@ energy units per (t, v) cell, one layer per kept device). Each shape is timed
 best-of-``--repeats`` on random unit costs and four-valued model sizes (one
 parameter count at 4, 8, 16 and 32 bits), then run once more under
 ``tracemalloc`` for the peak of the numpy buffers it allocates. The ``kept``
-column counts the devices left after pruning, ``kbound`` is the sum of the
-``k_max`` largest scaled sizes, ``bound`` the value bound the kernel used
-(the least of ``kbound`` and the two axes' Dantzig bounds), and ``table``
-names the table that ran. The last two shapes sit on either side of the
-choice: the same devices and time axis, with the energy axis just below or
-just above the value bound. Run from the repository root:
+column counts the devices left after pruning, ``surv`` those left after the
+bound reduction, ``lb`` is the reduction's lower bound (the best greedy
+fill, in scaled sizes), ``kbound`` the sum of the ``k_max`` largest scaled
+sizes among the survivors, ``bound`` the value bound the kernel used (the
+least of ``kbound`` and the two axes' Dantzig bounds over the survivors),
+and ``table`` names the table that ran. The last two shapes sit on either
+side of the choice: the same devices and time axis, with the energy axis
+just below or just above the value bound. Run from the repository root:
 
     PYTHONPATH=src python3 benchmarks/bench_dp.py
 """
@@ -26,7 +28,7 @@ import tracemalloc
 import numpy as np
 
 from relaydiff import scheduler
-from relaydiff.scheduler import knapsack_2d, lp_bound, prune_dominated
+from relaydiff.scheduler import knapsack_2d, lp_bound, prune_dominated, reduce_by_bounds
 
 PARAM_COUNT = 1_000_000_000
 SIZES = np.array([PARAM_COUNT * bits // 8 for bits in (4, 8, 16, 32)], dtype=np.int64)
@@ -40,20 +42,20 @@ def random_instance(rng, n, cap_t, cap_e):
 
 
 def value_bounds(unit_t, unit_e, sizes, cap_t, cap_e):
-    """(kept devices, k_max bound, bound used), computed as ``knapsack_2d`` does."""
+    """(kept, survivors, LB, k_max bound, bound used), computed as ``knapsack_2d`` does."""
 
     kept, k_max = prune_dominated(unit_t, unit_e, sizes, cap_t, cap_e)
     kept = kept.tolist()
     scaled = [int(sizes[i]) for i in kept]
     gcd = math.gcd(*scaled) or 1
     scaled = [size // gcd for size in scaled]
+    ct = [int(unit_t[i]) for i in kept]
+    ce = [int(unit_e[i]) for i in kept]
+    survivors, lb = reduce_by_bounds(ct, ce, scaled, cap_t, cap_e)
+    scaled, ct, ce = ([values[j] for j in survivors] for values in (scaled, ct, ce))
     k_max_bound = sum(sorted(scaled, reverse=True)[:k_max])
-    bound = min(
-        k_max_bound,
-        lp_bound([int(unit_t[i]) for i in kept], scaled, cap_t),
-        lp_bound([int(unit_e[i]) for i in kept], scaled, cap_e),
-    )
-    return len(kept), k_max_bound, bound
+    bound = min(k_max_bound, lp_bound(ct, scaled, cap_t), lp_bound(ce, scaled, cap_e))
+    return len(kept), len(survivors), lb, k_max_bound, bound
 
 
 def table_used(kernel_args):
@@ -110,18 +112,18 @@ def main():
     cases += [(unit_t, unit_e, sizes, 800, cap_e) for cap_e in (96, 104)]
 
     print(
-        f"{'n':>4} {'kept':>5} {'cap_t':>6} {'cap_e':>6} {'kbound':>7} {'bound':>6} "
-        f"{'table':>6} {'time':>10} {'peak':>10}"
+        f"{'n':>4} {'kept':>5} {'surv':>5} {'cap_t':>6} {'cap_e':>6} {'lb':>5} {'kbound':>7} "
+        f"{'bound':>6} {'table':>6} {'time':>10} {'peak':>10}"
     )
     for kernel_args in cases:
         unit_t, _, _, cap_t, cap_e = kernel_args
-        kept, k_max_bound, bound = value_bounds(*kernel_args)
+        kept, survivors, lb, k_max_bound, bound = value_bounds(*kernel_args)
         table = table_used(kernel_args)
         seconds = best_of(kernel_args, args.repeats)
         peak_mb = traced_peak(kernel_args) / 2**20
         print(
-            f"{len(unit_t):>4} {kept:>5} {cap_t:>6} {cap_e:>6} {k_max_bound:>7} {bound:>6} "
-            f"{table:>6} {seconds * 1e3:>8.1f}ms {peak_mb:>8.1f}MB"
+            f"{len(unit_t):>4} {kept:>5} {survivors:>5} {cap_t:>6} {cap_e:>6} {lb:>5} "
+            f"{k_max_bound:>7} {bound:>6} {table:>6} {seconds * 1e3:>8.1f}ms {peak_mb:>8.1f}MB"
         )
 
 

@@ -13,25 +13,30 @@ variants' byte sizes. Three methods share one plan type:
   capacity, and those that at least as many bigger, no costlier devices
   could replace as any fitting set can hold. Replacing is transitive, so
   devices can be decided in descending size order against only the devices
-  kept so far. Sizes are divided by their gcd, and the value any fitting set
-  reaches is bounded by the least of the k largest sizes (k being the most
-  devices any fitting set holds) and the fractional (Dantzig) optimum of
-  each axis alone; each is a relaxation, so the bound is never below the
-  optimum. The table then has a
-  time axis and either an energy axis (the best value per (time, energy)
-  cell, plus a take-bit per kept device and cell, packed 8 devices per
-  byte) or, when the value bound is shorter than the energy axis, a value
-  axis (the fewest energy units per (time, value) cell, one layer per kept
-  device). Of the two, the one with fewer cells runs unless only the other
-  fits the byte limit. Both backtracks return the same plan: a device is
-  taken only if it beats skipping it, so a tie keeps it skipped. The DP
-  result is finally compared against the greedy baseline, which it must
-  beat and which replaces a DP pick that misses the exact budgets by float
-  rounding, so the method never loses to no-selection through rounding
-  alone.
-* :func:`select_devices_oracle`: exhaustive subset enumeration with exact
-  float feasibility. Exponential; guarded to small fleets. Ties prefer fewer
-  devices, then the lexicographically smallest id set.
+  kept so far. Sizes are divided by their gcd. A bound reduction then drops
+  every device whose upper bound (its size plus the fractional (Dantzig)
+  fill of the room it leaves on each axis) is below the value of a fitting
+  set found by greedy fills: no optimal subset holds such a device, so the
+  optimal subsets stay the same. Over the survivors, the value any fitting
+  set reaches is bounded by the least of the k largest sizes (k being the
+  most devices any fitting set holds) and the Dantzig optimum of each axis
+  alone; each is a relaxation, so the bound is never below the optimum.
+  The table then has a time axis and either an energy axis (the best value
+  per (time, energy) cell, plus a take-bit per surviving device and cell,
+  packed 8 devices per byte) or, when the value bound is shorter than the
+  energy axis, a value axis (the fewest energy units per (time, value)
+  cell, one layer per surviving device). Of the two, the one with fewer
+  cells runs unless only the other fits the byte limit. Both backtracks
+  return the same plan: a device is taken only if it beats skipping it, so a
+  tie keeps it skipped. The DP result is finally compared against the greedy
+  baseline, which it must beat and which replaces a DP pick that misses the
+  exact budgets by float rounding, so the method never loses to no-selection
+  through rounding alone.
+* :func:`select_devices_oracle`: exhaustive subset enumeration, feasibility
+  judged by the same fsum totals as every plan (left-to-right sums filter,
+  and any subset near a budget is summed again exactly). Exponential;
+  guarded to small fleets. Ties prefer fewer devices, then the
+  lexicographically smallest id set.
 * :func:`select_devices_no_ds`: no device selection. Admits devices in
   ascending id order while the running exact totals fit, stops at the first
   misfit.
@@ -39,7 +44,9 @@ variants' byte sizes. Three methods share one plan type:
 
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -66,6 +73,12 @@ _PRUNE_BLOCK = 64
 _BY_RATIO = functools.cmp_to_key(lambda a, b: b[1] * a[0] - a[1] * b[0])
 
 ORACLE_MAX_DEVICES = 25
+
+# A subset's costs summed left to right and the fsum totals its plan is
+# checked with both lie within about 3 * ORACLE_MAX_DEVICES * 2**-53 of the
+# exact sum of its phase costs, relatively; where the left-to-right sum is
+# further than this margin from a budget, both are on the same side of it.
+_ORACLE_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -279,32 +292,99 @@ def prune_dominated(unit_t, unit_e, sizes, cap_t: int, cap_e: int) -> tuple[np.n
     return np.sort(order[kept[:n_kept]]), k_max
 
 
-def lp_bound(costs, sizes, cap: int) -> int:
-    """Dantzig's bound on one axis: the best fractional fill of ``cap``, floored.
+def _dantzig(costs, sizes):
+    """The ratio order of one axis, and Dantzig's bound there as a function of the capacity.
 
-    Exact in Python ints. Zero-cost devices add their whole size and
-    zero-size ones add nothing, so both stay out of the ratio sort.
+    ``order`` lists the positions of the positive-size devices, zero-cost ones
+    first, the rest by descending size per cost unit. ``fill(cap)``, for
+    ``cap >= 0``, is the best fractional fill of ``cap``, floored: the longest
+    prefix of ``order`` whose cost fits, found by bisection over its prefix
+    sums (which stay 0 over the zero-cost devices, so those are always taken
+    whole), plus the share of the next device that fills the room left.
+    Exact in Python ints. Zero-size devices add nothing, so they stay out of
+    the ratio sort, where a zero cost and a zero size would compare equal to
+    everything.
     """
 
-    total, items = 0, []
-    for cost, size in zip(costs, sizes):
-        if size and not cost:
-            total += size
-        elif size:
-            items.append((cost, size))
+    items = [(cost, size, i) for i, (cost, size) in enumerate(zip(costs, sizes)) if size]
+    free = [i for cost, _, i in items if not cost]
+    paid = [item for item in items if item[0]]
     # Integer true division is correctly rounded, hence monotone in the exact
     # ratio: the float sort can only leave distinct ratios that round alike
     # out of order, and the exact comparison then fixes those in one pass
     # over the nearly sorted list.
-    items.sort(key=lambda item: item[1] / item[0], reverse=True)
-    items.sort(key=_BY_RATIO)
-    room = cap
-    for cost, size in items:
-        if cost > room:
-            return total + room * size // cost
-        room -= cost
-        total += size
-    return total
+    paid.sort(key=lambda item: item[1] / item[0], reverse=True)
+    paid.sort(key=_BY_RATIO)
+    order = free + [i for _, _, i in paid]
+    prefix_cost = list(itertools.accumulate((costs[i] for i in order), initial=0))
+    prefix_size = list(itertools.accumulate((sizes[i] for i in order), initial=0))
+
+    def fill(cap: int) -> int:
+        whole = bisect.bisect_right(prefix_cost, cap) - 1
+        if whole == len(order):
+            return prefix_size[whole]
+        nxt = order[whole]
+        return prefix_size[whole] + (cap - prefix_cost[whole]) * sizes[nxt] // costs[nxt]
+
+    return order, fill
+
+
+def lp_bound(costs, sizes, cap: int) -> int:
+    """Dantzig's bound on one axis: the best fractional fill of ``cap``, floored.
+
+    Exact in Python ints (see :func:`_dantzig`).
+    """
+
+    return _dantzig(costs, sizes)[1](cap)
+
+
+def _greedy_value(order, ct, ce, scaled, cap_t: int, cap_e: int) -> int:
+    """Value of the set that takes, in ``order``, every device that still fits."""
+
+    value, room_t, room_e = 0, cap_t, cap_e
+    for j in order:
+        if ct[j] <= room_t and ce[j] <= room_e:
+            room_t -= ct[j]
+            room_e -= ce[j]
+            value += scaled[j]
+    return value
+
+
+def reduce_by_bounds(ct, ce, scaled, cap_t: int, cap_e: int) -> tuple[list[int], int]:
+    """Ascending positions of the devices an optimal subset can hold, and the lower bound used.
+
+    The lower bound LB is the value of the best of four greedy fills, which
+    take every device that still fits in one order: descending size (lower
+    position first among equals), size per time unit, size per energy unit,
+    and size per combined cost ``ct·cap_e + ce·cap_t`` (each axis's cost as a
+    share of its capacity). Device j's upper bound UB_j is its size plus the
+    lesser Dantzig bound (:func:`lp_bound`) of the two capacities left after
+    its own costs, taken over all devices, j included: a set holding j is j
+    plus a set fitting that room, and the fractional fill over a larger pool
+    is no smaller. Device j is dropped iff UB_j < LB: every set holding it is
+    worth less than a set that fits, so no optimal subset holds it. A device
+    over either capacity fits in no set and is dropped as well.
+    """
+
+    order_t, lp_t = _dantzig(ct, scaled)
+    order_e, lp_e = _dantzig(ce, scaled)
+    n = len(scaled)
+    by_size = sorted(range(n), key=scaled.__getitem__, reverse=True)
+    weight_t, weight_e = max(cap_e, 1), max(cap_t, 1)
+    by_cost = sorted(
+        range(n),
+        key=lambda j: (ct[j] * weight_t + ce[j] * weight_e) / scaled[j] if scaled[j] else math.inf,
+    )
+    lb = max(
+        _greedy_value(order, ct, ce, scaled, cap_t, cap_e)
+        for order in (by_size, order_t, order_e, by_cost)
+    )
+    survivors = [
+        j for j in range(n)
+        if ct[j] <= cap_t and ce[j] <= cap_e
+        and scaled[j] + lp_t(cap_t - ct[j]) >= lb and scaled[j] + lp_e(cap_e - ce[j]) >= lb
+    ]
+    return survivors, lb
 
 
 def knapsack_2d(unit_t, unit_e, sizes, cap_t: int, cap_e: int) -> list[int]:
@@ -314,8 +394,14 @@ def knapsack_2d(unit_t, unit_e, sizes, cap_t: int, cap_e: int) -> list[int]:
     the highest index down, is lexicographically smallest: a device is left
     out whenever taking it only ties. Devices that can never be in it are
     dropped first (:func:`prune_dominated`), and sizes are divided by their
-    gcd. ``bound`` is the most any fitting subset is worth: the least of the
-    sum of the ``k_max`` largest scaled sizes and the Dantzig bounds
+    gcd. The bound reduction (:func:`reduce_by_bounds`) then drops every
+    device that no optimal subset holds: device j goes when UB_j, an upper
+    bound on every fitting set holding it, is below LB, the value of a
+    fitting set found greedily. The optimum is at least LB, so no optimal
+    subset holds j; with j removed the optimum is the same, and so are the
+    optimal subsets and, among them, the canonical one. ``bound`` is the
+    most any fitting subset of the survivors is worth: the least of the sum
+    of the ``k_max`` largest scaled sizes and the Dantzig bounds
     (:func:`lp_bound`) of the time and the energy axis alone, each of which
     relaxes the problem, so none is below the optimum.
 
@@ -343,6 +429,10 @@ def knapsack_2d(unit_t, unit_e, sizes, cap_t: int, cap_e: int) -> list[int]:
 
     Raises ConfigurationError if the value bound does not fit 64 bits or
     neither table fits ``MAX_DP_BYTES``, before any DP buffer is allocated.
+    Both checks count only the survivors, and a bound over fewer devices is
+    no larger, so each table's bytes are no more than over all kept devices:
+    the reduction makes the kernel refuse no input it would plan without
+    it, and plans some whose bound over all kept devices passed 64 bits.
     """
 
     kept, k_max = prune_dominated(unit_t, unit_e, sizes, cap_t, cap_e)
@@ -352,6 +442,9 @@ def knapsack_2d(unit_t, unit_e, sizes, cap_t: int, cap_e: int) -> list[int]:
     scaled = [size // gcd for size in scaled]
     ct = [int(unit_t[i]) for i in kept]
     ce = [int(unit_e[i]) for i in kept]
+    survivors, _ = reduce_by_bounds(ct, ce, scaled, cap_t, cap_e)
+    kept = [kept[j] for j in survivors]
+    scaled, ct, ce = ([values[j] for j in survivors] for values in (scaled, ct, ce))
     bound = min(
         sum(sorted(scaled, reverse=True)[:k_max]),
         lp_bound(ct, scaled, cap_t),
@@ -486,7 +579,7 @@ def select_devices_dp(
 
 
 def select_devices_oracle(scenario: Scenario, budgets: Budgets) -> SchedulePlan:
-    """Exhaustive optimum over all subsets, exact float feasibility.
+    """Exhaustive optimum over all subsets, judged by the plans' fsum totals.
 
     Intended as ground truth for small fleets; cost grows as 2^n. Among
     maximum-objective subsets the oracle returns the one with fewest devices,
@@ -513,6 +606,9 @@ def select_devices_oracle(scenario: Scenario, budgets: Budgets) -> SchedulePlan:
     def id_tuple(mask: int) -> tuple[int, ...]:
         return tuple(ids[i] for i in range(n) if mask >> i & 1)
 
+    t_low, t_high = budgets.t_max_s * (1 - _ORACLE_MARGIN), budgets.t_max_s * (1 + _ORACLE_MARGIN)
+    e_low, e_high = budgets.e_max_j * (1 - _ORACLE_MARGIN), budgets.e_max_j * (1 + _ORACLE_MARGIN)
+
     best = 0  # the empty subset is always feasible
     for mask in range(1, n_masks):
         low = mask & -mask
@@ -521,7 +617,13 @@ def select_devices_oracle(scenario: Scenario, budgets: Budgets) -> SchedulePlan:
         t_sum[mask] = t_sum[rest] + t_one[i]
         e_sum[mask] = e_sum[rest] + e_one[i]
         objective[mask] = objective[rest] + size_one[i]
-        if t_sum[mask] > budgets.t_max_s or e_sum[mask] > budgets.e_max_j:
+        # Left-to-right sums decide a subset only away from the budgets;
+        # near one, the fsum predicate that plans are checked with decides.
+        if t_sum[mask] > t_high or e_sum[mask] > e_high:
+            continue
+        if (t_sum[mask] > t_low or e_sum[mask] > e_low) and not _fits(
+            fleet, [i for i in range(n) if mask >> i & 1], budgets
+        ):
             continue
         if objective[mask] > objective[best]:
             best = mask

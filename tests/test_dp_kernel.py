@@ -5,15 +5,18 @@ table, both implemented here, serve as a reference that shares no code with
 the production kernel: no dominance pruning, no gcd scaling, no value bound,
 no value table, one int64 value per cell. The rank-order prune and the LP
 value bound are each held to a direct reference as well: an all-pairs
-replacer count and a fractional knapsack sorted by exact ratios.
+replacer count and a fractional knapsack sorted by exact ratios. The bound
+reduction is held to brute force over every subset, in Python ints.
 """
 
 import functools
+import itertools
 from fractions import Fraction
 
 import numpy as np
 
-from relaydiff.scheduler import knapsack_2d, lp_bound, prune_dominated
+from relaydiff import scheduler
+from relaydiff.scheduler import knapsack_2d, lp_bound, prune_dominated, reduce_by_bounds
 
 
 def reference_fill(unit_t, unit_e, sizes, cap_t, cap_e):
@@ -281,3 +284,94 @@ def test_energy_axis_bound_alone_picks_the_value_table(table_calls):
     assert lp_bound(unit_e.tolist(), sizes.tolist(), 20) == 19
     assert assert_matches_reference(unit_t, unit_e, sizes, 100, 20) == [0, 1, 2, 3, 4, 5]
     assert table_calls == {"_value_dp": 1}
+
+
+def optimal_subsets(unit_t, unit_e, sizes, cap_t, cap_e):
+    """The optimum and every subset reaching it, by brute force in Python ints."""
+
+    n = len(sizes)
+    fitting = [
+        (sum(int(sizes[i]) for i in subset), subset)
+        for r in range(n + 1)
+        for subset in itertools.combinations(range(n), r)
+        if sum(int(unit_t[i]) for i in subset) <= cap_t
+        and sum(int(unit_e[i]) for i in subset) <= cap_e
+    ]
+    optimum = max(value for value, _ in fitting)
+    return optimum, [subset for value, subset in fitting if value == optimum]
+
+
+def canonical_subset(unit_t, unit_e, sizes, cap_t, cap_e):
+    """The optimal subset whose membership, from the highest index down, is smallest."""
+
+    _, subsets = optimal_subsets(unit_t, unit_e, sizes, cap_t, cap_e)
+    return list(min(subsets, key=lambda subset: sorted(subset, reverse=True)))
+
+
+def test_reduction_drops_no_device_an_optimal_subset_holds():
+    # Zero costs, zero sizes, over-capacity devices, four-valued sizes and
+    # sizes proportional to one axis's costs (every ratio tied).
+    rng = np.random.default_rng(606)
+    dropped_fitting = 0
+    for trial in range(400):
+        n = int(rng.integers(0, 11))
+        cap_t, cap_e = int(rng.integers(0, 25)), int(rng.integers(0, 25))
+        unit_t = [int(c) for c in rng.integers(0, 14, size=n)]
+        unit_e = [int(c) for c in rng.integers(0, 14, size=n)]
+        for costs in (unit_t, unit_e):
+            for i in np.flatnonzero(rng.random(n) < 0.15):
+                costs[i] = 0
+        kind = trial % 4
+        if kind == 0:
+            sizes = [int(s) for s in rng.choice([1, 2, 4, 8], size=n)]
+        elif kind == 1:
+            sizes = [int(s) for s in rng.integers(0, 4, size=n)]
+        elif kind == 2:
+            sizes = [3 * c for c in unit_t]
+        else:
+            sizes = [int(s) for s in rng.integers(1, 60, size=n)]
+        survivors, lb = reduce_by_bounds(unit_t, unit_e, sizes, cap_t, cap_e)
+        optimum, subsets = optimal_subsets(unit_t, unit_e, sizes, cap_t, cap_e)
+        assert lb <= optimum
+        dropped = set(range(n)) - set(survivors)
+        assert not any(dropped.intersection(subset) for subset in subsets)
+        dropped_fitting += sum(unit_t[j] <= cap_t and unit_e[j] <= cap_e for j in dropped)
+    assert dropped_fitting > 0
+
+
+def test_kernel_matches_reference_where_the_reduction_fires(monkeypatch):
+    reduced = []
+
+    def counted(ct, ce, scaled, cap_t, cap_e):
+        survivors, lb = reduce_by_bounds(ct, ce, scaled, cap_t, cap_e)
+        reduced.append(len(scaled) - len(survivors))
+        return survivors, lb
+
+    monkeypatch.setattr(scheduler, "reduce_by_bounds", counted)
+    rng = np.random.default_rng(808)
+    fired = 0
+    for _ in range(40):
+        unit_t, unit_e, _, cap_t, cap_e = random_instance(rng, n_max=12, cap_max=30)
+        sizes = rng.choice([1, 2, 4, 8], size=len(unit_t)).astype(np.int64) * 10**9
+        assert_matches_reference(unit_t, unit_e, sizes, cap_t, cap_e)
+        fired += reduced[-1] > 0
+    assert fired >= 10
+
+
+def test_bound_over_the_survivors_plans_what_the_kept_devices_refused():
+    # Devices 0 and 1, each worth nearly 2**64, cannot fit together, but with
+    # device 2 three fit on each axis's costs alone, so k_max = 2; the k_max
+    # bound and both Dantzig bounds over all three exceed 64 bits, and the
+    # kernel used to refuse. Device 0 leaves no time for anything else and is
+    # worth less than device 1 alone, so it is reduced away; over devices 1
+    # and 2 every bound fits 64 bits.
+    unit_t = np.array([6, 1, 1], dtype=np.int64)
+    unit_e = np.array([1, 6, 1], dtype=np.int64)
+    sizes = [2**64 - 1001, 2**64 - 999, 1]
+    kept, k_max = prune_dominated(unit_t, unit_e, sizes, 6, 6)
+    assert kept.tolist() == [0, 1, 2] and k_max == 2
+    assert sizes[0] + sizes[1] >> 64
+    assert lp_bound([6, 1, 1], sizes, 6) >> 64 and lp_bound([1, 6, 1], sizes, 6) >> 64
+    assert reduce_by_bounds([6, 1, 1], [1, 6, 1], sizes, 6, 6) == ([1, 2], 2**64 - 999)
+    assert canonical_subset(unit_t, unit_e, sizes, 6, 6) == [1]
+    assert knapsack_2d(unit_t, unit_e, sizes, 6, 6) == [1]

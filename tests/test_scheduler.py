@@ -5,6 +5,7 @@ DP and greedy baselines are then held to the oracle-derived expectations.
 All fixture totals are dyadic, so equalities are exact.
 """
 
+import itertools
 import math
 import tracemalloc
 
@@ -155,6 +156,59 @@ def test_oracle_selection_invariant_under_objective_scaling():
     )
 
 
+def fsum_oracle(scenario, budgets):
+    """The oracle's pick, judging every subset by its plan's fsum totals."""
+
+    costs = {dev.id: stage_cost_for(scenario, dev) for dev in scenario.devices if dev.available}
+    sizes = {dev.id: dev.variant.size_bytes for dev in scenario.devices}
+    best = None
+    for r in range(len(costs) + 1):
+        for ids in itertools.combinations(sorted(costs), r):
+            totals = aggregate_costs(costs[i] for i in ids)
+            if totals.t_total_s <= budgets.t_max_s and totals.e_total_j <= budgets.e_max_j:
+                key = (-sum(sizes[i] for i in ids), len(ids), ids)
+                best = key if best is None else min(best, key)
+    return best[2]
+
+
+def test_oracle_judges_a_subset_on_the_budget_by_its_fsum():
+    # The budgets are device 2's own costs summed left to right; the fsum
+    # totals its plan is checked with lie one ulp above both. The oracle used
+    # to pick device 2 and raise "internal error: oracle produced an
+    # infeasible plan"; devices 0 and 1 cost more, so nothing fits.
+    scenario = generate_scenario(3, seed=1)
+    budgets = Budgets(0.46360108994653254, 6.122700817459899)
+    cost = stage_cost_for(scenario, scenario.device(2))
+    assert (cost.t_total(), cost.e_total()) == (budgets.t_max_s, budgets.e_max_j)
+    assert aggregate_costs([cost]).t_total_s > budgets.t_max_s
+
+    plan = select_devices_oracle(scenario, budgets)
+    assert plan.device_ids == fsum_oracle(scenario, budgets) == ()
+
+
+def test_oracle_matches_fsum_enumeration_on_budgets_at_subset_totals():
+    # Budgets equal to a random subset's totals put the oracle's float filter
+    # exactly on a budget: its left-to-right totals (about one fleet in ten
+    # raised before) or its plan's fsum totals, which a left-to-right sum
+    # can pass by an ulp although the subset fits.
+    rng = np.random.default_rng(2026)
+    for trial in range(300):
+        n = int(rng.integers(2, 9))
+        scenario = generate_scenario(n, seed=int(rng.integers(0, 10**9)))
+        costs = [stage_cost_for(scenario, dev) for dev in scenario.devices]
+        subset = [i for i in range(n) if rng.random() < 0.5] or [int(rng.integers(0, n))]
+        if trial % 2:
+            totals = aggregate_costs(costs[i] for i in subset)
+            budgets = Budgets(totals.t_total_s, totals.e_total_j)
+        else:
+            # The oracle sums a subset from its highest index down.
+            budgets = Budgets(
+                sum(costs[i].t_total() for i in reversed(subset)),
+                sum(costs[i].e_total() for i in reversed(subset)),
+            )
+        assert select_devices_oracle(scenario, budgets).device_ids == fsum_oracle(scenario, budgets)
+
+
 def test_oracle_guard_refuses_large_fleets():
     scenario = generate_scenario(ORACLE_MAX_DEVICES + 1, seed=0)
     with pytest.raises(ConfigurationError, match="guard"):
@@ -173,11 +227,12 @@ def test_dp_byte_guard_refuses_before_allocating(three_device_scenario, monkeypa
     # time cells, so each table needs far more than the call's fixed ~6 kB.
     budgets = Budgets(2.0, 200.0)
     cases = [
-        # 201 energy cells > 8 value cells: the value table, three kept
+        # 201 energy cells > 8 value cells: the value table, three surviving
         # layers, the empty layer and one scratch layer of uint8 energies.
         (Discretization(2**-13, 1.0), (3 + 2) * 16385 * 8),
         # 8 energy cells <= 8 value cells: the grid, one take-bit byte plane,
-        # one shift byte and two uint8 value layers per cell.
+        # one shift byte and two uint8 value layers per cell. Device 1 is
+        # reduced away here; two survivors still need one byte plane.
         (Discretization(2**-13, 28.0), (1 + 1 + 2 * 1) * 16385 * 8),
     ]
     for disc, needed in cases:
@@ -198,10 +253,13 @@ def test_dp_byte_guard_refuses_before_allocating(three_device_scenario, monkeypa
 def test_dp_falls_back_to_the_grid_when_the_value_table_is_too_big(
     three_device_scenario, monkeypatch, table_calls
 ):
-    # 9 energy cells > 8 value cells, so the value table runs by default;
-    # but its (3 + 2) * 8 bytes per time cell exceed the grid's 4 * 9.
-    budgets = Budgets(2.0, 200.0)
-    disc = Discretization(2**-7, 25.0)
+    # 30 J units put the energy costs at 4, 2 and 3 of 8 units. No device is
+    # reduced away: device 1 is in no optimal set, but its upper bound, 2 plus
+    # the time axis's Dantzig bound of 5 for the room it leaves, reaches the
+    # optimum 7. 9 energy cells > 8 value cells, so the value table runs by
+    # default; but its (3 + 2) * 8 bytes per time cell exceed the grid's 4 * 9.
+    budgets = Budgets(2.0, 240.0)
+    disc = Discretization(2**-7, 30.0)
     free = select_devices_dp(three_device_scenario, budgets, disc)
     assert table_calls == {"_value_dp": 1}
 
