@@ -10,7 +10,16 @@ latent transfers per K-step stage.
 
 Each relayed transfer appears in the trace as one ``download`` event on the
 receiving device whose duration spans both wireless legs; the sender's
-transmit energy and the receiver's receive energy are both charged.
+transmit energy and the receiver's receive energy are both charged. The
+trace is built by the stage pipeline's :class:`~relaydiff.pipeline.Timeline`.
+
+:func:`pick_split_pair` scores every ordered pair of available devices by
+the latency of one step split evenly. It computes each device's half-step
+phase times once, as arrays, then scores all partners of one device at a
+time with the :class:`~relaydiff.cost_model.SplitStepCost` latency
+expression, term for term. Ties go to the lowest (a, b) id pair: devices
+are scanned in ascending id order, the first of equal scores in a row is
+taken, and a row replaces the best pair only if it is strictly faster.
 """
 
 from __future__ import annotations
@@ -18,9 +27,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cost_model import split_step_cost
+import numpy as np
+
+from .cost_model import fleet_phase_costs, split_step_cost
 from .errors import ConfigurationError, ValidationError
-from .pipeline import Event, SimTrace, _assemble_trace
+from .pipeline import SimTrace, Timeline
 from .scenario import Scenario
 from .scheduler import Budgets
 
@@ -65,47 +76,26 @@ def simulate_split(scenario: Scenario, config: SplitConfig, budgets: Budgets) ->
         scenario.server_pos_m,
     )
 
-    events: list[Event] = []
-    transfer_durs: list[float] = []
-    compute_durs: list[float] = []
-    energy_terms: list[float] = []
-    clock = 0.0
-
-    def emit(kind: str, device_id: int, duration: float, energies: tuple[float, ...], amount: int):
-        nonlocal clock
-        start = clock
-        clock = start + duration
-        events.append(
-            Event(t_start_s=start, t_end_s=clock, kind=kind, device_id=device_id, amount=amount)
-        )
-        if kind == "download":
-            transfer_durs.append(duration)
-        else:
-            compute_durs.append(duration)
-        energy_terms.extend(e for e in energies if e)
-
+    timeline = Timeline()
     a, b = step.cost_a, step.cost_b
     for _ in range(config.n_steps):
-        emit("compute", device_a.id, a.t_cmp_s, (a.e_cmp_j,), 1)
-        emit("download", device_b.id, step.t_forward_s, (a.e_up_j, b.e_down_j),
-             scenario.feature_bytes)
-        emit("compute", device_b.id, b.t_cmp_s, (b.e_cmp_j,), 1)
-        emit("download", device_a.id, step.t_back_s, (b.e_up_j, a.e_down_j),
-             scenario.feature_bytes)
-
-    return _assemble_trace(
-        events, transfer_durs, compute_durs, energy_terms,
-        stages_completed=config.n_steps, replans=0, completed=True,
-        budgets=budgets, method="split",
-    )
+        timeline.emit("compute", device_a.id, a.t_cmp_s, 1, a.e_cmp_j)
+        timeline.emit("download", device_b.id, step.t_forward_s, scenario.feature_bytes,
+                      a.e_up_j, b.e_down_j)
+        timeline.emit("compute", device_b.id, b.t_cmp_s, 1, b.e_cmp_j)
+        timeline.emit("download", device_a.id, step.t_back_s, scenario.feature_bytes,
+                      b.e_up_j, a.e_down_j)
+    return timeline.trace(config.n_steps, 0, True, budgets, "split")
 
 
 def pick_split_pair(scenario: Scenario, n_steps: int | None = None) -> SplitConfig:
     """Lowest-latency ordered pair at an even split.
 
-    Enumerates ordered pairs of available devices, scores each by per-step
-    split latency (the step count scales all pairs alike), and returns the
-    winner as a config; ties go to the lowest (a, b) id pair. ``n_steps``
+    Scores every ordered pair of available devices by its per-step split
+    latency (the step count scales all pairs alike), exactly as
+    :func:`~relaydiff.cost_model.split_step_cost` computes it, and returns
+    the winner as a config; ties go to the lowest (a, b) id pair (see the
+    module docstring). Time is O(n^2) in numpy and memory O(n). ``n_steps``
     defaults to the scenario's steps per stage.
     """
 
@@ -117,20 +107,19 @@ def pick_split_pair(scenario: Scenario, n_steps: int | None = None) -> SplitConf
             f"split baseline needs at least 2 available devices, found {len(candidates)}"
         )
     steps = scenario.steps_per_stage if n_steps is None else n_steps
-    best: SplitConfig | None = None
-    best_latency = math.inf
-    for device_a in candidates:
-        for device_b in candidates:
-            if device_a.id == device_b.id:
-                continue
-            step = split_step_cost(
-                device_a, device_b, scenario.link, scenario.feature_bytes,
-                0.5, scenario.server_pos_m,
-            )
-            if step.t_step_s < best_latency:
-                best_latency = step.t_step_s
-                best = SplitConfig(
-                    device_a_id=device_a.id, device_b_id=device_b.id, n_steps=steps
-                )
-    assert best is not None
-    return best
+    t_down, t_cmp, t_up, *_ = fleet_phase_costs(
+        candidates, scenario.link, scenario.server_pos_m, scenario.feature_bytes, 0.5
+    )
+    best, best_latency = None, math.inf
+    with np.errstate(over="ignore"):  # a pair whose latency overflows never wins
+        for a in range(len(candidates)):
+            # SplitStepCost.t_step_s of (a, b) for every b: t_tran_s + t_cmp_s.
+            row = ((t_up[a] + t_down) + (t_up + t_down[a])) + (t_cmp[a] + t_cmp)
+            row[a] = math.inf
+            b = int(np.argmin(row))
+            if row[b] < best_latency:
+                best, best_latency = (a, b), row[b]
+    if best is None:
+        raise ConfigurationError("every split pair's step latency overflows")
+    a, b = best
+    return SplitConfig(device_a_id=candidates[a].id, device_b_id=candidates[b].id, n_steps=steps)

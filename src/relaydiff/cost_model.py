@@ -12,9 +12,11 @@ identities exact in floating point (order-independent, no drift), so a plan's
 predicted totals match a failure-free execution trace bit for bit.
 
 :class:`FleetCosts` holds the same six phase costs for a whole fleet as numpy
-arrays. Both it and :func:`stage_cost` evaluate one phase formula, made only
-of correctly rounded multiplications and divisions, so every array element
-equals the matching :func:`stage_cost_for` field bit for bit.
+arrays. It, :func:`stage_cost` and :func:`split_step_cost` all evaluate one
+phase formula, :func:`phase_costs`, made only of correctly rounded
+multiplications and divisions, so every array element equals the matching
+:func:`stage_cost_for` field bit for bit. A world whose link rate underflows
+to zero, or whose costs overflow, is refused with ConfigurationError.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -101,36 +103,54 @@ def link_rate(
     distance = max(math.dist(device.pos_m, server_pos_m), MIN_DISTANCE_M)
     gain = link.path_loss_ref_gain * distance ** -link.path_loss_exponent
     snr = device.tx_power_w * gain / link.noise_power_w
-    return link.bandwidth_hz * math.log2(1.0 + snr)
+    rate = link.bandwidth_hz * math.log2(1.0 + snr)
+    if rate == 0.0:
+        raise ConfigurationError(f"device {device.id}: the link rate underflows to 0 bit/s "
+                                 f"at {distance:.6g} m from the server (SNR {snr:.6g})")
+    return rate
 
 
 def transfer_time(n_bytes: int, rate_bps: float) -> float:
     return BITS_PER_BYTE * n_bytes / rate_bps
 
 
-def _phase_costs(latent_bytes, k_steps, rate_down, rate_up, step_latency_s, rx_w, compute_w, tx_w):
-    """(t_down, t_cmp, t_up, e_down, e_cmp, e_up) of a stage, for floats or arrays alike."""
+def phase_costs(latent_bytes, k_steps, rate_down, rate_up, step_latency_s, rx_w, compute_w, tx_w):
+    """(t_down, t_cmp, t_up, e_down, e_cmp, e_up) of a stage, for floats or arrays alike.
+
+    ``k_steps`` may be a fraction of a step, as for one side of a split step.
+    Raises ConfigurationError if any cost is not finite. Array callers run it
+    under ``np.errstate(over="ignore")``, as :func:`fleet_phase_costs` does,
+    so that an overflow is reported only by that error.
+    """
 
     t_down = transfer_time(latent_bytes, rate_down)
     t_up = transfer_time(latent_bytes, rate_up)
     t_cmp = k_steps * step_latency_s
-    return t_down, t_cmp, t_up, rx_w * t_down, compute_w * t_cmp, tx_w * t_up
+    costs = (t_down, t_cmp, t_up, rx_w * t_down, compute_w * t_cmp, tx_w * t_up)
+    if not np.isfinite(costs).all():
+        raise ConfigurationError(
+            "a stage or split-step cost overflows; a link rate or device parameter is out of range"
+        )
+    return costs
 
 
 def stage_cost(
     device: Device,
     link: LinkParams,
     latent_bytes: int,
-    k_steps: int,
+    k_steps: float,
     server_pos_m: tuple[float, float],
 ) -> StageCost:
-    """Cost of one K-step stage on ``device``: download, K steps, upload."""
+    """Cost of one K-step stage on ``device``: download, K steps, upload.
+
+    ``k_steps`` may be a fraction of a step (one side of a split step).
+    """
 
     if k_steps < 0:
         raise ConfigurationError(f"k_steps must be >= 0, got {k_steps}")
     if latent_bytes < 0:
         raise ConfigurationError(f"latent_bytes must be >= 0, got {latent_bytes}")
-    return StageCost(*_phase_costs(
+    return StageCost(*phase_costs(
         latent_bytes,
         k_steps,
         link_rate(device, link, "down", server_pos_m),
@@ -197,34 +217,44 @@ class FleetCosts:
         )
 
 
-def fleet_costs(scenario: Scenario) -> FleetCosts:
-    """Stage costs of every available device of ``scenario``, as arrays.
+def fleet_rates(
+    devices: Sequence[Device], link: LinkParams, server_pos_m: tuple[float, float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """(up, down) link rates of ``devices``, as arrays in the given order.
 
-    ``link_rate`` runs once per device: without a rate override the Shannon
-    rate is the same in both directions.
+    ``link_rate`` runs once per device, twice for one with a rate override:
+    without one, the Shannon rate is the same in both directions.
     """
 
-    devices = tuple(sorted((dev for dev in scenario.devices if dev.available), key=attrgetter("id")))
-    link, server = scenario.link, scenario.server_pos_m
     overrides = link.rate_override_bps or {}
-    up = [link_rate(dev, link, "up", server) for dev in devices]
+    up = [link_rate(dev, link, "up", server_pos_m) for dev in devices]
     down = [
-        link_rate(dev, link, "down", server) if dev.id in overrides else rate
+        link_rate(dev, link, "down", server_pos_m) if dev.id in overrides else rate
         for dev, rate in zip(devices, up)
     ]
+    return np.array(up, dtype=np.float64), np.array(down, dtype=np.float64)
 
-    def column(name):
-        return np.array([getattr(dev, name) for dev in devices], dtype=np.float64)
 
-    phases = _phase_costs(
-        scenario.latent_bytes,
-        scenario.steps_per_stage,
-        np.array(down, dtype=np.float64),
-        np.array(up, dtype=np.float64),
-        column("step_latency_s"),
-        column("rx_power_w"),
-        column("compute_power_w"),
-        column("tx_power_w"),
+def fleet_phase_costs(devices: Sequence[Device], link: LinkParams, server_pos_m, payload_bytes,
+                      k_steps) -> tuple[np.ndarray, ...]:
+    """:func:`phase_costs` of each of ``devices``, as six arrays in the devices' order."""
+
+    up, down = fleet_rates(devices, link, server_pos_m)
+    columns = (
+        np.array([getattr(dev, name) for dev in devices], dtype=np.float64)
+        for name in ("step_latency_s", "rx_power_w", "compute_power_w", "tx_power_w")
+    )
+    with np.errstate(over="ignore"):
+        return phase_costs(payload_bytes, k_steps, down, up, *columns)
+
+
+def fleet_costs(scenario: Scenario) -> FleetCosts:
+    """Stage costs of every available device of ``scenario``, as arrays."""
+
+    devices = tuple(sorted((dev for dev in scenario.devices if dev.available), key=attrgetter("id")))
+    phases = fleet_phase_costs(
+        devices, scenario.link, scenario.server_pos_m,
+        scenario.latent_bytes, scenario.steps_per_stage,
     )
     t_down, t_cmp, t_up, e_down, e_cmp, e_up = phases
     return FleetCosts(
@@ -297,34 +327,15 @@ def split_step_cost(
 
     A executes ``split_fraction`` of its per-step latency, B the complement of
     its own, and the intermediate features cross the server twice per step.
+    Each side is the :func:`stage_cost` of its device, with the features as
+    the payload and its share of the step as the step count.
     """
 
     if device_a.id == device_b.id:
         raise ConfigurationError(f"split endpoints must differ, both are device {device_a.id}")
     if not 0.0 <= split_fraction <= 1.0:
         raise ConfigurationError(f"split_fraction must be in [0, 1], got {split_fraction}")
-
-    t_a_up = transfer_time(feature_bytes, link_rate(device_a, link, "up", server_pos_m))
-    t_a_down = transfer_time(feature_bytes, link_rate(device_a, link, "down", server_pos_m))
-    t_b_up = transfer_time(feature_bytes, link_rate(device_b, link, "up", server_pos_m))
-    t_b_down = transfer_time(feature_bytes, link_rate(device_b, link, "down", server_pos_m))
-    t_a_cmp = split_fraction * device_a.step_latency_s
-    t_b_cmp = (1.0 - split_fraction) * device_b.step_latency_s
-
-    cost_a = StageCost(
-        t_down_s=t_a_down,
-        t_cmp_s=t_a_cmp,
-        t_up_s=t_a_up,
-        e_down_j=device_a.rx_power_w * t_a_down,
-        e_cmp_j=device_a.compute_power_w * t_a_cmp,
-        e_up_j=device_a.tx_power_w * t_a_up,
+    return SplitStepCost(
+        cost_a=stage_cost(device_a, link, feature_bytes, split_fraction, server_pos_m),
+        cost_b=stage_cost(device_b, link, feature_bytes, 1.0 - split_fraction, server_pos_m),
     )
-    cost_b = StageCost(
-        t_down_s=t_b_down,
-        t_cmp_s=t_b_cmp,
-        t_up_s=t_b_up,
-        e_down_j=device_b.rx_power_w * t_b_down,
-        e_cmp_j=device_b.compute_power_w * t_b_cmp,
-        e_up_j=device_b.tx_power_w * t_b_up,
-    )
-    return SplitStepCost(cost_a=cost_a, cost_b=cost_b)

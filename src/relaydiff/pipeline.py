@@ -12,6 +12,10 @@ If re-planning comes back empty while work remains, the run aborts with
 
 Checkpoint and re-plan bookkeeping happens on the edge server and is free on
 the device budget, so those events are zero-width and carry no energy.
+
+:class:`Timeline` is the one timeline builder: this simulator and the split
+baseline both emit their events through it and take their traces from it,
+so both account time and energy the same way.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import numpy as np
 
 from .cost_model import stage_cost_for
 from .errors import ConfigurationError, LineageError, RecoveryInfeasible, ValidationError
-from .scenario import STAGE_PHASES, Scenario, mark_unavailable
+from .scenario import STAGE_PHASES, TRANSFER_PHASES, Scenario, mark_unavailable
 from .scheduler import Budgets, SchedulePlan, select_devices_dp
 
 EVENT_KINDS = ("download", "compute", "upload", "checkpoint", "failure", "replan")
@@ -120,34 +124,62 @@ class SimTrace:
     method: str
 
 
-def _assemble_trace(
-    events: list[Event],
-    transfer_durs: list[float],
-    compute_durs: list[float],
-    energy_terms: list[float],
-    stages_completed: int,
-    replans: int,
-    completed: bool,
-    budgets: Budgets,
-    method: str,
-) -> SimTrace:
-    t_tran = math.fsum(transfer_durs)
-    t_cmp = math.fsum(compute_durs)
-    t_total = t_tran + t_cmp
-    e_total = math.fsum(energy_terms)
-    return SimTrace(
-        events=tuple(events),
-        t_total_s=t_total,
-        e_total_j=e_total,
-        t_tran_s=t_tran,
-        t_cmp_s=t_cmp,
-        tran_fraction=t_tran / t_total if t_total > 0 else 0.0,
-        stages_completed=stages_completed,
-        replans=replans,
-        completed=completed,
-        feasible=t_total <= budgets.t_max_s and e_total <= budgets.e_max_j,
-        method=method,
-    )
+class Timeline:
+    """The clock, events and cost terms of one run, and the trace they make.
+
+    Each :meth:`emit` appends an event that starts where the clock stands and
+    advances it by the event's duration. Download and upload durations count
+    as transfer time and compute durations as compute time; markers count
+    as neither. Every nonzero energy term is kept, and totals are fsums, so
+    the order in which terms are emitted does not change them.
+    """
+
+    def __init__(self):
+        self._clock = 0.0
+        self._events: list[Event] = []
+        self._transfer: list[float] = []
+        self._compute: list[float] = []
+        self._energy: list[float] = []
+
+    def emit(self, kind: str, device_id: int | None, duration: float, amount: int,
+             *energies: float) -> None:
+        start = self._clock
+        self._clock = start + duration
+        self._events.append(
+            Event(t_start_s=start, t_end_s=self._clock, kind=kind, device_id=device_id, amount=amount)
+        )
+        if kind in TRANSFER_PHASES:
+            self._transfer.append(duration)
+        elif kind == "compute":
+            self._compute.append(duration)
+        for energy in energies:
+            if energy:
+                self._energy.append(energy)
+
+    def spent(self) -> tuple[float, float]:
+        """(time, energy) charged so far."""
+
+        return math.fsum(self._transfer) + math.fsum(self._compute), math.fsum(self._energy)
+
+    def trace(self, stages_completed: int, replans: int, completed: bool, budgets: Budgets,
+              method: str) -> SimTrace:
+        t_tran = math.fsum(self._transfer)
+        t_cmp = math.fsum(self._compute)
+        t_total = t_tran + t_cmp
+        e_total = math.fsum(self._energy)
+        return SimTrace(
+            events=tuple(self._events),
+            t_total_s=t_total,
+            e_total_j=e_total,
+            t_tran_s=t_tran,
+            t_cmp_s=t_cmp,
+            tran_fraction=t_tran / t_total if t_total > 0 else 0.0,
+            stages_completed=stages_completed,
+            replans=replans,
+            completed=completed,
+            feasible=t_total <= budgets.t_max_s and e_total <= budgets.e_max_j,
+            method=method,
+        )
 
 
 def simulate_pipeline(
@@ -186,36 +218,12 @@ def simulate_pipeline(
     rng = np.random.default_rng(failures.rng_seed)
     injected = dict(failures.injected)
 
-    events: list[Event] = []
-    transfer_durs: list[float] = []
-    compute_durs: list[float] = []
-    energy_terms: list[float] = []
-    clock = 0.0
+    timeline = Timeline()
     used: set[int] = set()
     failed: set[int] = set()
     stages_completed = 0
     replans = 0
     queue = list(plan.stages)
-
-    def emit(kind: str, device_id: int | None, duration: float, energy: float, amount: int):
-        nonlocal clock
-        start = clock
-        clock = start + duration
-        events.append(
-            Event(t_start_s=start, t_end_s=clock, kind=kind, device_id=device_id, amount=amount)
-        )
-        if kind in ("download", "upload"):
-            transfer_durs.append(duration)
-        elif kind == "compute":
-            compute_durs.append(duration)
-        if energy:
-            energy_terms.append(energy)
-
-    def partial_trace() -> SimTrace:
-        return _assemble_trace(
-            events, transfer_durs, compute_durs, energy_terms,
-            stages_completed, replans, False, budgets, plan.method,
-        )
 
     while queue:
         dev_id, cost = queue.pop(0)
@@ -231,13 +239,13 @@ def simulate_pipeline(
         )
         stage_failed = False
         for kind, duration, energy, amount in phases:
-            emit(kind, dev_id, duration, energy, amount)
+            timeline.emit(kind, dev_id, duration, amount, energy)
             if kind == fail_phase:
                 stage_failed = True
                 break
 
         if not stage_failed:
-            emit("checkpoint", dev_id, 0.0, 0.0, scenario.latent_bytes)
+            timeline.emit("checkpoint", dev_id, 0.0, scenario.latent_bytes)
             used.add(dev_id)
             stages_completed += 1
             continue
@@ -245,27 +253,25 @@ def simulate_pipeline(
         # Failure: full phase cost is already charged; retire the device and
         # re-plan the remaining work from the last checkpoint.
         failed.add(dev_id)
-        emit("failure", dev_id, 0.0, 0.0, 0)
+        timeline.emit("failure", dev_id, 0.0, 0)
+        t_spent, e_spent = timeline.spent()
         residual = Budgets(
-            t_max_s=max(budgets.t_max_s - (math.fsum(transfer_durs) + math.fsum(compute_durs)), 0.0),
-            e_max_j=max(budgets.e_max_j - math.fsum(energy_terms), 0.0),
+            t_max_s=max(budgets.t_max_s - t_spent, 0.0),
+            e_max_j=max(budgets.e_max_j - e_spent, 0.0),
         )
         pool = mark_unavailable(scenario, used | failed)
         new_plan = select_devices_dp(pool, residual)
         replans += 1
-        emit("replan", None, 0.0, 0.0, 0)
+        timeline.emit("replan", None, 0.0, 0)
         if not new_plan.stages:
             raise RecoveryInfeasible(
                 f"no feasible continuation after device {dev_id} failed in {fail_phase} "
                 f"(residual budgets t={residual.t_max_s:.6g} s, e={residual.e_max_j:.6g} J)",
-                trace=partial_trace(),
+                trace=timeline.trace(stages_completed, replans, False, budgets, plan.method),
             )
         queue = list(new_plan.stages)
 
-    return _assemble_trace(
-        events, transfer_durs, compute_durs, energy_terms,
-        stages_completed, replans, True, budgets, plan.method,
-    )
+    return timeline.trace(stages_completed, replans, True, budgets, plan.method)
 
 
 def aggregate_latent_lineage(trace: SimTrace) -> list[int]:

@@ -312,8 +312,9 @@ def _dantzig(costs, sizes):
     # Integer true division is correctly rounded, hence monotone in the exact
     # ratio: the float sort can only leave distinct ratios that round alike
     # out of order, and the exact comparison then fixes those in one pass
-    # over the nearly sorted list.
-    paid.sort(key=lambda item: item[1] / item[0], reverse=True)
+    # over the nearly sorted list. Costs are unit counts below 2**63, so
+    # cost / size cannot overflow a float however large a size is.
+    paid.sort(key=lambda item: item[0] / item[1])
     paid.sort(key=_BY_RATIO)
     order = free + [i for _, _, i in paid]
     prefix_cost = list(itertools.accumulate((costs[i] for i in order), initial=0))

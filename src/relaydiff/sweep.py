@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .baseline_split import SplitConfig, pick_split_pair, simulate_split
 from .errors import ConfigurationError, RelaydiffError, ValidationError
-from .pipeline import NO_FAILURES, simulate_pipeline
+from .pipeline import NO_FAILURES, Timeline, simulate_pipeline, trace_summary
 from .quality import quality
 from .scenario import Scenario, generate_scenario
 from .scheduler import (
@@ -85,19 +85,20 @@ class SweepSpec:
             )
 
 
-def _empty_metrics() -> dict:
+def _trace_columns(trace) -> dict:
+    """The :func:`trace_summary` fields that are CSV columns; the row names its own method."""
+
     return {
-        "objective_bytes": 0,
-        "quality_norm": 0.0,
-        "n_stages": 0,
-        "t_total_s": 0.0,
-        "e_total_j": 0.0,
-        "t_tran_s": 0.0,
-        "t_cmp_s": 0.0,
-        "tran_fraction": 0.0,
-        "feasible": True,
-        "replans": 0,
+        name: value for name, value in trace_summary(trace).items()
+        if name in CSV_COLUMNS and name != "method"
     }
+
+
+def _empty_metrics() -> dict:
+    """The row of a run that does nothing: no cost, which fits any budgets."""
+
+    idle = Timeline().trace(0, 0, True, Budgets(0.0, 0.0), "idle")
+    return {"objective_bytes": 0, "quality_norm": 0.0, "n_stages": 0, **_trace_columns(idle)}
 
 
 def _pipeline_row(scenario: Scenario, plan, budgets: Budgets) -> dict:
@@ -106,13 +107,7 @@ def _pipeline_row(scenario: Scenario, plan, budgets: Budgets) -> dict:
         "objective_bytes": plan.objective_bytes,
         "quality_norm": quality(plan, scenario).normalized,
         "n_stages": plan.n_stages,
-        "t_total_s": trace.t_total_s,
-        "e_total_j": trace.e_total_j,
-        "t_tran_s": trace.t_tran_s,
-        "t_cmp_s": trace.t_cmp_s,
-        "tran_fraction": trace.tran_fraction,
-        "feasible": trace.feasible,
-        "replans": trace.replans,
+        **_trace_columns(trace),
     }
 
 
@@ -149,13 +144,7 @@ def _split_row(
         "objective_bytes": objective,
         "quality_norm": objective / total if total > 0 else 0.0,
         "n_stages": 2,
-        "t_total_s": trace.t_total_s,
-        "e_total_j": trace.e_total_j,
-        "t_tran_s": trace.t_tran_s,
-        "t_cmp_s": trace.t_cmp_s,
-        "tran_fraction": trace.tran_fraction,
-        "feasible": trace.feasible,
-        "replans": trace.replans,
+        **_trace_columns(trace),
     }
 
 

@@ -1,6 +1,11 @@
 """Two-segment split-inference baseline: event structure and pair picking."""
 
+import math
+import warnings
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from relaydiff import (
     Budgets,
@@ -12,9 +17,10 @@ from relaydiff import (
     select_devices_dp,
     simulate_pipeline,
     simulate_split,
+    split_step_cost,
 )
 
-from conftest import dyadic_device, dyadic_scenario
+from conftest import LATENT_BYTES, dyadic_device, dyadic_scenario
 
 
 @pytest.fixture
@@ -156,3 +162,116 @@ def test_split_transmits_more_than_multistage(default_scenario):
     # and K times the transfer events for the same step count
     k = default_scenario.steps_per_stage
     assert len(transfers(split_trace)) == k * len(transfers(pipeline_trace))
+
+
+def scan_split_pair(scenario, n_steps=None) -> SplitConfig:
+    """The pick by definition: every ordered pair scored with split_step_cost."""
+
+    candidates = sorted((dev for dev in scenario.devices if dev.available), key=lambda dev: dev.id)
+    best, best_latency = None, math.inf
+    for device_a in candidates:
+        for device_b in candidates:
+            if device_a.id == device_b.id:
+                continue
+            step = split_step_cost(
+                device_a, device_b, scenario.link, scenario.feature_bytes,
+                0.5, scenario.server_pos_m,
+            )
+            if step.t_step_s < best_latency:
+                best_latency = step.t_step_s
+                best = (device_a.id, device_b.id)
+    steps = scenario.steps_per_stage if n_steps is None else n_steps
+    return SplitConfig(device_a_id=best[0], device_b_id=best[1], n_steps=steps)
+
+
+@st.composite
+def split_fleets(draw):
+    """Fleets of 2-12 devices, at least two available, many of them alike.
+
+    Positions, step latencies and override rates come from small pools, so
+    distinct pairs often score exactly alike and the tie rule decides.
+    """
+
+    positions = draw(st.lists(
+        st.tuples(st.floats(0.0, 500.0), st.floats(0.0, 500.0)), min_size=1, max_size=3
+    ))
+    latencies = draw(st.lists(st.sampled_from([0.0625, 0.125, 0.1, 0.3]), min_size=1, max_size=3))
+    rates = st.sampled_from([2.0**20, 2.0**23, 3e6, 1.7e7])
+    n = draw(st.integers(min_value=2, max_value=12))
+    devices, overrides = [], {}
+    for i in range(n):
+        devices.append(replace(
+            dyadic_device(
+                i, 32, 1_000_000_000, step_latency_s=draw(st.sampled_from(latencies)),
+                compute_power_w=1.0, pos_m=draw(st.sampled_from(positions)),
+            ),
+            available=draw(st.booleans()) or i < 2,
+        ))
+        if draw(st.booleans()):
+            overrides[i] = (draw(rates), draw(rates))
+    ids = draw(st.permutations(range(n)))
+    devices = [replace(dev, id=ids[dev.id]) for dev in devices]
+    overrides = {ids[i]: pair for i, pair in overrides.items()}
+    return dyadic_scenario(devices, overrides or None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(split_fleets())
+def test_pick_matches_the_pairwise_scan(scenario):
+    assert pick_split_pair(scenario) == scan_split_pair(scenario)
+    assert pick_split_pair(scenario, n_steps=7) == scan_split_pair(scenario, n_steps=7)
+
+
+def test_pick_breaks_a_tie_between_different_pairs_by_lowest_ids():
+    # Device 0's slow link rules it out; the six ordered pairs of 1, 2 and 3
+    # then tie exactly under dyadic rates, and (1, 2) has the lowest ids.
+    devices = [
+        dyadic_device(i, 32, 1_000_000_000, step_latency_s=0.125, compute_power_w=1.0)
+        for i in range(4)
+    ]
+    overrides = {0: (2.0**20, 2.0**20), 1: (2.0**23, 2.0**22), 2: (2.0**22, 2.0**23),
+                 3: (2.0**23, 2.0**22)}
+    scenario = dyadic_scenario(devices, overrides)
+    config = pick_split_pair(scenario)
+    assert config == scan_split_pair(scenario)
+    assert (config.device_a_id, config.device_b_id) == (1, 2)
+
+
+def test_pick_scores_each_pair_term_for_term():
+    # Devices 1 and 2 have swapped link rates, so in exact arithmetic (0, 1)
+    # and (0, 2) tie. The split-step expression, rounded term by term,
+    # makes (0, 2) faster; summing per-device totals instead picks (0, 1).
+    devices = [
+        dyadic_device(i, 32, 1_000_000_000, step_latency_s=0.0625, compute_power_w=1.0)
+        for i in range(3)
+    ]
+    overrides = {0: (4102896.9, 9573426.1), 1: (3191142.0, 9573426.1), 2: (9573426.1, 3191142.0)}
+    scenario = dyadic_scenario(devices, overrides)
+    config = pick_split_pair(scenario)
+    assert config == scan_split_pair(scenario)
+    assert (config.device_a_id, config.device_b_id) == (0, 2)
+
+
+def test_pick_refuses_a_rate_whose_transfers_overflow():
+    devices = [
+        dyadic_device(i, 32, 1_000_000_000, step_latency_s=0.125, compute_power_w=1.0)
+        for i in range(3)
+    ]
+    overrides = {0: (5e-324, 5e-324), 1: (2.0**23,) * 2, 2: (2.0**23,) * 2}
+    with pytest.raises(ConfigurationError, match="overflows"):
+        pick_split_pair(dyadic_scenario(devices, overrides))
+
+
+def test_pick_refuses_when_every_pair_overflows_without_a_warning():
+    # Device 0's transfers take about 1e308 s each, finite alone, but every
+    # pair relays through device 0 twice, so every step latency is infinite.
+    devices = [
+        dyadic_device(i, 32, 1_000_000_000, step_latency_s=0.125, compute_power_w=1.0)
+        for i in range(2)
+    ]
+    rate = 8.0 * (2 * LATENT_BYTES) / 1e308  # the features are two latents
+    scenario = dyadic_scenario(devices, {0: (rate, rate), 1: (2.0**23, 2.0**23)})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigurationError, match="every split pair"):
+            pick_split_pair(scenario)

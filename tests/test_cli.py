@@ -264,3 +264,28 @@ def test_simulate_plan_from_another_scenario_is_a_validation_error(workdir, tmp_
     ])
     assert code == EXIT_VALIDATION
     assert "another scenario" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def silent_world(tmp_path_factory):
+    """A world so wide that every device's link rate underflows to 0 bit/s."""
+
+    path = tmp_path_factory.mktemp("silent") / "s.json"
+    assert main(["gen-scenario", "-n", "5", "--area", "1e12", "-o", str(path)]) == EXIT_OK
+    return path
+
+
+@pytest.mark.parametrize("command", [
+    ["split"],
+    ["sweep", "-o", "rows.csv"],
+    ["schedule", "--t-max", "3", "--e-max", "300", "-o", "p.json"],
+    ["schedule", "--method", "no_ds", "--t-max", "3", "--e-max", "300", "-o", "p.json"],
+    ["oracle", "--t-max", "3", "--e-max", "300", "-o", "p.json"],
+], ids=["split", "sweep", "schedule", "no_ds", "oracle"])
+def test_zero_link_rate_exits_3_naming_the_device(silent_world, tmp_path, monkeypatch, capsys,
+                                                  command):
+    monkeypatch.chdir(tmp_path)
+    code = main([command[0], "-s", str(silent_world), *command[1:]])
+    assert code == EXIT_VALIDATION
+    assert "underflows to 0 bit/s" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

@@ -7,6 +7,7 @@ matches the decimal literal's nearest double.
 """
 
 import math
+import warnings
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,6 +17,7 @@ from relaydiff.cost_model import (
     aggregate_costs,
     fleet_costs,
     link_rate,
+    phase_costs,
     split_step_cost,
     stage_cost,
     stage_cost_for,
@@ -149,6 +151,31 @@ def test_split_step_validation():
         split_step_cost(a, b, link, 1024, 1.5, SERVER)
 
 
+def test_link_rate_underflowing_to_zero_names_the_device():
+    link = make_link()
+    far = make_device(7, pos=(1e12, 1e12))
+    with pytest.raises(ConfigurationError, match="device 7: .* underflows to 0 bit/s"):
+        link_rate(far, link, "up", SERVER)
+
+
+def test_costs_that_overflow_are_refused_without_a_warning():
+    scenario = Scenario(
+        area_m=(500.0, 500.0), server_pos_m=SERVER, devices=(make_device(0), make_device(1)),
+        link=make_link(rate_override_bps={1: (8e6, 5e-324)}), latent_bytes=1024,
+        feature_bytes=1024, steps_per_stage=5, seed=0,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigurationError, match="overflows"):
+            phase_costs(1024, 5, 5e-324, 8e6, 0.1, 0.5, 20.0, 1.0)
+        with pytest.raises(ConfigurationError, match="overflows"):
+            phase_costs(1024, 5, 8e6, 8e6, 10.0, 0.5, 1e308, 1.0)
+        with pytest.raises(ConfigurationError, match="overflows"):
+            fleet_costs(scenario)
+        with pytest.raises(ConfigurationError, match="overflows"):
+            stage_cost_for(scenario, scenario.device(1))
+
+
 # -- algebraic properties ------------------------------------------------------
 
 powers = st.floats(min_value=0.01, max_value=100.0, allow_nan=False, allow_infinity=False)
@@ -205,6 +232,37 @@ def test_relay_symmetry_with_symmetric_rates(args_a, args_b, rate_a, rate_b, fea
     link = make_link(rate_override_bps={0: (rate_a, rate_a), 1: (rate_b, rate_b)})
     step = split_step_cost(dev_a, dev_b, link, feature, 0.5, SERVER)
     assert step.t_forward_s == step.t_back_s
+
+
+fractions = st.floats(min_value=0.0, max_value=1.0)
+
+
+@given(device_args, device_args, rates, rates, rates, rates, latents, fractions)
+def test_split_step_cost_equals_the_hand_formula(
+    args_a, args_b, up_a, down_a, up_b, down_b, feature, phi
+):
+    # The six phase costs of each side, written out as split_step_cost
+    # computed them before it shared stage_cost's formula.
+    dev_a = make_device(0, step=args_a[0], cmp_w=args_a[1], tx=args_a[2], rx=args_a[3])
+    dev_b = make_device(1, step=args_b[0], cmp_w=args_b[1], tx=args_b[2], rx=args_b[3])
+    link = make_link(rate_override_bps={0: (up_a, down_a), 1: (up_b, down_b)})
+    step = split_step_cost(dev_a, dev_b, link, feature, phi, SERVER)
+    t_a_up, t_a_down = 8.0 * feature / up_a, 8.0 * feature / down_a
+    t_b_up, t_b_down = 8.0 * feature / up_b, 8.0 * feature / down_b
+    t_a_cmp = phi * dev_a.step_latency_s
+    t_b_cmp = (1.0 - phi) * dev_b.step_latency_s
+    assert step.cost_a.t_down_s == t_a_down
+    assert step.cost_a.t_cmp_s == t_a_cmp
+    assert step.cost_a.t_up_s == t_a_up
+    assert step.cost_a.e_down_j == dev_a.rx_power_w * t_a_down
+    assert step.cost_a.e_cmp_j == dev_a.compute_power_w * t_a_cmp
+    assert step.cost_a.e_up_j == dev_a.tx_power_w * t_a_up
+    assert step.cost_b.t_down_s == t_b_down
+    assert step.cost_b.t_cmp_s == t_b_cmp
+    assert step.cost_b.t_up_s == t_b_up
+    assert step.cost_b.e_down_j == dev_b.rx_power_w * t_b_down
+    assert step.cost_b.e_cmp_j == dev_b.compute_power_w * t_b_cmp
+    assert step.cost_b.e_up_j == dev_b.tx_power_w * t_b_up
 
 
 @given(st.integers(min_value=0, max_value=2**22), rates)

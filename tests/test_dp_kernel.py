@@ -14,8 +14,9 @@ import itertools
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
-from relaydiff import scheduler
+from relaydiff import ConfigurationError, scheduler
 from relaydiff.scheduler import knapsack_2d, lp_bound, prune_dominated, reduce_by_bounds
 
 
@@ -375,3 +376,10 @@ def test_bound_over_the_survivors_plans_what_the_kept_devices_refused():
     assert reduce_by_bounds([6, 1, 1], [1, 6, 1], sizes, 6, 6) == ([1, 2], 2**64 - 999)
     assert canonical_subset(unit_t, unit_e, sizes, 6, 6) == [1]
     assert knapsack_2d(unit_t, unit_e, sizes, 6, 6) == [1]
+
+
+def test_sizes_past_the_float_range_are_refused_as_too_wide():
+    # size / cost of these sizes overflows a float; the ratio sort keys on
+    # cost / size instead, so the 64-bit check refuses the instance.
+    with pytest.raises(ConfigurationError, match="does not fit 64 bits"):
+        knapsack_2d(np.array([1, 2]), np.array([2, 1]), [2**1100, 2**1100 + 1], 3, 3)

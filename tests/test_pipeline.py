@@ -24,7 +24,7 @@ from relaydiff import (
     simulate_pipeline,
     trace_summary,
 )
-from relaydiff.pipeline import Event, trace_from_dict, trace_to_dict
+from relaydiff.pipeline import Event, Timeline, trace_from_dict, trace_to_dict
 
 from conftest import DYADIC_DISC
 
@@ -344,3 +344,17 @@ def test_recovery_stays_within_budgets_near_exhaustion(
     assert trace.completed and trace.feasible
     assert trace.t_total_s <= budgets.t_max_s
     assert trace.e_total_j <= budgets.e_max_j
+
+
+def test_timeline_accounts_by_kind_and_keeps_nonzero_energy():
+    timeline = Timeline()
+    timeline.emit("download", 0, 0.5, 8, 0.25)
+    timeline.emit("compute", 0, 0.25, 1, 2.0)
+    timeline.emit("checkpoint", 0, 0.0, 8)
+    timeline.emit("upload", 0, 0.125, 8, 0.0, 0.125)
+    assert timeline.spent() == (0.875, 2.375)
+    trace = timeline.trace(1, 0, True, Budgets(0.875, 2.375), "dp")
+    assert [e.t_start_s for e in trace.events] == [0.0, 0.5, 0.75, 0.75]
+    assert (trace.t_tran_s, trace.t_cmp_s, trace.t_total_s) == (0.625, 0.25, 0.875)
+    assert (trace.e_total_j, trace.feasible, trace.completed) == (2.375, True, True)
+    assert not timeline.trace(1, 0, True, Budgets(0.875, 2.25), "dp").feasible
