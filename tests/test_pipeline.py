@@ -4,8 +4,10 @@ Fixture worlds are dyadic (see conftest), so trace aggregates are asserted
 exactly: a failure-free run must reproduce its plan's totals bit-for-bit.
 """
 
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,12 +21,14 @@ from relaydiff import (
     aggregate_latent_lineage,
     generate_scenario,
     load_trace,
+    mark_unavailable,
     save_trace,
     select_devices_dp,
     simulate_pipeline,
     trace_summary,
 )
 from relaydiff.pipeline import Event, Timeline, trace_from_dict, trace_to_dict
+from relaydiff.scenario import STAGE_PHASES
 
 from conftest import DYADIC_DISC
 
@@ -358,3 +362,75 @@ def test_timeline_accounts_by_kind_and_keeps_nonzero_energy():
     assert (trace.t_tran_s, trace.t_cmp_s, trace.t_total_s) == (0.625, 0.25, 0.875)
     assert (trace.e_total_j, trace.feasible, trace.completed) == (2.375, True, True)
     assert not timeline.trace(1, 0, True, Budgets(0.875, 2.25), "dp").feasible
+
+
+def _reference_run(scenario, plan, failures):
+    """The recovery rule, spelled out: after each failure, ``select_devices_dp``
+    plans the residual budgets on a copy of the scenario whose used and
+    failed devices are marked unavailable. Returns the trace and whether the
+    run completed."""
+
+    rng = np.random.default_rng(failures.rng_seed)
+    timeline = Timeline()
+    retired, stages_completed, replans = set(), 0, 0
+    queue = list(plan.stages)
+    while queue:
+        dev_id, cost = queue.pop(0)
+        fail_phase = None
+        if rng.random() < failures.per_stage_prob:
+            fail_phase = STAGE_PHASES[int(rng.integers(0, len(STAGE_PHASES)))]
+        phases = (
+            ("download", cost.t_down_s, cost.e_down_j, scenario.latent_bytes),
+            ("compute", cost.t_cmp_s, cost.e_cmp_j, scenario.steps_per_stage),
+            ("upload", cost.t_up_s, cost.e_up_j, scenario.latent_bytes),
+        )
+        for kind, duration, energy, amount in phases:
+            timeline.emit(kind, dev_id, duration, amount, energy)
+            if kind == fail_phase:
+                break
+        retired.add(dev_id)
+        if fail_phase is None:
+            timeline.emit("checkpoint", dev_id, 0.0, scenario.latent_bytes)
+            stages_completed += 1
+            continue
+        timeline.emit("failure", dev_id, 0.0, 0)
+        t_spent, e_spent = timeline.spent()
+        residual = Budgets(max(plan.budgets.t_max_s - t_spent, 0.0),
+                           max(plan.budgets.e_max_j - e_spent, 0.0))
+        queue = list(select_devices_dp(mark_unavailable(scenario, retired), residual).stages)
+        replans += 1
+        timeline.emit("replan", None, 0.0, 0)
+        if not queue:
+            return timeline.trace(stages_completed, replans, False, plan.budgets, plan.method), False
+    return timeline.trace(stages_completed, replans, True, plan.budgets, plan.method), True
+
+
+def _churn_worlds():
+    """Seeded fleets, some with devices unavailable from the start, some with rate overrides."""
+
+    for seed in range(4):
+        scenario = generate_scenario(12 + 4 * seed, seed=seed)
+        yield f"plain-{seed}", scenario
+        yield f"unavailable-{seed}", mark_unavailable(scenario, {seed, seed + 5, seed + 9})
+        overrides = {dev_id: (2.0 ** (20 + dev_id % 4), 2.0 ** (21 + dev_id % 3))
+                     for dev_id in range(seed, len(scenario.devices), 3)}
+        link = dataclasses.replace(scenario.link, rate_override_bps=overrides)
+        yield f"overrides-{seed}", dataclasses.replace(scenario, link=link)
+
+
+@pytest.mark.parametrize("name, scenario", list(_churn_worlds()))
+def test_recovery_replans_as_the_reference_rule(name, scenario):
+    plan = select_devices_dp(scenario, Budgets(3.0, 300.0))
+    assert plan.stages
+    replans = 0
+    for rng_seed in range(25):
+        failures = FailureSpec(per_stage_prob=0.4, rng_seed=rng_seed)
+        expected, completed = _reference_run(scenario, plan, failures)
+        if completed:
+            assert simulate_pipeline(scenario, plan, failures) == expected
+        else:
+            with pytest.raises(RecoveryInfeasible) as info:
+                simulate_pipeline(scenario, plan, failures)
+            assert info.value.trace == expected
+        replans += expected.replans
+    assert replans > 0

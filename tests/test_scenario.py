@@ -200,3 +200,137 @@ def test_device_lookup_goes_by_id_not_position():
 
 def test_total_model_bytes(three_device_scenario):
     assert three_device_scenario.total_model_bytes() == 9_000_000_000
+
+
+_NOT_GIVEN = object()
+_BAD_VALUES = {
+    "missing": _NOT_GIVEN,
+    "wrong type": "x",
+    "true": True,
+    "nan": float("nan"),
+    "inf": float("inf"),
+    "zero": 0,
+    "negative": -1,
+}
+
+
+def _positive_number_messages(name):
+    values = {"nan": "nan", "inf": "inf", "zero": "0.0", "negative": "-1.0"}
+    return {
+        "missing": f"devices[1].{name}: missing required field",
+        "wrong type": f"devices[1].{name}: expected a number, got 'x'",
+        "true": f"devices[1].{name}: expected a number, got True",
+        **{case: f"device(id=1).{name}: must be finite and positive, got {shown}"
+           for case, shown in values.items()},
+    }
+
+
+def _type_messages(path, expected):
+    return {
+        case: f"{path}: expected {expected}, got {shown}"
+        for case, shown in (("wrong type", "'x'"), ("true", "True"), ("nan", "nan"), ("inf", "inf"))
+    }
+
+
+def _shape_messages(path, expected):
+    shown = {"wrong type": "str", "true": "bool", "nan": "float", "inf": "float",
+             "zero": "int", "negative": "int"}
+    return {
+        "missing": f"{path}: missing required field",
+        **{case: f"{path}: expected {expected}, got {name}" for case, name in shown.items()},
+    }
+
+
+# The message each tampered field of device 1 of the three-device fixture
+# gets, or None where the file still loads.
+_DEVICE_FIELD_MESSAGES = {
+    "id": {
+        "missing": "devices[1].id: missing required field",
+        **_type_messages("devices[1].id", "an integer"),
+        "zero": "devices[1].id: duplicate id 0 (also devices[0])",
+        "negative": "device(id=-1).id: must be a non-negative integer",
+    },
+    "pos_m": _shape_messages("devices[1].pos_m", "(<class 'list'>, <class 'tuple'>)"),
+    "variant": _shape_messages("devices[1].variant", "<class 'dict'>"),
+    **{name: _positive_number_messages(name)
+       for name in ("step_latency_s", "compute_power_w", "tx_power_w", "rx_power_w")},
+    "available": {
+        "missing": None,
+        "wrong type": "devices[1].available: expected a boolean, got 'x'",
+        "true": None,
+        "nan": "devices[1].available: expected a boolean, got nan",
+        "inf": "devices[1].available: expected a boolean, got inf",
+        "zero": "devices[1].available: expected a boolean, got 0",
+        "negative": "devices[1].available: expected a boolean, got -1",
+    },
+}
+_VARIANT_FIELD_MESSAGES = {
+    "bit_width": {
+        "missing": "devices[1].variant.bit_width: missing required field",
+        **_type_messages("devices[1].variant.bit_width", "an integer"),
+        "zero": "variant.bit_width: must be one of (32, 16, 8, 4), got 0",
+        "negative": "variant.bit_width: must be one of (32, 16, 8, 4), got -1",
+    },
+    "param_count": {
+        "missing": "devices[1].variant.param_count: missing required field",
+        **_type_messages("devices[1].variant.param_count", "an integer"),
+        "zero": "variant.param_count: must be a positive integer, got 0",
+        "negative": "variant.param_count: must be a positive integer, got -1",
+    },
+    "size_bytes": {
+        "missing": None,
+        **_type_messages("devices[1].variant.size_bytes", "an integer"),
+        **{case: f"devices[1].variant.size_bytes: {value} inconsistent with "
+                 "param_count * bit_width / 8 = 2000000000"
+           for case, value in (("zero", 0), ("negative", -1))},
+    },
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_VALUES))
+@pytest.mark.parametrize("where, name", [
+    *(("device", name) for name in _DEVICE_FIELD_MESSAGES),
+    *(("variant", name) for name in _VARIANT_FIELD_MESSAGES),
+])
+def test_loader_message_for_each_tampered_device_field(three_device_scenario, where, name, case):
+    data = scenario_to_dict(three_device_scenario)
+    record = data["devices"][1] if where == "device" else data["devices"][1]["variant"]
+    if _BAD_VALUES[case] is _NOT_GIVEN:
+        del record[name]
+    else:
+        record[name] = _BAD_VALUES[case]
+    table = _DEVICE_FIELD_MESSAGES if where == "device" else _VARIANT_FIELD_MESSAGES
+    expected = table[name][case]
+    if expected is None:
+        assert scenario_from_dict(data).device(1).variant == three_device_scenario.device(1).variant
+        return
+    with pytest.raises(ValidationError) as info:
+        scenario_from_dict(data)
+    assert str(info.value) == expected
+
+
+@pytest.mark.parametrize("tamper, message", [
+    ({"bit_width": 4, "param_count": 1_000_000_001},
+     "variant: param_count * bit_width must be a whole number of bytes"),
+    ({"bit_width": 12}, "variant.bit_width: must be one of (32, 16, 8, 4), got 12"),
+    ({"bit_width": 16.0}, "devices[1].variant.bit_width: expected an integer, got 16.0"),
+])
+def test_loader_applies_the_variant_rules(three_device_scenario, tamper, message):
+    data = scenario_to_dict(three_device_scenario)
+    data["devices"][1]["variant"].update(tamper)
+    data["devices"][1]["variant"].pop("size_bytes")
+    with pytest.raises(ValidationError) as info:
+        scenario_from_dict(data)
+    assert str(info.value) == message
+
+
+def test_loaded_devices_equal_the_constructed_ones(tmp_path, default_scenario):
+    marked = mark_unavailable(default_scenario, {3, 7})
+    path = tmp_path / "s.json"
+    save_scenario(marked, path)
+    loaded = load_scenario(path)
+    assert loaded == marked
+    for mine, theirs in zip(loaded.devices, marked.devices):
+        assert mine == theirs and hash(mine) == hash(theirs)
+        assert type(mine.pos_m[0]) is float and type(mine.step_latency_s) is float
+        assert dataclasses.replace(mine) == mine
