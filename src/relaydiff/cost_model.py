@@ -203,6 +203,21 @@ class FleetCosts:
             float(self.e_up_j[i]),
         )
 
+    def subset(self, mask: np.ndarray) -> FleetCosts:
+        """The costs of the devices where the boolean array ``mask`` is true, in the same order.
+
+        Every element is copied, not recomputed, so it is the one
+        :func:`fleet_costs` gives on a scenario with only those devices available.
+        """
+
+        return FleetCosts(
+            tuple(dev for dev, keep in zip(self.devices, mask.tolist()) if keep),
+            *(column[mask] for column in (
+                self.t_down_s, self.t_cmp_s, self.t_up_s, self.e_down_j, self.e_cmp_j,
+                self.e_up_j, self.t_total_s, self.e_total_j,
+            )),
+        )
+
     def totals(self, index) -> CostTotals:
         """:func:`aggregate_costs` of the stage costs at ``index``, a slice or positions."""
 

@@ -20,17 +20,15 @@ so both account time and energy the same way.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, fields
-from pathlib import Path
 
 import numpy as np
 
-from .cost_model import stage_cost_for
+from .cost_model import fleet_costs, fleet_phase_costs
 from .errors import ConfigurationError, LineageError, RecoveryInfeasible, ValidationError
-from .scenario import STAGE_PHASES, TRANSFER_PHASES, Scenario, mark_unavailable
-from .scheduler import Budgets, SchedulePlan, select_devices_dp
+from .scenario import STAGE_PHASES, TRANSFER_PHASES, Scenario, read_json, require_field, write_json
+from .scheduler import Budgets, SchedulePlan, _select_dp
 
 EVENT_KINDS = ("download", "compute", "upload", "checkpoint", "failure", "replan")
 MARKER_KINDS = ("checkpoint", "failure", "replan")
@@ -182,6 +180,35 @@ class Timeline:
         )
 
 
+def check_stages(scenario: Scenario, plan: SchedulePlan) -> None:
+    """Raise unless every stage of ``plan`` has the cost ``scenario`` gives its device.
+
+    The costs of the plan's devices are recomputed as arrays, with the phase
+    formula of :func:`~relaydiff.cost_model.fleet_costs`. Raises
+    ConfigurationError for a device the scenario lacks, and ValidationError
+    for one the scenario marks unavailable or whose stored cost disagrees
+    beyond a 1e-12 relative tolerance.
+    """
+
+    devices = [scenario.device(dev_id) for dev_id in plan.device_ids]
+    for dev in devices:
+        if not dev.available:
+            raise ValidationError(
+                f"plan stage of device {dev.id}: the scenario marks the device unavailable; "
+                "was the plan made for another scenario?"
+            )
+    columns = fleet_phase_costs(devices, scenario.link, scenario.server_pos_m,
+                                scenario.latent_bytes, scenario.steps_per_stage)
+    for (dev_id, cost), recomputed in zip(plan.stages, zip(*(c.tolist() for c in columns))):
+        for field, expected in zip(fields(cost), recomputed):
+            stored = getattr(cost, field.name)
+            if not math.isclose(stored, expected, rel_tol=1e-12, abs_tol=1e-12):
+                raise ValidationError(
+                    f"plan stage of device {dev_id}: {field.name} {stored} disagrees with "
+                    f"the scenario ({expected}); was the plan made for another scenario?"
+                )
+
+
 def simulate_pipeline(
     scenario: Scenario,
     plan: SchedulePlan,
@@ -193,8 +220,11 @@ def simulate_pipeline(
     ``budgets`` defaults to the plan's own; the explicit parameter exists so a
     caller can judge feasibility (and recovery headroom) against different
     caps than the plan was built for. Every stage's stored cost must match
-    ``stage_cost_for`` on ``scenario`` within a 1e-12 relative tolerance, so a
-    plan made for another scenario raises ValidationError.
+    the scenario's within a 1e-12 relative tolerance, on a device the
+    scenario marks available (:func:`check_stages`), so a plan made for
+    another scenario raises ValidationError. The first re-plan builds the
+    scenario's :class:`~relaydiff.cost_model.FleetCosts`; every re-plan of
+    the run selects on a subset of it, without the used and failed devices.
     """
 
     budgets = plan.budgets if budgets is None else budgets
@@ -204,23 +234,14 @@ def simulate_pipeline(
             raise ConfigurationError(
                 f"injected failure for device {dev_id} which is not in the plan"
             )
-    for dev_id, cost in plan.stages:
-        # scenario.device raises ConfigurationError for an unknown id.
-        expected = stage_cost_for(scenario, scenario.device(dev_id))
-        for field in fields(cost):
-            stored, recomputed = getattr(cost, field.name), getattr(expected, field.name)
-            if not math.isclose(stored, recomputed, rel_tol=1e-12, abs_tol=1e-12):
-                raise ValidationError(
-                    f"plan stage of device {dev_id}: {field.name} {stored} disagrees with "
-                    f"the scenario ({recomputed}); was the plan made for another scenario?"
-                )
+    check_stages(scenario, plan)
 
     rng = np.random.default_rng(failures.rng_seed)
     injected = dict(failures.injected)
 
     timeline = Timeline()
-    used: set[int] = set()
-    failed: set[int] = set()
+    fleet = None
+    retired: set[int] = set()
     stages_completed = 0
     replans = 0
     queue = list(plan.stages)
@@ -244,23 +265,25 @@ def simulate_pipeline(
                 stage_failed = True
                 break
 
+        # A device runs one stage at most, whether it completes or fails.
+        retired.add(dev_id)
         if not stage_failed:
             timeline.emit("checkpoint", dev_id, 0.0, scenario.latent_bytes)
-            used.add(dev_id)
             stages_completed += 1
             continue
 
-        # Failure: full phase cost is already charged; retire the device and
-        # re-plan the remaining work from the last checkpoint.
-        failed.add(dev_id)
+        # Failure: full phase cost is already charged; re-plan the remaining
+        # work from the last checkpoint.
         timeline.emit("failure", dev_id, 0.0, 0)
         t_spent, e_spent = timeline.spent()
         residual = Budgets(
             t_max_s=max(budgets.t_max_s - t_spent, 0.0),
             e_max_j=max(budgets.e_max_j - e_spent, 0.0),
         )
-        pool = mark_unavailable(scenario, used | failed)
-        new_plan = select_devices_dp(pool, residual)
+        if fleet is None:
+            fleet = fleet_costs(scenario)
+        pool = fleet.subset(np.array([dev.id not in retired for dev in fleet.devices]))
+        new_plan = _select_dp(pool, residual)
         replans += 1
         timeline.emit("replan", None, 0.0, 0)
         if not new_plan.stages:
@@ -318,6 +341,11 @@ def trace_to_dict(trace: SimTrace) -> dict:
     }
 
 
+# An event record's fields besides device_id, each with its kind (see
+# relaydiff.scenario.require_field).
+_EVENT_FIELDS = (("t_start_s", float), ("t_end_s", float), ("kind", str), ("amount", int))
+
+
 def trace_from_dict(data: dict) -> SimTrace:
     if not isinstance(data, dict):
         raise ValidationError(f"trace: expected an object, got {type(data).__name__}")
@@ -332,18 +360,12 @@ def trace_from_dict(data: dict) -> SimTrace:
         device_id = raw.get("device_id")
         if device_id is not None and (isinstance(device_id, bool) or not isinstance(device_id, int)):
             raise ValidationError(f"{path}.device_id: expected an integer or null")
-        try:
-            events.append(
-                Event(
-                    t_start_s=float(raw["t_start_s"]),
-                    t_end_s=float(raw["t_end_s"]),
-                    kind=raw["kind"],
-                    device_id=device_id,
-                    amount=int(raw["amount"]),
-                )
-            )
-        except KeyError as exc:
-            raise ValidationError(f"{path}: missing required field {exc.args[0]!r}")
+        record = {"device_id": device_id}
+        for name, kind in _EVENT_FIELDS:
+            value = raw.get(name)
+            # JSON gives each field of a well-formed event its exact type.
+            record[name] = value if type(value) is kind else require_field(raw, name, kind, path)
+        events.append(Event(**record))
 
     # The simulator's clock starts at 0.0, each event starts exactly where the
     # previous one ended, and markers take no time.
@@ -415,12 +437,10 @@ def trace_from_dict(data: dict) -> SimTrace:
 
 
 def save_trace(trace: SimTrace, path) -> None:
-    Path(path).write_text(json.dumps(trace_to_dict(trace), indent=2, sort_keys=True) + "\n")
+    """Write ``trace`` as compact JSON with sorted keys (:func:`load_trace` reads indented files too)."""
+
+    write_json(trace_to_dict(trace), path)
 
 
 def load_trace(path) -> SimTrace:
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
-    return trace_from_dict(data)
+    return trace_from_dict(read_json(path))

@@ -38,18 +38,7 @@ class ModelVariant:
     param_count: int
 
     def __post_init__(self):
-        if self.bit_width not in ALLOWED_BIT_WIDTHS:
-            raise ValidationError(
-                f"variant.bit_width: must be one of {ALLOWED_BIT_WIDTHS}, got {self.bit_width!r}"
-            )
-        if not isinstance(self.param_count, int) or self.param_count <= 0:
-            raise ValidationError(
-                f"variant.param_count: must be a positive integer, got {self.param_count!r}"
-            )
-        if (self.param_count * self.bit_width) % 8 != 0:
-            raise ValidationError(
-                "variant: param_count * bit_width must be a whole number of bytes"
-            )
+        _check_variant(self.bit_width, self.param_count)
 
     @property
     def size_bytes(self) -> int:
@@ -70,16 +59,40 @@ class Device:
     available: bool = True
 
     def __post_init__(self):
-        path = f"device(id={self.id!r})"
-        if not isinstance(self.id, int) or isinstance(self.id, bool) or self.id < 0:
-            raise ValidationError(f"{path}.id: must be a non-negative integer")
+        _check_device_id(self.id)
         if len(self.pos_m) != 2:
-            raise ValidationError(f"{path}.pos_m: must be an (x, y) pair")
+            raise ValidationError(f"device(id={self.id!r}).pos_m: must be an (x, y) pair")
         object.__setattr__(self, "pos_m", (float(self.pos_m[0]), float(self.pos_m[1])))
-        for name in ("step_latency_s", "compute_power_w", "tx_power_w", "rx_power_w"):
+        for name in _POSITIVE_FIELDS:
             value = getattr(self, name)
-            if not math.isfinite(value) or value <= 0:
-                raise ValidationError(f"{path}.{name}: must be finite and positive, got {value!r}")
+            if not 0 < value < math.inf:  # false for NaN too
+                raise _not_positive(self.id, name, value)
+
+
+# Device fields that must be finite and positive.
+_POSITIVE_FIELDS = ("step_latency_s", "compute_power_w", "tx_power_w", "rx_power_w")
+
+
+def _check_variant(bit_width, param_count) -> None:
+    """The rules of a :class:`ModelVariant`, which its loader applies too."""
+
+    if bit_width not in ALLOWED_BIT_WIDTHS:
+        raise ValidationError(
+            f"variant.bit_width: must be one of {ALLOWED_BIT_WIDTHS}, got {bit_width!r}"
+        )
+    if not isinstance(param_count, int) or param_count <= 0:
+        raise ValidationError(f"variant.param_count: must be a positive integer, got {param_count!r}")
+    if param_count * bit_width % 8:
+        raise ValidationError("variant: param_count * bit_width must be a whole number of bytes")
+
+
+def _check_device_id(dev_id) -> None:
+    if not isinstance(dev_id, int) or isinstance(dev_id, bool) or dev_id < 0:
+        raise ValidationError(f"device(id={dev_id!r}).id: must be a non-negative integer")
+
+
+def _not_positive(dev_id, name: str, value) -> ValidationError:
+    return ValidationError(f"device(id={dev_id!r}).{name}: must be finite and positive, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -315,7 +328,13 @@ def mark_unavailable(scenario: Scenario, device_ids: set[int]) -> Scenario:
 # -- JSON serialization -------------------------------------------------------
 
 
-def _require(obj: dict, key: str, kinds, path: str):
+def require_field(obj: dict, key: str, kinds, path: str):
+    """``obj[key]`` if it is of ``kinds``, else ValidationError naming ``path.key``.
+
+    ``kinds`` is ``bool``, ``int`` (never a bool), ``float`` (any int or
+    float but a bool, returned as a float) or a type or tuple of types.
+    """
+
     if key not in obj:
         raise ValidationError(f"{path}.{key}: missing required field")
     value = obj[key]
@@ -345,7 +364,7 @@ def _pair_value(value, path: str) -> tuple[float, float]:
 
 
 def _pair(obj: dict, key: str, path: str) -> tuple[float, float]:
-    return _pair_value(_require(obj, key, (list, tuple), path), f"{path}.{key}")
+    return _pair_value(require_field(obj, key, (list, tuple), path), f"{path}.{key}")
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
@@ -390,45 +409,83 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     }
 
 
+def _built(cls, fields: dict):
+    """An instance of the frozen dataclass ``cls`` that takes ``fields`` as its attributes.
+
+    ``__post_init__`` does not run: the caller has applied its rules.
+    """
+
+    obj = object.__new__(cls)
+    object.__setattr__(obj, "__dict__", fields)
+    return obj
+
+
+def _variant_from_dict(raw: dict, path: str) -> ModelVariant:
+    bit_width, param_count = raw.get("bit_width"), raw.get("param_count")
+    if type(bit_width) is not int or type(param_count) is not int:
+        bit_width = require_field(raw, "bit_width", int, path)
+        param_count = require_field(raw, "param_count", int, path)
+    _check_variant(bit_width, param_count)
+    variant = _built(ModelVariant, {"bit_width": bit_width, "param_count": param_count})
+    if "size_bytes" in raw:
+        stored = require_field(raw, "size_bytes", int, path)
+        if stored != variant.size_bytes:
+            raise ValidationError(
+                f"{path}.size_bytes: {stored} inconsistent with "
+                f"param_count * bit_width / 8 = {variant.size_bytes}"
+            )
+    return variant
+
+
+# The fields of a device record after its variant and id, in the order they
+# are read, each with the type JSON gives it in a well-formed file. Every
+# float field is one of _POSITIVE_FIELDS.
+_DEVICE_FIELDS = (
+    ("pos_m", list),
+    *((name, float) for name in _POSITIVE_FIELDS),
+    ("available", bool),
+)
+
+
+def _device_from_dict(raw, path: str) -> Device:
+    """One device record, read in one pass under the rules of :class:`Device`
+    and :class:`ModelVariant`, then built without checking it again."""
+
+    if not isinstance(raw, dict):
+        raise ValidationError(f"{path}: expected an object")
+    variant = _variant_from_dict(require_field(raw, "variant", dict, path), f"{path}.variant")
+    dev_id = raw.get("id")
+    if type(dev_id) is not int:
+        dev_id = require_field(raw, "id", int, path)
+    _check_device_id(dev_id)
+    fields = {"id": dev_id, "variant": variant}
+    for name, kind in _DEVICE_FIELDS:
+        # Only "available" may be left out, and it defaults to true.
+        value = raw.get(name, True)
+        if type(value) is not kind:
+            # Missing, of another type, or an int where a float is expected.
+            value = require_field(raw, name, (list, tuple) if kind is list else kind, path)
+        if kind is float and not 0 < value < math.inf:
+            raise _not_positive(dev_id, name, value)
+        fields[name] = value
+    pos_m = fields["pos_m"]
+    if len(pos_m) != 2 or type(pos_m[0]) is not float or type(pos_m[1]) is not float:
+        pos_m = _pair(raw, "pos_m", path)
+    fields["pos_m"] = tuple(pos_m)
+    return _built(Device, fields)
+
+
 def scenario_from_dict(data: dict) -> Scenario:
     if not isinstance(data, dict):
         raise ValidationError(f"scenario: expected an object, got {type(data).__name__}")
 
-    devices_raw = _require(data, "devices", list, "scenario")
-    devices = []
-    for i, dev_raw in enumerate(devices_raw):
-        path = f"devices[{i}]"
-        if not isinstance(dev_raw, dict):
-            raise ValidationError(f"{path}: expected an object")
-        variant_raw = _require(dev_raw, "variant", dict, path)
-        variant = ModelVariant(
-            bit_width=_require(variant_raw, "bit_width", int, f"{path}.variant"),
-            param_count=_require(variant_raw, "param_count", int, f"{path}.variant"),
-        )
-        if "size_bytes" in variant_raw:
-            stored = _require(variant_raw, "size_bytes", int, f"{path}.variant")
-            if stored != variant.size_bytes:
-                raise ValidationError(
-                    f"{path}.variant.size_bytes: {stored} inconsistent with "
-                    f"param_count * bit_width / 8 = {variant.size_bytes}"
-                )
-        devices.append(
-            Device(
-                id=_require(dev_raw, "id", int, path),
-                pos_m=_pair(dev_raw, "pos_m", path),
-                variant=variant,
-                step_latency_s=_require(dev_raw, "step_latency_s", float, path),
-                compute_power_w=_require(dev_raw, "compute_power_w", float, path),
-                tx_power_w=_require(dev_raw, "tx_power_w", float, path),
-                rx_power_w=_require(dev_raw, "rx_power_w", float, path),
-                available=_require(dev_raw, "available", bool, path) if "available" in dev_raw else True,
-            )
-        )
+    devices_raw = require_field(data, "devices", list, "scenario")
+    devices = [_device_from_dict(raw, f"devices[{i}]") for i, raw in enumerate(devices_raw)]
 
-    link_raw = _require(data, "link", dict, "scenario")
+    link_raw = require_field(data, "link", dict, "scenario")
     overrides = None
     if link_raw.get("rate_override_bps") is not None:
-        overrides_raw = _require(link_raw, "rate_override_bps", dict, "link")
+        overrides_raw = require_field(link_raw, "rate_override_bps", dict, "link")
         overrides = {}
         for key, pair in overrides_raw.items():
             try:
@@ -437,10 +494,10 @@ def scenario_from_dict(data: dict) -> Scenario:
                 raise ValidationError(f"link.rate_override_bps: key {key!r} is not a device id")
             overrides[dev_id] = _pair_value(pair, f"link.rate_override_bps[{key}]")
     link = LinkParams(
-        bandwidth_hz=_require(link_raw, "bandwidth_hz", float, "link"),
-        noise_power_w=_require(link_raw, "noise_power_w", float, "link"),
-        path_loss_ref_gain=_require(link_raw, "path_loss_ref_gain", float, "link"),
-        path_loss_exponent=_require(link_raw, "path_loss_exponent", float, "link"),
+        bandwidth_hz=require_field(link_raw, "bandwidth_hz", float, "link"),
+        noise_power_w=require_field(link_raw, "noise_power_w", float, "link"),
+        path_loss_ref_gain=require_field(link_raw, "path_loss_ref_gain", float, "link"),
+        path_loss_exponent=require_field(link_raw, "path_loss_exponent", float, "link"),
         rate_override_bps=overrides,
     )
 
@@ -449,20 +506,37 @@ def scenario_from_dict(data: dict) -> Scenario:
         server_pos_m=_pair(data, "server_pos_m", "scenario"),
         devices=tuple(devices),
         link=link,
-        latent_bytes=_require(data, "latent_bytes", int, "scenario"),
-        feature_bytes=_require(data, "feature_bytes", int, "scenario"),
-        steps_per_stage=_require(data, "steps_per_stage", int, "scenario"),
-        seed=_require(data, "seed", int, "scenario"),
+        latent_bytes=require_field(data, "latent_bytes", int, "scenario"),
+        feature_bytes=require_field(data, "feature_bytes", int, "scenario"),
+        steps_per_stage=require_field(data, "steps_per_stage", int, "scenario"),
+        seed=require_field(data, "seed", int, "scenario"),
     )
 
 
+def write_json(data, path, indent: int | None = None) -> None:
+    """Write ``data`` to ``path`` as JSON with sorted keys and a final newline.
+
+    Without ``indent`` the text is compact, written by json's C encoder; an
+    indent makes json fall back to its pure-Python encoder, several times
+    slower, so only hand-edited inputs are indented.
+    """
+
+    separators = (",", ":") if indent is None else None
+    Path(path).write_text(json.dumps(data, indent=indent, separators=separators, sort_keys=True) + "\n")
+
+
+def read_json(path):
+    """The JSON value in the file at ``path``; ValidationError if the text is not JSON."""
+
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
+
+
 def save_scenario(scenario: Scenario, path) -> None:
-    Path(path).write_text(json.dumps(scenario_to_dict(scenario), indent=2, sort_keys=True) + "\n")
+    write_json(scenario_to_dict(scenario), path, indent=2)
 
 
 def load_scenario(path) -> Scenario:
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
-    return scenario_from_dict(data)
+    return scenario_from_dict(read_json(path))

@@ -47,16 +47,14 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .cost_model import FleetCosts, StageCost, aggregate_costs, fleet_costs
 from .errors import ConfigurationError, ValidationError
-from .scenario import Scenario
+from .scenario import Scenario, read_json, require_field, write_json
 
 METHODS = ("dp", "oracle", "no_ds")
 
@@ -117,22 +115,24 @@ def default_discretization(budgets: Budgets) -> Discretization:
     return Discretization(dt_s=dt, de_j=de)
 
 
-def cost_units(value, unit: float):
+def cost_units(value, unit: float, cap: float = math.inf):
     """ceil(value / unit), bumped so units * unit >= value holds in floats.
 
     ``value`` is a float (the result is an int) or an array of floats (the
-    result is an int64 array, element by element the same rule).
+    result is an int64 array, element by element the same rule). A count
+    over ``cap`` fits no capacity of ``cap`` however large it is, so it is
+    clamped at ``cap + 1``, neither bumped nor refused.
     """
 
     value = np.asarray(value, dtype=np.float64)
-    with np.errstate(over="ignore"):  # an infinite quotient is refused below
-        ceiled = np.ceil(np.maximum(value, 0.0) / unit)
+    with np.errstate(over="ignore"):  # an infinite quotient is clamped or refused
+        ceiled = np.minimum(np.ceil(np.maximum(value, 0.0) / unit), cap + 1)
     if not (ceiled < 2.0**63).all():
         raise ConfigurationError(
             f"a cost of {value.max()} is 2**63 or more units of {unit}; coarsen the discretization"
         )
     units = ceiled.astype(np.int64)
-    while (short := units * unit < value).any():
+    while (short := (units * unit < value) & (units <= cap)).any():
         units += short
     return units if units.ndim else int(units)
 
@@ -556,14 +556,17 @@ def select_devices_dp(
 ) -> SchedulePlan:
     """Constraint-discretized DP selection (see module docstring)."""
 
-    disc = default_discretization(budgets) if discretization is None else discretization
-    fleet = fleet_costs(scenario)
+    return _select_dp(fleet_costs(scenario), budgets, discretization)
 
+
+def _select_dp(fleet: FleetCosts, budgets: Budgets, disc: Discretization | None = None) -> SchedulePlan:
+    """:func:`select_devices_dp` over the devices and stage costs of ``fleet``."""
+
+    disc = default_discretization(budgets) if disc is None else disc
     cap_t = capacity_units(budgets.t_max_s, disc.dt_s)
     cap_e = capacity_units(budgets.e_max_j, disc.de_j)
-
-    unit_t = cost_units(fleet.t_total_s, disc.dt_s)
-    unit_e = cost_units(fleet.e_total_j, disc.de_j)
+    unit_t = cost_units(fleet.t_total_s, disc.dt_s, cap_t)
+    unit_e = cost_units(fleet.e_total_j, disc.de_j, cap_e)
     sizes = [dev.variant.size_bytes for dev in fleet.devices]
     picked = knapsack_2d(unit_t, unit_e, sizes, cap_t, cap_e)
 
@@ -669,20 +672,15 @@ def plan_from_dict(data: dict) -> SchedulePlan:
     budgets_raw = data.get("budgets")
     if not isinstance(budgets_raw, dict):
         raise ValidationError("plan.budgets: expected an object")
-    budgets = Budgets(
-        t_max_s=float(budgets_raw.get("t_max_s", float("nan"))),
-        e_max_j=float(budgets_raw.get("e_max_j", float("nan"))),
-    )
+    budgets = Budgets(*(require_field(budgets_raw, name, float, "plan.budgets")
+                        for name in ("t_max_s", "e_max_j")))
 
-    disc = None
-    if data.get("discretization") is not None:
-        disc_raw = data["discretization"]
-        if not isinstance(disc_raw, dict):
+    disc = data.get("discretization")
+    if disc is not None:
+        if not isinstance(disc, dict):
             raise ValidationError("plan.discretization: expected an object or null")
-        disc = Discretization(
-            dt_s=float(disc_raw.get("dt_s", float("nan"))),
-            de_j=float(disc_raw.get("de_j", float("nan"))),
-        )
+        disc = Discretization(*(require_field(disc, name, float, "plan.discretization")
+                                for name in ("dt_s", "de_j")))
 
     stages_raw = data.get("stages")
     if not isinstance(stages_raw, list):
@@ -692,15 +690,14 @@ def plan_from_dict(data: dict) -> SchedulePlan:
         path = f"plan.stages[{i}]"
         if not isinstance(stage_raw, dict):
             raise ValidationError(f"{path}: expected an object")
-        if "device_id" not in stage_raw or isinstance(stage_raw["device_id"], bool) or not isinstance(stage_raw["device_id"], int):
-            raise ValidationError(f"{path}.device_id: expected an integer")
+        dev_id = require_field(stage_raw, "device_id", int, path)
         fields = {}
         for name in _STAGE_FIELDS:
             value = stage_raw.get(name)
             if isinstance(value, bool) or not isinstance(value, (int, float)) or value < 0:
                 raise ValidationError(f"{path}.{name}: expected a number >= 0, got {value!r}")
             fields[name] = float(value)
-        stages.append((stage_raw["device_id"], StageCost(**fields)))
+        stages.append((dev_id, StageCost(**fields)))
 
     objective = data.get("objective_bytes")
     if isinstance(objective, bool) or not isinstance(objective, int) or objective < 0:
@@ -730,12 +727,8 @@ def plan_from_dict(data: dict) -> SchedulePlan:
 
 
 def save_plan(plan: SchedulePlan, path) -> None:
-    Path(path).write_text(json.dumps(plan_to_dict(plan), indent=2, sort_keys=True) + "\n")
+    write_json(plan_to_dict(plan), path, indent=2)
 
 
 def load_plan(path) -> SchedulePlan:
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
-    return plan_from_dict(data)
+    return plan_from_dict(read_json(path))

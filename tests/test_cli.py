@@ -266,6 +266,19 @@ def test_simulate_plan_from_another_scenario_is_a_validation_error(workdir, tmp_
     assert "another scenario" in capsys.readouterr().err
 
 
+def test_simulate_a_plan_on_a_device_marked_unavailable_exits_3(workdir, tmp_path, capsys):
+    data = json.loads((workdir / "s.json").read_text())
+    dev_id = load_plan(workdir / "plan.json").device_ids[-1]
+    data["devices"][dev_id]["available"] = False
+    (tmp_path / "s.json").write_text(json.dumps(data))
+    code = main(["simulate", "-s", str(tmp_path / "s.json"), "-p", str(workdir / "plan.json")])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        f"error: plan stage of device {dev_id}: the scenario marks the device unavailable; "
+        "was the plan made for another scenario?\n"
+    )
+
+
 @pytest.fixture(scope="module")
 def silent_world(tmp_path_factory):
     """A world so wide that every device's link rate underflows to 0 bit/s."""

@@ -5,6 +5,7 @@ exactly: a failure-free run must reproduce its plan's totals bit-for-bit.
 """
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -434,3 +435,67 @@ def test_recovery_replans_as_the_reference_rule(name, scenario):
             assert info.value.trace == expected
         replans += expected.replans
     assert replans > 0
+
+
+_NOT_GIVEN = object()
+
+
+_EVENT_FIELD_CASES = [
+    ("t_start_s", "0.0", "expected a number, got '0.0'"),
+    ("t_start_s", None, "expected a number, got None"),
+    ("t_start_s", _NOT_GIVEN, "missing required field"),
+    ("t_end_s", "x", "expected a number, got 'x'"),
+    ("t_end_s", True, "expected a number, got True"),
+    ("t_end_s", _NOT_GIVEN, "missing required field"),
+    ("kind", 5, "expected <class 'str'>, got int"),
+    ("kind", _NOT_GIVEN, "missing required field"),
+    ("device_id", 1.0, "expected an integer or null"),
+    ("device_id", "1", "expected an integer or null"),
+    ("amount", 2.7, "expected an integer, got 2.7"),
+    ("amount", "x", "expected an integer, got 'x'"),
+    ("amount", None, "expected an integer, got None"),
+    ("amount", True, "expected an integer, got True"),
+    ("amount", _NOT_GIVEN, "missing required field"),
+]
+
+
+@pytest.mark.parametrize("name, value, message", [
+    pytest.param(*case, id=f"{case[0]}-{'missing' if case[1] is _NOT_GIVEN else repr(case[1])}")
+    for case in _EVENT_FIELD_CASES
+])
+def test_trace_event_fields_keep_their_types(recovery_scenario, recovery_budgets, name, value,
+                                            message):
+    data = trace_to_dict(_recovered_trace(recovery_scenario, recovery_budgets))
+    if value is _NOT_GIVEN:
+        del data["events"][1][name]
+    else:
+        data["events"][1][name] = value
+    with pytest.raises(ValidationError) as info:
+        trace_from_dict(data)
+    assert str(info.value) == f"trace.events[1].{name}: {message}"
+
+
+def test_trace_file_is_compact_sorted_json_and_indented_files_load(tmp_path, recovery_scenario,
+                                                                   recovery_budgets):
+    trace = _recovered_trace(recovery_scenario, recovery_budgets)
+    path = tmp_path / "trace.json"
+    save_trace(trace, path)
+    text = path.read_text()
+    assert text == json.dumps(trace_to_dict(trace), sort_keys=True, separators=(",", ":")) + "\n"
+    assert load_trace(path) == trace
+    path.write_text(json.dumps(trace_to_dict(trace), indent=2, sort_keys=True) + "\n")
+    assert load_trace(path) == trace
+
+
+def test_a_plan_stage_on_an_unavailable_device_is_rejected(recovery_scenario, recovery_budgets):
+    plan = select_devices_dp(recovery_scenario, recovery_budgets)
+    assert plan.device_ids == (0, 1)
+    with pytest.raises(ValidationError) as info:
+        simulate_pipeline(mark_unavailable(recovery_scenario, {1}), plan)
+    assert str(info.value) == (
+        "plan stage of device 1: the scenario marks the device unavailable; "
+        "was the plan made for another scenario?"
+    )
+    with pytest.raises(ConfigurationError, match="no device with id 7"):
+        simulate_pipeline(recovery_scenario, dataclasses.replace(
+            plan, stages=((7, plan.stages[0][1]),), objective_bytes=0))

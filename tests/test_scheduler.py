@@ -5,7 +5,9 @@ DP and greedy baselines are then held to the oracle-derived expectations.
 All fixture totals are dyadic, so equalities are exact.
 """
 
+import dataclasses
 import itertools
+import json
 import math
 import tracemalloc
 
@@ -404,6 +406,28 @@ def test_cost_units_beyond_int64_is_a_configuration_error():
         cost_units(1e300, 1e-9)
 
 
+def test_cost_units_clamps_counts_past_the_capacity():
+    assert cost_units(np.array([1.0, 2.0, 2.0625, 1e300]), 0.125, 16).tolist() == [8, 16, 17, 17]
+    assert cost_units(1e300, 1e-9, 10) == 11
+    with pytest.raises(ConfigurationError, match="2\\*\\*63"):
+        cost_units(1e300, 1e-9, 2**64)
+
+
+def test_dp_plans_a_world_with_one_device_past_int64_units():
+    # Device 2's pinned rate makes its stage last 2e300 s, about 1.3e302
+    # units of the default grid; it fits no budget, and the DP used to
+    # refuse the whole world for it instead of leaving it out.
+    scenario = generate_scenario(3, seed=1)
+    slow = 8 * 262144 / 1e300
+    link = dataclasses.replace(scenario.link, rate_override_bps={2: (slow, slow)})
+    scenario = dataclasses.replace(scenario, link=link)
+    budgets = Budgets(3.0, 300.0)
+    dp = select_devices_dp(scenario, budgets)
+    assert dp.device_ids == select_devices_oracle(scenario, budgets).device_ids == (0, 1)
+    assert dp.objective_bytes == select_devices_oracle(scenario, budgets).objective_bytes
+    assert select_devices_no_ds(scenario, budgets).device_ids == (0, 1)
+
+
 @given(seeds, st.integers(min_value=0, max_value=30))
 def test_no_ds_is_the_longest_fitting_id_prefix(seed, n_devices):
     # The prefix search bisects; the reference re-sums every prefix in turn.
@@ -471,6 +495,38 @@ def test_plan_load_validation(three_device_scenario, fixture_budgets, fixture_di
     for mutate, pattern in cases:
         with pytest.raises(ValidationError, match=pattern):
             plan_from_dict(corrupted(mutate))
+
+
+_NOT_GIVEN = object()
+
+
+@pytest.mark.parametrize("value", ["abc", [1], True, "3.0", None, _NOT_GIVEN],
+                         ids=["text", "list", "true", "numeric-text", "null", "missing"])
+@pytest.mark.parametrize("record, name", [
+    ("budgets", "t_max_s"), ("budgets", "e_max_j"),
+    ("discretization", "dt_s"), ("discretization", "de_j"),
+])
+def test_plan_budgets_and_grid_must_be_numbers(three_device_scenario, fixture_budgets, fixture_disc,
+                                               record, name, value):
+    data = plan_to_dict(select_devices_dp(three_device_scenario, fixture_budgets, fixture_disc))
+    if value is _NOT_GIVEN:
+        del data[record][name]
+    else:
+        data[record][name] = value
+    expected = "missing required field" if value is _NOT_GIVEN else "expected a number, got"
+    with pytest.raises(ValidationError, match=rf"^plan\.{record}\.{name}: {expected}"):
+        plan_from_dict(data)
+
+
+def test_cli_refuses_a_plan_with_a_text_budget(tmp_path, three_device_scenario, fixture_budgets,
+                                               capsys):
+    save_scenario(three_device_scenario, tmp_path / "s.json")
+    data = plan_to_dict(select_devices_dp(three_device_scenario, fixture_budgets))
+    data["budgets"]["t_max_s"] = "abc"
+    (tmp_path / "p.json").write_text(json.dumps(data))
+    code = main(["simulate", "-s", str(tmp_path / "s.json"), "-p", str(tmp_path / "p.json")])
+    assert code == EXIT_VALIDATION
+    assert "plan.budgets.t_max_s: expected a number, got 'abc'" in capsys.readouterr().err
 
 
 def test_plan_rejects_unsorted_stages(three_device_scenario, fixture_budgets, fixture_disc):
