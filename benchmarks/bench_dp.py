@@ -1,21 +1,25 @@
 """Time the scheduler's DP kernel and report its peak traced memory.
 
 ``knapsack_2d`` first drops devices that can never be in the returned plan,
-then fills one of two tables: the grid (narrow unsigned value layers and one
-take-bit per kept device and (t, e) cell, packed 8 devices per byte) or, when
-the value bound is below the energy capacity, the value table (the fewest
-energy units per (t, v) cell, one layer per kept device). Each shape is timed
-best-of-``--repeats`` on random unit costs and four-valued model sizes (one
-parameter count at 4, 8, 16 and 32 bits), then run once more under
-``tracemalloc`` for the peak of the numpy buffers it allocates. The ``kept``
-column counts the devices left after pruning, ``surv`` those left after the
-bound reduction, ``lb`` is the reduction's lower bound (the best greedy
-fill, in scaled sizes), ``kbound`` the sum of the ``k_max`` largest scaled
-sizes among the survivors, ``bound`` the value bound the kernel used (the
-least of ``kbound`` and the two axes' Dantzig bounds over the survivors),
-and ``table`` names the table that ran. The last two shapes sit on either
-side of the choice: the same devices and time axis, with the energy axis
-just below or just above the value bound. Run from the repository root:
+drops a capacity axis that the survivors' total cost fits (every subset
+fits it), then fills one of two tables: the grid (narrow unsigned value
+layers and one take-bit per surviving device and (t, e) cell, packed 8
+devices per byte) or, when the value bound is below the energy capacity,
+the value table (the fewest energy units per (t, v) cell, one layer per
+surviving device). Each shape is timed best-of-``--repeats`` on random unit
+costs and four-valued model sizes (one parameter count at 4, 8, 16 and 32
+bits), then run once more under ``tracemalloc`` for the peak of the numpy
+buffers it allocates. The ``kept`` column counts the devices left after
+pruning, ``surv`` those left after the bound reduction, ``lb`` is the
+reduction's lower bound (the best greedy fill, in scaled sizes), ``kbound``
+the sum of the ``k_max`` largest scaled sizes among the survivors,
+``bound`` the value bound the kernel used (the least of ``kbound`` and the
+two axes' Dantzig bounds over the survivors), ``axes`` the capacity axes
+the table kept (``t×e``, ``t`` or ``e``) and ``table`` the table that ran.
+The two shapes before the last sit on either side of the table choice:
+the same devices and time axis, with the energy axis just below or just
+above the value bound. The last shape's energy costs sum to less than its
+energy capacity, so that axis is dropped. Run from the repository root:
 
     PYTHONPATH=src python3 benchmarks/bench_dp.py
 """
@@ -42,7 +46,11 @@ def random_instance(rng, n, cap_t, cap_e):
 
 
 def value_bounds(unit_t, unit_e, sizes, cap_t, cap_e):
-    """(kept, survivors, LB, k_max bound, bound used), computed as ``knapsack_2d`` does."""
+    """(kept, survivors, LB, k_max bound, bound used), computed as ``knapsack_2d`` does.
+
+    A dropped axis leaves the bound as it is: the Dantzig bound of an axis
+    that the survivors' total cost fits is their total size.
+    """
 
     kept, k_max = prune_dominated(unit_t, unit_e, sizes, cap_t, cap_e)
     kept = kept.tolist()
@@ -59,7 +67,7 @@ def value_bounds(unit_t, unit_e, sizes, cap_t, cap_e):
 
 
 def table_used(kernel_args):
-    """``grid`` or ``value``: the table one ``knapsack_2d`` call filled."""
+    """(table, axes): the table one ``knapsack_2d`` call filled and the capacity axes it kept."""
 
     used = []
     fills = {"grid": scheduler._grid_dp, "value": scheduler._value_dp}
@@ -67,7 +75,7 @@ def table_used(kernel_args):
         for label, fill in fills.items():
 
             def counted(*args, _fill=fill, _label=label):
-                used.append(_label)
+                used.append((_label, args[3], args[4]))
                 return _fill(*args)
 
             setattr(scheduler, fill.__name__, counted)
@@ -75,7 +83,10 @@ def table_used(kernel_args):
     finally:
         for fill in fills.values():
             setattr(scheduler, fill.__name__, fill)
-    return used[0]
+    table, cap_t, cap_e = used[0]
+    axes = [name for name, cap, kept in (("t", kernel_args[3], cap_t), ("e", kernel_args[4], cap_e))
+            if cap == kept]
+    return table, "×".join(axes)
 
 
 def best_of(args, repeats):
@@ -110,20 +121,24 @@ def main():
     # 104 energy units: the grid runs at cap_e = 96, the value table at 104.
     unit_t, unit_e, sizes = random_instance(rng, 40, 800, 32)
     cases += [(unit_t, unit_e, sizes, 800, cap_e) for cap_e in (96, 104)]
+    # 40 devices of at most 19 energy units each under 800: a slack energy axis.
+    unit_t, unit_e, sizes = random_instance(rng, 40, 800, 80)
+    cases.append((unit_t, unit_e, sizes, 800, 800))
 
     print(
         f"{'n':>4} {'kept':>5} {'surv':>5} {'cap_t':>6} {'cap_e':>6} {'lb':>5} {'kbound':>7} "
-        f"{'bound':>6} {'table':>6} {'time':>10} {'peak':>10}"
+        f"{'bound':>6} {'axes':>5} {'table':>6} {'time':>10} {'peak':>10}"
     )
     for kernel_args in cases:
         unit_t, _, _, cap_t, cap_e = kernel_args
         kept, survivors, lb, k_max_bound, bound = value_bounds(*kernel_args)
-        table = table_used(kernel_args)
+        table, axes = table_used(kernel_args)
         seconds = best_of(kernel_args, args.repeats)
         peak_mb = traced_peak(kernel_args) / 2**20
         print(
             f"{len(unit_t):>4} {kept:>5} {survivors:>5} {cap_t:>6} {cap_e:>6} {lb:>5} "
-            f"{k_max_bound:>7} {bound:>6} {table:>6} {seconds * 1e3:>8.1f}ms {peak_mb:>8.1f}MB"
+            f"{k_max_bound:>7} {bound:>6} {axes:>5} {table:>6} {seconds * 1e3:>8.1f}ms "
+            f"{peak_mb:>8.1f}MB"
         )
 
 

@@ -328,11 +328,16 @@ def mark_unavailable(scenario: Scenario, device_ids: set[int]) -> Scenario:
 # -- JSON serialization -------------------------------------------------------
 
 
+# The JSON type each Python container or string type is read from.
+_JSON_TYPES = {list: "an array", tuple: "an array", dict: "an object", str: "a string"}
+
+
 def require_field(obj: dict, key: str, kinds, path: str):
     """``obj[key]`` if it is of ``kinds``, else ValidationError naming ``path.key``.
 
     ``kinds`` is ``bool``, ``int`` (never a bool), ``float`` (any int or
-    float but a bool, returned as a float) or a type or tuple of types.
+    float but a bool, returned as a float) or a type or tuple of types of
+    one JSON type (:data:`_JSON_TYPES`), which the message names.
     """
 
     if key not in obj:
@@ -349,7 +354,8 @@ def require_field(obj: dict, key: str, kinds, path: str):
             raise ValidationError(f"{path}.{key}: expected a number, got {value!r}")
         value = float(value)
     elif not isinstance(value, kinds):
-        raise ValidationError(f"{path}.{key}: expected {kinds}, got {type(value).__name__}")
+        expected = _JSON_TYPES[kinds if isinstance(kinds, type) else kinds[0]]
+        raise ValidationError(f"{path}.{key}: expected {expected}, got {type(value).__name__}")
     return value
 
 

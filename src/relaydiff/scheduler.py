@@ -9,29 +9,23 @@ variants' byte sizes. Three methods share one plan type:
   and discretized (ceiling for costs, floor for capacities, so a plan that
   fits in units also fits exactly, up to float rounding) and a 0/1 knapsack
   over (time units, energy units) is solved one device at a time with numpy.
-  Devices that cannot be in the returned plan are dropped first: those over
-  capacity, and those that at least as many bigger, no costlier devices
-  could replace as any fitting set can hold. Replacing is transitive, so
-  devices can be decided in descending size order against only the devices
-  kept so far. Sizes are divided by their gcd. A bound reduction then drops
-  every device whose upper bound (its size plus the fractional (Dantzig)
-  fill of the room it leaves on each axis) is below the value of a fitting
-  set found by greedy fills: no optimal subset holds such a device, so the
-  optimal subsets stay the same. Over the survivors, the value any fitting
-  set reaches is bounded by the least of the k largest sizes (k being the
-  most devices any fitting set holds) and the Dantzig optimum of each axis
-  alone; each is a relaxation, so the bound is never below the optimum.
-  The table then has a time axis and either an energy axis (the best value
-  per (time, energy) cell, plus a take-bit per surviving device and cell,
-  packed 8 devices per byte) or, when the value bound is shorter than the
-  energy axis, a value axis (the fewest energy units per (time, value)
-  cell, one layer per surviving device). Of the two, the one with fewer
-  cells runs unless only the other fits the byte limit. Both backtracks
-  return the same plan: a device is taken only if it beats skipping it, so a
-  tie keeps it skipped. The DP result is finally compared against the greedy
-  baseline, which it must beat and which replaces a DP pick that misses the
-  exact budgets by float rounding, so the method never loses to no-selection
-  through rounding alone.
+  Devices no optimal plan holds are dropped first: those over capacity,
+  those that at least as many bigger, no costlier devices could replace as
+  any fitting set can hold, and those whose upper bound (size plus the
+  Dantzig fill of the room left on each axis) is below the value of a
+  greedily found fitting set. Sizes are divided by their gcd. An axis whose
+  capacity the survivors' total cost fits binds no subset of them and is
+  dropped, so the table has one cell on it: most plans fill one column,
+  and inputs whose two-axis table would pass the byte limit can plan. The
+  table has a time axis and either an energy axis (best value per cell, one
+  take-bit per survivor and cell) or, when the value bound (the least of
+  the k largest sizes and each axis's Dantzig optimum) is shorter, a value
+  axis (fewest energy units per (time, value) cell); the one with fewer
+  cells runs unless only the other fits the byte limit. Both return the
+  same plan: a tie keeps a device skipped. The DP result is finally
+  compared against the greedy baseline, which it must beat and which
+  replaces a DP pick that misses the exact budgets by float rounding, so
+  the method never loses to no-selection through rounding alone.
 * :func:`select_devices_oracle`: exhaustive subset enumeration, feasibility
   judged by the same fsum totals as every plan (left-to-right sums filter,
   and any subset near a budget is summed again exactly). Exponential;
@@ -140,7 +134,12 @@ def cost_units(value, unit: float, cap: float = math.inf):
 def capacity_units(budget: float, unit: float) -> int:
     """floor(budget / unit), bumped so units * unit <= budget holds in floats."""
 
-    units = math.floor(budget / unit)
+    units = budget / unit
+    if not math.isfinite(units):
+        raise ConfigurationError(
+            f"a budget of {budget} overflows units of {unit}; coarsen the discretization"
+        )
+    units = math.floor(units)
     while units > 0 and units * unit > budget:
         units -= 1
     return max(units, 0)
@@ -266,10 +265,11 @@ def prune_dominated(unit_t, unit_e, sizes, cap_t: int, cap_e: int) -> tuple[np.n
     ))
 
     # Descending rank: bigger first, equally big by ascending index (a stable
-    # reverse sort keeps equal keys in order). Sizes stay Python ints, which
-    # never wrap.
-    fit_sizes = [int(sizes[i]) for i in fit.tolist()]
-    order = fit[sorted(range(len(fit)), key=fit_sizes.__getitem__, reverse=True)]
+    # sort of the negated sizes). The dtype is never inferred: a size of
+    # 2**63 or more stays a Python int in an object array.
+    big = max(sizes, default=0) >> 63
+    fit_sizes = np.array(sizes, dtype=object if big else np.int64)[fit]
+    order = fit[np.argsort(-fit_sizes, kind="stable")]
     dtype = np.min_scalar_type(max(cap_t, cap_e))
     ut, ue = unit_t[order].astype(dtype), unit_e[order].astype(dtype)
 
@@ -393,47 +393,45 @@ def knapsack_2d(unit_t, unit_e, sizes, cap_t: int, cap_e: int) -> list[int]:
 
     The canonical optimum is the optimal subset whose membership, read from
     the highest index down, is lexicographically smallest: a device is left
-    out whenever taking it only ties. Devices that can never be in it are
-    dropped first (:func:`prune_dominated`), and sizes are divided by their
-    gcd. The bound reduction (:func:`reduce_by_bounds`) then drops every
-    device that no optimal subset holds: device j goes when UB_j, an upper
-    bound on every fitting set holding it, is below LB, the value of a
-    fitting set found greedily. The optimum is at least LB, so no optimal
-    subset holds j; with j removed the optimum is the same, and so are the
-    optimal subsets and, among them, the canonical one. ``bound`` is the
-    most any fitting subset of the survivors is worth: the least of the sum
-    of the ``k_max`` largest scaled sizes and the Dantzig bounds
-    (:func:`lp_bound`) of the time and the energy axis alone, each of which
-    relaxes the problem, so none is below the optimum.
+    out whenever taking it only ties. :func:`prune_dominated` drops devices
+    never in it, and sizes are divided by their gcd. :func:`reduce_by_bounds`
+    then drops each device j whose upper bound UB_j is below LB, the value
+    of a fitting set found greedily: the optimum is at least LB, so no
+    optimal subset holds j, and without j the optimal subsets are the same.
 
-    One of two tables is then filled, one 2-D layer per kept device:
+    If the survivors' energy units sum to at most cap_e, their energy costs
+    and cap_e become 0; otherwise the same holds for time. Every subset fits
+    the dropped axis, so the feasible subsets and the canonical optimum stay
+    the same. The grid's backtrack from cap_e keeps e at or above the energy
+    total of the devices not yet decided (t likewise, for time), where every
+    value a take-bit compares is the 1-D one, so the plan is the same too.
 
-    * the grid, time × energy (:func:`_grid_dp`): ``value[t, e]``, the largest value within
-      (t, e) units, over (cap_t+1)·(cap_e+1) cells, in the narrowest unsigned
-      dtype that holds ``bound``. Device j is taken at (t, e) iff
-      ``value[t - unit_t[j], e - unit_e[j]] + sizes[j] > value[t, e]`` over
-      the devices before j; that take-bit is bit ``j % 8`` of byte plane
-      ``j // 8``, and the backtrack walks the bits from (cap_t, cap_e).
-    * the value table, time × value (:func:`_value_dp`): ``g[t, v]``, the fewest energy units
-      within t time units that reach a scaled value of at least v, over
-      (cap_t+1)·(bound+1) cells, saturating at ``cap_e + 1``. Every layer is
-      kept. The optimum V is the largest v with ``g[cap_t, v] <= cap_e``;
-      from the top down, device j is skipped iff the devices before it
-      already reach V within (t, e), that is iff ``g_j[t, V] <= e``, and
-      taken otherwise (t, e and V drop by its costs and size). That is the
-      grid's rule: the best over the devices before j at (t, e) is at least
-      V exactly when taking j does not beat skipping it, so both tables
-      return the same subset.
+    ``bound`` is the most any fitting subset of the survivors is worth: the
+    least of the sum of the ``k_max`` largest scaled sizes and each axis's
+    Dantzig bound (:func:`lp_bound`), each a relaxation. One of two tables
+    is then filled, one 2-D layer per survivor:
+
+    * the grid (:func:`_grid_dp`): ``value[t, e]``, the largest value within
+      (t, e) units, in the narrowest unsigned dtype that holds ``bound``.
+      Device j is taken at (t, e) iff ``value[t - ct[j], e - ce[j]] +
+      size[j] > value[t, e]`` over the devices before j; that take-bit is
+      bit ``j % 8`` of byte plane ``j // 8``, walked back from (cap_t, cap_e).
+    * the value table (:func:`_value_dp`): ``g[t, v]``, the fewest energy
+      units within t time units that reach a scaled value of at least v,
+      saturating at ``cap_e + 1``. The optimum V is the largest v with
+      ``g[cap_t, v] <= cap_e``; from the top down, device j is skipped iff
+      ``g_j[t, V] <= e`` (the devices before it reach V within (t, e)), else
+      taken (t, e and V drop by its costs and size). That is the grid's
+      rule, so both tables return the same subset.
 
     Among the tables whose buffers fit ``MAX_DP_BYTES``, the one with fewer
     cells per device runs: the value table iff ``bound < cap_e``.
 
     Raises ConfigurationError if the value bound does not fit 64 bits or
     neither table fits ``MAX_DP_BYTES``, before any DP buffer is allocated.
-    Both checks count only the survivors, and a bound over fewer devices is
-    no larger, so each table's bytes are no more than over all kept devices:
-    the reduction makes the kernel refuse no input it would plan without
-    it, and plans some whose bound over all kept devices passed 64 bits.
+    Both checks count the survivors only, with the dropped axis at one cell;
+    a smaller pool or capacity needs no more bytes, so no input planned
+    without these reductions is refused.
     """
 
     kept, k_max = prune_dominated(unit_t, unit_e, sizes, cap_t, cap_e)
@@ -446,6 +444,10 @@ def knapsack_2d(unit_t, unit_e, sizes, cap_t: int, cap_e: int) -> list[int]:
     survivors, _ = reduce_by_bounds(ct, ce, scaled, cap_t, cap_e)
     kept = [kept[j] for j in survivors]
     scaled, ct, ce = ([values[j] for j in survivors] for values in (scaled, ct, ce))
+    if sum(ce) <= cap_e:
+        ce, cap_e = [0] * len(ce), 0
+    elif sum(ct) <= cap_t:
+        ct, cap_t = [0] * len(ct), 0
     bound = min(
         sum(sorted(scaled, reverse=True)[:k_max]),
         lp_bound(ct, scaled, cap_t),

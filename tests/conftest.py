@@ -178,16 +178,25 @@ def make_dyadic_instance(rng: np.random.Generator, n_devices: int | None = None)
     return scenario, budgets
 
 
+class TableCalls(collections.Counter):
+    """Calls per DP table fill; ``fills`` lists each call's (name, cap_t, cap_e)."""
+
+    def __init__(self):
+        super().__init__()
+        self.fills = []
+
+
 @pytest.fixture
 def table_calls(monkeypatch):
     """Calls of each DP table fill, counted by a wrapper around its helper."""
 
-    calls = collections.Counter()
+    calls = TableCalls()
     for name in ("_grid_dp", "_value_dp"):
         fill = getattr(scheduler, name)
 
         def counted(*args, _fill=fill, _name=name):
             calls[_name] += 1
+            calls.fills.append((_name, *args[3:5]))
             return _fill(*args)
 
         monkeypatch.setattr(scheduler, name, counted)

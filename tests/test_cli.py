@@ -302,3 +302,16 @@ def test_zero_link_rate_exits_3_naming_the_device(silent_world, tmp_path, monkey
     assert code == EXIT_VALIDATION
     assert "underflows to 0 bit/s" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_a_capacity_past_the_float_range_exits_3(workdir, tmp_path, capsys):
+    # 1e300 s in units of 1e-300 s is more units than a float holds.
+    code = main([
+        "schedule", "-s", str(workdir / "s.json"), "--t-max", "1e300", "--e-max", "300",
+        "--dt", "1e-300", "--de", "1", "-o", str(tmp_path / "p.json"),
+    ])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        "error: a budget of 1e+300 overflows units of 1e-300; coarsen the discretization\n"
+    )
+    assert not (tmp_path / "p.json").exists()

@@ -61,6 +61,21 @@ def random_instance(rng, n_max=8, cap_max=30):
     return unit_t, unit_e, sizes, cap_t, cap_e
 
 
+def with_slack(rng, instance, axes):
+    """``instance`` with the unit costs of each axis in ``axes`` ("t", "e")
+    cut to 0-3 and that axis's capacity at or above their total, so every
+    subset fits that axis."""
+
+    unit_t, unit_e, sizes, cap_t, cap_e = instance
+    if "t" in axes:
+        unit_t = unit_t % 4
+        cap_t = int(unit_t.sum()) + int(rng.integers(0, 3))
+    if "e" in axes:
+        unit_e = unit_e % 4
+        cap_e = int(unit_e.sum()) + int(rng.integers(0, 3))
+    return unit_t, unit_e, sizes, cap_t, cap_e
+
+
 def assert_matches_reference(unit_t, unit_e, sizes, cap_t, cap_e):
     optimum, expected = reference_pick(unit_t, unit_e, sizes, cap_t, cap_e)
     picked = knapsack_2d(unit_t, unit_e, sizes, cap_t, cap_e)
@@ -69,10 +84,25 @@ def assert_matches_reference(unit_t, unit_e, sizes, cap_t, cap_e):
     return picked
 
 
-def test_kernel_matches_reference():
+def test_kernel_matches_reference(table_calls):
     rng = np.random.default_rng(1234)
     for _ in range(25):
         assert_matches_reference(*random_instance(rng))
+
+    # A slack axis is dropped, energy's first; over a slack time axis alone,
+    # the survivors' energy may fit as well.
+    time_dropped = 0
+    for axes in ("e", "t", "te"):
+        for _ in range(30):
+            instance = with_slack(rng, random_instance(rng, n_max=12), axes)
+            assert_matches_reference(*instance)
+            _, cap_t, cap_e = table_calls.fills[-1]
+            if "e" in axes:
+                assert (cap_t, cap_e) == (instance[3], 0)
+            else:
+                assert 0 in (cap_t, cap_e)
+                time_dropped += (cap_t, cap_e) == (0, instance[4]) and cap_e > 0
+    assert time_dropped >= 3
 
 
 def test_kernel_matches_reference_on_larger_instances():
@@ -160,8 +190,12 @@ def test_both_tables_match_reference(table_calls):
         unit_t, unit_e, _, cap_t, cap_e = random_instance(rng, n_max=10, cap_max=30)
         sizes = rng.integers(0, 6, size=len(unit_t)).astype(np.int64) * 10**9
         assert_matches_reference(unit_t, unit_e, sizes, cap_t, cap_e)
+        # The same devices over a slack time axis: a one-row table.
+        assert_matches_reference(*with_slack(rng, (unit_t, unit_e, sizes, cap_t, cap_e), "t"))
     assert table_calls["_value_dp"] >= 1
     assert table_calls["_grid_dp"] >= 1
+    one_row = {name for name, cap_t, cap_e in table_calls.fills if cap_t == 0 and cap_e > 0}
+    assert "_value_dp" in one_row
 
 
 def test_value_table_saturates_instead_of_wrapping(table_calls):

@@ -447,7 +447,7 @@ _EVENT_FIELD_CASES = [
     ("t_end_s", "x", "expected a number, got 'x'"),
     ("t_end_s", True, "expected a number, got True"),
     ("t_end_s", _NOT_GIVEN, "missing required field"),
-    ("kind", 5, "expected <class 'str'>, got int"),
+    ("kind", 5, "expected a string, got int"),
     ("kind", _NOT_GIVEN, "missing required field"),
     ("device_id", 1.0, "expected an integer or null"),
     ("device_id", "1", "expected an integer or null"),

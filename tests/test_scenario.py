@@ -250,8 +250,8 @@ _DEVICE_FIELD_MESSAGES = {
         "zero": "devices[1].id: duplicate id 0 (also devices[0])",
         "negative": "device(id=-1).id: must be a non-negative integer",
     },
-    "pos_m": _shape_messages("devices[1].pos_m", "(<class 'list'>, <class 'tuple'>)"),
-    "variant": _shape_messages("devices[1].variant", "<class 'dict'>"),
+    "pos_m": _shape_messages("devices[1].pos_m", "an array"),
+    "variant": _shape_messages("devices[1].variant", "an object"),
     **{name: _positive_number_messages(name)
        for name in ("step_latency_s", "compute_power_w", "tx_power_w", "rx_power_w")},
     "available": {

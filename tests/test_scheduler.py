@@ -223,21 +223,25 @@ def test_dp_refuses_absurd_tables(three_device_scenario):
     assert MAX_DP_BYTES == 1 << 30
 
 
-def test_dp_byte_guard_refuses_before_allocating(three_device_scenario, monkeypatch):
+def test_dp_byte_guard_refuses_before_allocating(three_device_scenario, monkeypatch, table_calls):
     # The 4/2/3 GB sizes divide by their gcd (1 GB) to 4/2/3; no three fit,
     # so values reach at most 4 + 3 = 7. A 2**-13 s time unit gives 16385
     # time cells, so each table needs far more than the call's fixed ~6 kB.
-    budgets = Budgets(2.0, 200.0)
     cases = [
-        # 201 energy cells > 8 value cells: the value table, three surviving
-        # layers, the empty layer and one scratch layer of uint8 energies.
-        (Discretization(2**-13, 1.0), (3 + 2) * 16385 * 8),
-        # 8 energy cells <= 8 value cells: the grid, one take-bit byte plane,
-        # one shift byte and two uint8 value layers per cell. Device 1 is
-        # reduced away here; two survivors still need one byte plane.
-        (Discretization(2**-13, 28.0), (1 + 1 + 2 * 1) * 16385 * 8),
+        # Energy units 100/60/80 of 200: 201 energy cells > 8 value cells,
+        # so the value table, three surviving layers, the empty layer and
+        # one scratch layer of uint8 energies.
+        (Budgets(2.0, 200.0), Discretization(2**-13, 1.0), (3 + 2) * 16385 * 8),
+        # Energy units 4/2/3 of 7: 8 energy cells <= 8 value cells, so the
+        # grid, one take-bit byte plane, one shift byte and two uint8 value
+        # layers per cell.
+        (Budgets(2.0, 212.0), Discretization(2**-13, 30.0), (1 + 1 + 2 * 1) * 16385 * 8),
+        # Energy units 4/3/3 of 7, but device 1 is reduced away, and the
+        # survivors' 4 + 3 units fit all 7: the energy axis is dropped, and
+        # the grid has one energy cell. A 2**-16 s time unit keeps it large.
+        (Budgets(2.0, 200.0), Discretization(2**-16, 28.0), (1 + 1 + 2 * 1) * 131073 * 1),
     ]
-    for disc, needed in cases:
+    for budgets, disc, needed in cases:
         monkeypatch.setattr(scheduler, "MAX_DP_BYTES", needed)
         assert select_devices_dp(three_device_scenario, budgets, disc).device_ids == (0, 2)
 
@@ -250,6 +254,14 @@ def test_dp_byte_guard_refuses_before_allocating(three_device_scenario, monkeypa
         finally:
             tracemalloc.stop()
         assert peak < needed // 10
+    assert table_calls.fills == [
+        ("_value_dp", 16384, 200), ("_grid_dp", 16384, 7), ("_grid_dp", 131072, 0)
+    ]
+
+    # With both axes the last instance would need the bytes of 8 energy
+    # cells; one byte less still plans it.
+    monkeypatch.setattr(scheduler, "MAX_DP_BYTES", (1 + 1 + 2 * 1) * 131073 * 8 - 1)
+    assert select_devices_dp(three_device_scenario, *cases[-1][:2]).device_ids == (0, 2)
 
 
 def test_dp_falls_back_to_the_grid_when_the_value_table_is_too_big(
