@@ -1,7 +1,7 @@
 """Time the scheduler's DP kernel and report its peak traced memory.
 
 ``knapsack_2d`` first drops devices that can never be in the returned plan,
-drops a capacity axis that the survivors' total cost fits (every subset
+drops each capacity axis that the survivors' total cost fits (every subset
 fits it), then fills one of two tables: the grid (narrow unsigned value
 layers and one take-bit per surviving device and (t, e) cell, packed 8
 devices per byte) or, when the value bound is below the energy capacity,
@@ -15,11 +15,13 @@ reduction's lower bound (the best greedy fill, in scaled sizes), ``kbound``
 the sum of the ``k_max`` largest scaled sizes among the survivors,
 ``bound`` the value bound the kernel used (the least of ``kbound`` and the
 two axes' Dantzig bounds over the survivors), ``axes`` the capacity axes
-the table kept (``t×e``, ``t`` or ``e``) and ``table`` the table that ran.
-The two shapes before the last sit on either side of the table choice:
-the same devices and time axis, with the energy axis just below or just
-above the value bound. The last shape's energy costs sum to less than its
-energy capacity, so that axis is dropped. Run from the repository root:
+the table kept (``t×e``, ``t``, ``e``, or ``–`` for none) and ``table`` the
+table that ran. The fifth and sixth shapes sit on either side of the table
+choice: the same devices and time axis, with the energy axis just below or
+just above the value bound. The seventh shape's energy costs sum to less
+than its energy capacity, so that axis is dropped; the last shape's costs
+fit both capacities, so both axes are, and the table has one cell. Run from
+the repository root:
 
     PYTHONPATH=src python3 benchmarks/bench_dp.py
 """
@@ -49,16 +51,16 @@ def value_bounds(unit_t, unit_e, sizes, cap_t, cap_e):
     """(kept, survivors, LB, k_max bound, bound used), computed as ``knapsack_2d`` does.
 
     A dropped axis leaves the bound as it is: the Dantzig bound of an axis
-    that the survivors' total cost fits is their total size.
+    that the survivors' total cost fits is their total size, with or without
+    its costs.
     """
 
     kept, k_max = prune_dominated(unit_t, unit_e, sizes, cap_t, cap_e)
+    ct, ce = unit_t[kept].tolist(), unit_e[kept].tolist()
     kept = kept.tolist()
     scaled = [int(sizes[i]) for i in kept]
     gcd = math.gcd(*scaled) or 1
     scaled = [size // gcd for size in scaled]
-    ct = [int(unit_t[i]) for i in kept]
-    ce = [int(unit_e[i]) for i in kept]
     survivors, lb = reduce_by_bounds(ct, ce, scaled, cap_t, cap_e)
     scaled, ct, ce = ([values[j] for j in survivors] for values in (scaled, ct, ce))
     k_max_bound = sum(sorted(scaled, reverse=True)[:k_max])
@@ -86,7 +88,7 @@ def table_used(kernel_args):
     table, cap_t, cap_e = used[0]
     axes = [name for name, cap, kept in (("t", kernel_args[3], cap_t), ("e", kernel_args[4], cap_e))
             if cap == kept]
-    return table, "×".join(axes)
+    return table, "×".join(axes) or "–"
 
 
 def best_of(args, repeats):
@@ -124,6 +126,8 @@ def main():
     # 40 devices of at most 19 energy units each under 800: a slack energy axis.
     unit_t, unit_e, sizes = random_instance(rng, 40, 800, 80)
     cases.append((unit_t, unit_e, sizes, 800, 800))
+    # The same devices under capacities their total costs fit: both axes slack.
+    cases.append((unit_t, unit_e, sizes, int(unit_t.sum()), int(unit_e.sum())))
 
     print(
         f"{'n':>4} {'kept':>5} {'surv':>5} {'cap_t':>6} {'cap_e':>6} {'lb':>5} {'kbound':>7} "

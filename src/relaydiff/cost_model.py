@@ -12,15 +12,20 @@ identities exact in floating point (order-independent, no drift), so a plan's
 predicted totals match a failure-free execution trace bit for bit.
 
 :class:`FleetCosts` holds the same six phase costs for a whole fleet as numpy
-arrays. It, :func:`stage_cost` and :func:`split_step_cost` all evaluate one
-phase formula, :func:`phase_costs`, made only of correctly rounded
-multiplications and divisions, so every array element equals the matching
-:func:`stage_cost_for` field bit for bit. A world whose link rate underflows
-to zero, or whose costs overflow, is refused with ConfigurationError.
+arrays, plus each device's exact model size. It, :func:`stage_cost` and
+:func:`split_step_cost` all evaluate one phase formula, :func:`phase_costs`,
+made only of correctly rounded multiplications and divisions, on link rates
+from one ``math`` formula (``_shannon``), which a fleet runs in one pass over
+its devices and a single device runs on a list of one; so every array
+element equals the matching :func:`stage_cost_for` field bit for bit (numpy's
+own ``log2``, ``**`` and ``hypot`` would not). A world whose link rate
+underflows to zero, or whose costs overflow, is refused with
+ConfigurationError.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from operator import attrgetter
@@ -100,14 +105,28 @@ def link_rate(
     if link.rate_override_bps is not None and device.id in link.rate_override_bps:
         up, down = link.rate_override_bps[device.id]
         return up if direction == "up" else down
-    distance = max(math.dist(device.pos_m, server_pos_m), MIN_DISTANCE_M)
-    gain = link.path_loss_ref_gain * distance ** -link.path_loss_exponent
-    snr = device.tx_power_w * gain / link.noise_power_w
-    rate = link.bandwidth_hz * math.log2(1.0 + snr)
+    (distance,), (snr,), (rate,) = _shannon(link, server_pos_m, [device.pos_m], [device.tx_power_w])
     if rate == 0.0:
         raise ConfigurationError(f"device {device.id}: the link rate underflows to 0 bit/s "
                                  f"at {distance:.6g} m from the server (SNR {snr:.6g})")
     return rate
+
+
+def _shannon(link: LinkParams, server_pos_m, positions, tx_powers) -> tuple[list[float], ...]:
+    """(distances, SNRs, rates) of devices at ``positions`` sending at ``tx_powers``.
+
+    The one copy of the link formula, in plain ``math`` so that the rates
+    are the same bit for bit whether one device asks (:func:`link_rate`) or
+    a fleet does (:func:`fleet_rates`).
+    """
+
+    # The clamp is max(distance, MIN_DISTANCE_M), without the cost of a call.
+    dist, floor_m = math.dist, MIN_DISTANCE_M
+    distances = [floor_m if (d := dist(pos, server_pos_m)) < floor_m else d for pos in positions]
+    ref_gain, exponent, noise = link.path_loss_ref_gain, -link.path_loss_exponent, link.noise_power_w
+    snrs = [tx * (ref_gain * distance ** exponent) / noise for distance, tx in zip(distances, tx_powers)]
+    log2, bandwidth = math.log2, link.bandwidth_hz
+    return distances, snrs, [bandwidth * log2(1.0 + snr) for snr in snrs]
 
 
 def transfer_time(n_bytes: int, rate_bps: float) -> float:
@@ -181,9 +200,11 @@ class FleetCosts:
     ``devices`` holds the available devices in ascending id order; element i
     of every array belongs to ``devices[i]`` and equals the matching field (or
     ``t_total()``/``e_total()``) of ``stage_cost_for(scenario, devices[i])``.
+    ``size_bytes[i]`` is ``devices[i].variant.size_bytes``, an exact Python int.
     """
 
     devices: tuple[Device, ...]
+    size_bytes: tuple[int, ...]
     t_down_s: np.ndarray
     t_cmp_s: np.ndarray
     t_up_s: np.ndarray
@@ -210,8 +231,10 @@ class FleetCosts:
         :func:`fleet_costs` gives on a scenario with only those devices available.
         """
 
+        keep = mask.tolist()
         return FleetCosts(
-            tuple(dev for dev, keep in zip(self.devices, mask.tolist()) if keep),
+            tuple(itertools.compress(self.devices, keep)),
+            tuple(itertools.compress(self.size_bytes, keep)),
             *(column[mask] for column in (
                 self.t_down_s, self.t_cmp_s, self.t_up_s, self.e_down_j, self.e_cmp_j,
                 self.e_up_j, self.t_total_s, self.e_total_j,
@@ -237,16 +260,23 @@ def fleet_rates(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(up, down) link rates of ``devices``, as arrays in the given order.
 
-    ``link_rate`` runs once per device, twice for one with a rate override:
-    without one, the Shannon rate is the same in both directions.
+    Each rate equals :func:`link_rate`'s: the Shannon rates come from one
+    pass of the same formula (the same in both directions), and a device
+    with a rate override takes its pair. A rate that underflows to 0 is
+    refused by :func:`link_rate` on the first such device, with its message.
     """
 
-    overrides = link.rate_override_bps or {}
-    up = [link_rate(dev, link, "up", server_pos_m) for dev in devices]
-    down = [
-        link_rate(dev, link, "down", server_pos_m) if dev.id in overrides else rate
-        for dev, rate in zip(devices, up)
-    ]
+    _, _, up = _shannon(link, server_pos_m, map(attrgetter("pos_m"), devices),
+                        map(attrgetter("tx_power_w"), devices))
+    if 0.0 in up:
+        for dev in itertools.compress(devices, [not rate for rate in up]):
+            link_rate(dev, link, "up", server_pos_m)  # raises unless the rate is overridden
+    down = up
+    if link.rate_override_bps:
+        down = list(up)
+        for i, dev in enumerate(devices):
+            if dev.id in link.rate_override_bps:
+                up[i], down[i] = link.rate_override_bps[dev.id]
     return np.array(up, dtype=np.float64), np.array(down, dtype=np.float64)
 
 
@@ -256,7 +286,7 @@ def fleet_phase_costs(devices: Sequence[Device], link: LinkParams, server_pos_m,
 
     up, down = fleet_rates(devices, link, server_pos_m)
     columns = (
-        np.array([getattr(dev, name) for dev in devices], dtype=np.float64)
+        np.fromiter(map(attrgetter(name), devices), dtype=np.float64, count=len(devices))
         for name in ("step_latency_s", "rx_power_w", "compute_power_w", "tx_power_w")
     )
     with np.errstate(over="ignore"):
@@ -264,7 +294,7 @@ def fleet_phase_costs(devices: Sequence[Device], link: LinkParams, server_pos_m,
 
 
 def fleet_costs(scenario: Scenario) -> FleetCosts:
-    """Stage costs of every available device of ``scenario``, as arrays."""
+    """Stage costs and model sizes of every available device of ``scenario``."""
 
     devices = tuple(sorted((dev for dev in scenario.devices if dev.available), key=attrgetter("id")))
     phases = fleet_phase_costs(
@@ -273,7 +303,9 @@ def fleet_costs(scenario: Scenario) -> FleetCosts:
     )
     t_down, t_cmp, t_up, e_down, e_cmp, e_up = phases
     return FleetCosts(
-        devices, *phases,
+        devices,
+        tuple([v.param_count * v.bit_width // 8 for v in map(attrgetter("variant"), devices)]),
+        *phases,
         t_total_s=t_down + t_cmp + t_up,
         e_total_j=e_down + e_cmp + e_up,
     )

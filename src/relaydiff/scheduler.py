@@ -11,16 +11,18 @@ variants' byte sizes. Three methods share one plan type:
   over (time units, energy units) is solved one device at a time with numpy.
   Devices no optimal plan holds are dropped first: those over capacity,
   those that at least as many bigger, no costlier devices could replace as
-  any fitting set can hold, and those whose upper bound (size plus the
-  Dantzig fill of the room left on each axis) is below the value of a
-  greedily found fitting set. Sizes are divided by their gcd. An axis whose
+  any fitting set can hold (each block of devices is compared at once with
+  all still undecided), and those whose upper bound (size plus the Dantzig
+  fill of the room left on each axis) is below the value of a greedily
+  found fitting set. Sizes are divided by their gcd. Each axis whose
   capacity the survivors' total cost fits binds no subset of them and is
-  dropped, so the table has one cell on it: most plans fill one column,
-  and inputs whose two-axis table would pass the byte limit can plan. The
-  table has a time axis and either an energy axis (best value per cell, one
-  take-bit per survivor and cell) or, when the value bound (the least of
-  the k largest sizes and each axis's Dantzig optimum) is shorter, a value
-  axis (fewest energy units per (time, value) cell); the one with fewer
+  dropped, so the table has one cell on it: most plans fill one column, a
+  fleet that fits both budgets one cell, and inputs whose two-axis table
+  would pass the byte limit can plan. The table has a time axis and
+  either an energy axis (best value per cell, one take-bit per survivor
+  and cell) or, when the value bound (the least of the k largest sizes and
+  each axis's Dantzig optimum) is shorter, a value axis (fewest energy
+  units per (time, value) cell); the one with fewer
   cells runs unless only the other fits the byte limit. Both return the
   same plan: a tie keeps a device skipped. The DP result is finally
   compared against the greedy baseline, which it must beat and which
@@ -60,8 +62,9 @@ MAX_DP_BYTES = 1 << 30
 
 # Devices are pruned this many at a time, in descending rank order.
 _PRUNE_BLOCK = 64
+_EARLIER = np.triu(np.ones((_PRUNE_BLOCK, _PRUNE_BLOCK), dtype=bool), k=1)  # [a, b] iff a < b
 
-# Sorts (cost, size) pairs with cost, size > 0 by descending size / cost.
+# Sorts (cost, size) pairs with cost >= 0, size > 0 by descending size / cost.
 _BY_RATIO = functools.cmp_to_key(lambda a, b: b[1] * a[0] - a[1] * b[0])
 
 ORACLE_MAX_DEVICES = 25
@@ -185,7 +188,7 @@ def _build_plan(
     totals = aggregate_costs(costs)
     plan = SchedulePlan(
         stages=tuple((fleet.devices[i].id, cost) for i, cost in zip(picked, costs)),
-        objective_bytes=sum(fleet.devices[i].variant.size_bytes for i in picked),
+        objective_bytes=sum(fleet.size_bytes[i] for i in picked),
         t_total_s=totals.t_total_s,
         e_total_j=totals.e_total_j,
         budgets=budgets,
@@ -248,13 +251,20 @@ def prune_dominated(unit_t, unit_e, sizes, cap_t: int, cap_e: int) -> tuple[np.n
     every device over capacity are dropped; the canonical optimum of the
     remaining devices is the same subset.
 
-    Devices are decided in descending rank order, a block at a time, each
-    counting its replacers among the devices kept so far and the earlier
-    devices of its own block. That decides exactly as the count over all
-    devices would: replacing is transitive, so every replacer of j that was
-    dropped brings ``k_max`` kept replacers of its own, all of which replace
-    j. A device with ``k_max`` replacers therefore has ``k_max`` kept ones,
-    and any count between the two gives the same keep/drop answer.
+    Devices are decided in descending rank order, a block at a time. Each
+    block is compared once, in one vectorized comparison, with itself and
+    with every undecided device after it, all of which rank below it. A
+    device's count is then its replacers among the earlier devices of its
+    own block and of every block before it that were still undecided. The
+    block's devices are decided by that count, and every undecided device
+    whose count already reaches ``k_max`` is dropped at once. That decides
+    exactly as the count over all devices would: replacing is transitive,
+    so every replacer of j that was dropped brings ``k_max`` kept replacers
+    of its own, all of which replace j. A device with ``k_max`` replacers
+    therefore has ``k_max`` kept ones, and any count between the two gives
+    the same keep/drop answer. Every count here is between the two: all it
+    counts replace the device, and a kept replacer ranks before it and was
+    never dropped early, so it is counted.
     """
 
     unit_t = np.asarray(unit_t, dtype=np.int64)
@@ -270,26 +280,23 @@ def prune_dominated(unit_t, unit_e, sizes, cap_t: int, cap_e: int) -> tuple[np.n
     big = max(sizes, default=0) >> 63
     fit_sizes = np.array(sizes, dtype=object if big else np.int64)[fit]
     order = fit[np.argsort(-fit_sizes, kind="stable")]
-    dtype = np.min_scalar_type(max(cap_t, cap_e))
-    ut, ue = unit_t[order].astype(dtype), unit_e[order].astype(dtype)
-
-    # The kept devices' costs, followed by the current block's.
-    cand_t, cand_e = np.empty_like(ut), np.empty_like(ue)
-    earlier = np.tri(_PRUNE_BLOCK, k=-1, dtype=bool).T  # earlier[a, b] iff a < b
-    kept = np.empty(len(order), dtype=np.int64)
-    n_kept = 0
-    for lo in range(0, len(order), _PRUNE_BLOCK):
-        bt, be = ut[lo:lo + _PRUNE_BLOCK], ue[lo:lo + _PRUNE_BLOCK]
-        top = n_kept + len(bt)
-        cand_t[n_kept:top], cand_e[n_kept:top] = bt, be
-        replaces = cand_t[:top, None] <= bt
-        replaces &= cand_e[:top, None] <= be
-        replaces[n_kept:] &= earlier[:len(bt), :len(bt)]
-        keep = np.flatnonzero(np.count_nonzero(replaces, axis=0) < k_max)
-        new = slice(n_kept, n_kept + len(keep))
-        kept[new], cand_t[new], cand_e[new] = keep + lo, bt[keep], be[keep]
-        n_kept += len(keep)
-    return np.sort(order[kept[:n_kept]]), k_max
+    # The undecided devices' unit costs, in rank order and the narrowest
+    # dtype that holds a fitting one, and how many replacers each has among
+    # the devices of the blocks before it.
+    costs = np.stack((unit_t[order], unit_e[order])).astype(np.min_scalar_type(max(cap_t, cap_e)))
+    count = np.zeros(len(order), dtype=np.int64)
+    kept = [order[:0]]
+    while len(order):
+        t, e = costs
+        replaces = (t[:_PRUNE_BLOCK, None] <= t) & (e[:_PRUNE_BLOCK, None] <= e)
+        size = len(replaces)
+        replaces[:, :size] &= _EARLIER[:size, :size]
+        count += replaces.sum(axis=0, dtype=np.uint8)  # at most _PRUNE_BLOCK < 256
+        live = count < k_max
+        kept.append(order[:size][live[:size]])
+        live[:size] = False
+        order, costs, count = order[live], costs[:, live], count[live]
+    return np.sort(np.concatenate(kept)), k_max
 
 
 def _dantzig(costs, sizes):
@@ -306,19 +313,20 @@ def _dantzig(costs, sizes):
     everything.
     """
 
-    items = [(cost, size, i) for i, (cost, size) in enumerate(zip(costs, sizes)) if size]
-    free = [i for cost, _, i in items if not cost]
-    paid = [item for item in items if item[0]]
-    # Integer true division is correctly rounded, hence monotone in the exact
-    # ratio: the float sort can only leave distinct ratios that round alike
-    # out of order, and the exact comparison then fixes those in one pass
-    # over the nearly sorted list. Costs are unit counts below 2**63, so
-    # cost / size cannot overflow a float however large a size is.
-    paid.sort(key=lambda item: item[0] / item[1])
-    paid.sort(key=_BY_RATIO)
-    order = free + [i for _, _, i in paid]
-    prefix_cost = list(itertools.accumulate((costs[i] for i in order), initial=0))
-    prefix_size = list(itertools.accumulate((sizes[i] for i in order), initial=0))
+    # The float key cost / size is 0 for the zero-cost devices, so they sort
+    # first, by position, as do equal keys everywhere. Integer true division
+    # is correctly rounded, hence monotone in the exact ratio: only
+    # neighbours whose ratios round alike can be out of order, and only if
+    # some of those differ exactly does the exact comparison sort the nearly
+    # sorted list again. Costs are unit counts below 2**63, so cost / size
+    # cannot overflow a float however large a size is.
+    keyed = sorted([(cost / size, i) for i, (cost, size) in enumerate(zip(costs, sizes)) if size])
+    order = [i for _, i in keyed]
+    if any(costs[i] * sizes[j] != costs[j] * sizes[i]
+           for (x, i), (y, j) in zip(keyed, keyed[1:]) if x == y):
+        order.sort(key=lambda i: _BY_RATIO((costs[i], sizes[i])))
+    prefix_cost = list(itertools.accumulate(map(costs.__getitem__, order), initial=0))
+    prefix_size = list(itertools.accumulate(map(sizes.__getitem__, order), initial=0))
 
     def fill(cap: int) -> int:
         whole = bisect.bisect_right(prefix_cost, cap) - 1
@@ -372,18 +380,16 @@ def reduce_by_bounds(ct, ce, scaled, cap_t: int, cap_e: int) -> tuple[list[int],
     n = len(scaled)
     by_size = sorted(range(n), key=scaled.__getitem__, reverse=True)
     weight_t, weight_e = max(cap_e, 1), max(cap_t, 1)
-    by_cost = sorted(
-        range(n),
-        key=lambda j: (ct[j] * weight_t + ce[j] * weight_e) / scaled[j] if scaled[j] else math.inf,
-    )
+    combined = [(t * weight_t + e * weight_e) / size if size else math.inf
+                for t, e, size in zip(ct, ce, scaled)]
+    by_cost = sorted(range(n), key=combined.__getitem__)
     lb = max(
         _greedy_value(order, ct, ce, scaled, cap_t, cap_e)
         for order in (by_size, order_t, order_e, by_cost)
     )
     survivors = [
-        j for j in range(n)
-        if ct[j] <= cap_t and ce[j] <= cap_e
-        and scaled[j] + lp_t(cap_t - ct[j]) >= lb and scaled[j] + lp_e(cap_e - ce[j]) >= lb
+        j for j, (t, e, size) in enumerate(zip(ct, ce, scaled))
+        if t <= cap_t and e <= cap_e and size + lp_t(cap_t - t) >= lb and size + lp_e(cap_e - e) >= lb
     ]
     return survivors, lb
 
@@ -400,11 +406,12 @@ def knapsack_2d(unit_t, unit_e, sizes, cap_t: int, cap_e: int) -> list[int]:
     optimal subset holds j, and without j the optimal subsets are the same.
 
     If the survivors' energy units sum to at most cap_e, their energy costs
-    and cap_e become 0; otherwise the same holds for time. Every subset fits
-    the dropped axis, so the feasible subsets and the canonical optimum stay
-    the same. The grid's backtrack from cap_e keeps e at or above the energy
-    total of the devices not yet decided (t likewise, for time), where every
-    value a take-bit compares is the 1-D one, so the plan is the same too.
+    and cap_e become 0, and the same holds for time. Every subset fits a
+    dropped axis, so the feasible subsets and the canonical optimum stay
+    the same. The grid's backtrack from cap_e keeps e at or above the
+    energy total of the devices not yet decided (t likewise, for time),
+    where every value a take-bit compares is the 1-D one, so the plan is
+    the same too.
 
     ``bound`` is the most any fitting subset of the survivors is worth: the
     least of the sum of the ``k_max`` largest scaled sizes and each axis's
@@ -429,24 +436,23 @@ def knapsack_2d(unit_t, unit_e, sizes, cap_t: int, cap_e: int) -> list[int]:
 
     Raises ConfigurationError if the value bound does not fit 64 bits or
     neither table fits ``MAX_DP_BYTES``, before any DP buffer is allocated.
-    Both checks count the survivors only, with the dropped axis at one cell;
+    Both checks count the survivors only, with a dropped axis at one cell;
     a smaller pool or capacity needs no more bytes, so no input planned
     without these reductions is refused.
     """
 
     kept, k_max = prune_dominated(unit_t, unit_e, sizes, cap_t, cap_e)
+    ct, ce = np.asarray(unit_t)[kept].tolist(), np.asarray(unit_e)[kept].tolist()
     kept = kept.tolist()
     scaled = [int(sizes[i]) for i in kept]
     gcd = math.gcd(*scaled) or 1
     scaled = [size // gcd for size in scaled]
-    ct = [int(unit_t[i]) for i in kept]
-    ce = [int(unit_e[i]) for i in kept]
     survivors, _ = reduce_by_bounds(ct, ce, scaled, cap_t, cap_e)
     kept = [kept[j] for j in survivors]
     scaled, ct, ce = ([values[j] for j in survivors] for values in (scaled, ct, ce))
     if sum(ce) <= cap_e:
         ce, cap_e = [0] * len(ce), 0
-    elif sum(ct) <= cap_t:
+    if sum(ct) <= cap_t:
         ct, cap_t = [0] * len(ct), 0
     bound = min(
         sum(sorted(scaled, reverse=True)[:k_max]),
@@ -569,7 +575,7 @@ def _select_dp(fleet: FleetCosts, budgets: Budgets, disc: Discretization | None 
     cap_e = capacity_units(budgets.e_max_j, disc.de_j)
     unit_t = cost_units(fleet.t_total_s, disc.dt_s, cap_t)
     unit_e = cost_units(fleet.e_total_j, disc.de_j, cap_e)
-    sizes = [dev.variant.size_bytes for dev in fleet.devices]
+    sizes = fleet.size_bytes
     picked = knapsack_2d(unit_t, unit_e, sizes, cap_t, cap_e)
 
     # Rounding can exclude subsets that fit exactly; never do worse than the
@@ -601,7 +607,7 @@ def select_devices_oracle(scenario: Scenario, budgets: Budgets) -> SchedulePlan:
 
     t_one = fleet.t_total_s.tolist()
     e_one = fleet.e_total_j.tolist()
-    size_one = [dev.variant.size_bytes for dev in fleet.devices]
+    size_one = fleet.size_bytes
     ids = [dev.id for dev in fleet.devices]
 
     n_masks = 1 << n

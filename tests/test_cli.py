@@ -315,3 +315,18 @@ def test_a_capacity_past_the_float_range_exits_3(workdir, tmp_path, capsys):
         "error: a budget of 1e+300 overflows units of 1e-300; coarsen the discretization\n"
     )
     assert not (tmp_path / "p.json").exists()
+
+
+@pytest.mark.parametrize("budgets", [
+    ["--t-max", "1e9", "--e-max", "1e9", "--dt", "1e-3", "--de", "1e-3"],
+    ["--t-max", "1e300", "--e-max", "300", "--dt", "1", "--de", "1"],
+], ids=["fine-grid", "huge-time-budget"])
+def test_a_fleet_that_fits_both_budgets_plans_every_device(tmp_path, capsys, budgets):
+    # Every device fits both budgets, so both capacity axes are dropped and
+    # the DP table has one cell; with the time axis kept it would have
+    # 10**12 + 1 or about 10**300 cells and be refused.
+    world, plan_path = tmp_path / "w.json", tmp_path / "p.json"
+    assert main(["gen-scenario", "-n", "40", "--seed", "1", "-o", str(world)]) == EXIT_OK
+    assert main(["schedule", "-s", str(world), *budgets, "-o", str(plan_path)]) == EXIT_OK
+    assert load_plan(plan_path).device_ids == tuple(range(40))
+    assert "error" not in capsys.readouterr().err

@@ -9,6 +9,7 @@ matches the decimal literal's nearest double.
 import math
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -158,6 +159,24 @@ def test_link_rate_underflowing_to_zero_names_the_device():
         link_rate(far, link, "up", SERVER)
 
 
+def test_fleet_costs_refuse_a_zero_rate_with_the_link_rate_message():
+    # Devices 1, 2 and 3 are far enough for the Shannon rate to underflow,
+    # but device 1's rate is overridden: the first zero rate in id order is
+    # device 2's, and the fleet reports it as link_rate does.
+    devices = (make_device(0), *(make_device(i, pos=(1e12, 1e12)) for i in (1, 2, 3)))
+    scenario = Scenario(
+        area_m=(2e12, 2e12), server_pos_m=SERVER, devices=devices,
+        link=make_link(rate_override_bps={1: (8e6, 8e6)}), latent_bytes=1024,
+        feature_bytes=1024, steps_per_stage=5, seed=0,
+    )
+    with pytest.raises(ConfigurationError) as expected:
+        link_rate(devices[2], scenario.link, "up", SERVER)
+    assert str(expected.value).startswith("device 2: the link rate underflows to 0 bit/s")
+    with pytest.raises(ConfigurationError) as refused:
+        fleet_costs(scenario)
+    assert str(refused.value) == str(expected.value)
+
+
 def test_costs_that_overflow_are_refused_without_a_warning():
     scenario = Scenario(
         area_m=(500.0, 500.0), server_pos_m=SERVER, devices=(make_device(0), make_device(1)),
@@ -283,8 +302,11 @@ def fleets(draw):
     devices, overrides = [], {}
     for i in range(n):
         step, cmp_w, tx, rx = draw(device_args)
+        # param_count is even, so every bit width is a whole number of bytes.
+        variant = ModelVariant(draw(st.sampled_from((4, 8, 16, 32))),
+                               2 * draw(st.integers(min_value=1, max_value=2**70)))
         devices.append(Device(
-            id=i, pos_m=(draw(coords), draw(coords)), variant=ModelVariant(32, 8),
+            id=i, pos_m=(draw(coords), draw(coords)), variant=variant,
             step_latency_s=step, compute_power_w=cmp_w, tx_power_w=tx, rx_power_w=rx,
             available=draw(st.booleans()),
         ))
@@ -320,3 +342,7 @@ def test_fleet_costs_equal_stage_cost_for(scenario):
     for count in range(len(costs) + 1):
         assert fleet.totals(slice(0, count)) == aggregate_costs(costs[:count])
     assert fleet.totals(list(range(0, len(costs), 2))) == aggregate_costs(costs[::2])
+    assert fleet.size_bytes == tuple(dev.variant.size_bytes for dev in available)
+    every_other = fleet.subset(np.arange(len(available)) % 2 == 0)
+    assert every_other.devices == tuple(available[::2])
+    assert every_other.size_bytes == tuple(dev.variant.size_bytes for dev in available[::2])

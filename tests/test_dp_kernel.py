@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from relaydiff import ConfigurationError, scheduler
+from relaydiff import Budgets, ConfigurationError, generate_scenario, scheduler, select_devices_dp
 from relaydiff.scheduler import knapsack_2d, lp_bound, prune_dominated, reduce_by_bounds
 
 
@@ -89,20 +89,23 @@ def test_kernel_matches_reference(table_calls):
     for _ in range(25):
         assert_matches_reference(*random_instance(rng))
 
-    # A slack axis is dropped, energy's first; over a slack time axis alone,
-    # the survivors' energy may fit as well.
-    time_dropped = 0
+    # Every slack axis is dropped; the survivors' costs on the other axis
+    # may fit as well, and then both are.
+    other_axis_kept = {"e": 0, "t": 0}
     for axes in ("e", "t", "te"):
         for _ in range(30):
             instance = with_slack(rng, random_instance(rng, n_max=12), axes)
             assert_matches_reference(*instance)
             _, cap_t, cap_e = table_calls.fills[-1]
-            if "e" in axes:
-                assert (cap_t, cap_e) == (instance[3], 0)
+            if axes == "te":
+                assert (cap_t, cap_e) == (0, 0)
+            elif axes == "e":
+                assert cap_e == 0 and cap_t in (instance[3], 0)
+                other_axis_kept["e"] += cap_t > 0
             else:
-                assert 0 in (cap_t, cap_e)
-                time_dropped += (cap_t, cap_e) == (0, instance[4]) and cap_e > 0
-    assert time_dropped >= 3
+                assert cap_t == 0 and cap_e in (instance[4], 0)
+                other_axis_kept["t"] += cap_e > 0
+    assert min(other_axis_kept.values()) >= 3
 
 
 def test_kernel_matches_reference_on_larger_instances():
@@ -218,33 +221,37 @@ def reference_prune(unit_t, unit_e, sizes, cap_t, cap_e):
     k_max = int(np.count_nonzero(
         (np.cumsum(np.sort(ut)) <= cap_t) & (np.cumsum(np.sort(ue)) <= cap_e)
     ))
-    rank_key = [(int(sizes[i]), -a) for a, i in enumerate(fit.tolist())]
-    replacers = [
-        sum(
-            ut[a] <= ut[b] and ue[a] <= ue[b] and rank_key[a] > rank_key[b]
-            for a in range(len(fit))
-        )
-        for b in range(len(fit))
-    ]
+    # replaces[a, b]: fitting device a is no costlier than b and ranks
+    # before it (bigger, or as big with a lower index). Sizes stay Python ints.
+    size = np.array([int(sizes[i]) for i in fit], dtype=object)
+    position = np.arange(len(fit))
+    ranks_before = (size[:, None] > size) | ((size[:, None] == size) & (position[:, None] < position))
+    replaces = ranks_before & (ut[:, None] <= ut) & (ue[:, None] <= ue)
+    replacers = replaces.sum(axis=0)
     return [int(fit[b]) for b in range(len(fit)) if replacers[b] < k_max], k_max
 
 
 def test_rank_order_prune_matches_all_pairs_counting():
-    # Up to 200 devices span several 64-device blocks; few distinct costs and
-    # sizes make many ties and long replacer chains.
+    # Up to 600 devices span up to ten 64-device blocks; few distinct costs
+    # and sizes make many ties and long replacer chains. Every third
+    # instance has sizes of 2**63 and more, which rank as Python ints.
     rng = np.random.default_rng(77)
-    pruned = 0
-    for _ in range(40):
-        n = int(rng.integers(0, 201))
+    pruned = most_kept = 0
+    for trial in range(40):
+        n = int(rng.integers(0, 601))
         cap_t, cap_e = int(rng.integers(0, 41)), int(rng.integers(0, 41))
         unit_t = rng.integers(0, int(rng.integers(1, 12)), size=n).astype(np.int64)
         unit_e = rng.integers(0, int(rng.integers(1, 12)), size=n).astype(np.int64)
-        sizes = rng.choice([0, 1, 2, 4, 8], size=n) * 10**9
+        sizes = [int(s) * 10**9 for s in rng.choice([0, 1, 2, 4, 8], size=n)]
+        if trial % 3 == 0:
+            sizes = [2**63 + s for s in sizes]
         kept, k_max = prune_dominated(unit_t, unit_e, sizes, cap_t, cap_e)
         expected, expected_k_max = reference_prune(unit_t, unit_e, sizes, cap_t, cap_e)
         assert (kept.tolist(), k_max) == (expected, expected_k_max)
         pruned += n - len(expected)
+        most_kept = max(most_kept, len(expected))
     assert pruned > 0
+    assert most_kept > 2 * scheduler._PRUNE_BLOCK  # three or more blocks decide keeps
 
 
 def reference_lp_bound(costs, sizes, cap):
@@ -263,19 +270,50 @@ def reference_lp_bound(costs, sizes, cap):
     return int(total)
 
 
-def test_lp_bound_is_the_floored_fractional_optimum():
+@pytest.fixture
+def exact_sorts(monkeypatch):
+    """Counts the calls to _dantzig's exact ratio sort, one per call of its key."""
+
+    calls = []
+    by_ratio = scheduler._BY_RATIO
+
+    def counted(item):
+        calls.append(item)
+        return by_ratio(item)
+
+    monkeypatch.setattr(scheduler, "_BY_RATIO", counted)
+    return calls
+
+
+def test_lp_bound_is_the_floored_fractional_optimum(exact_sorts):
     # Sizes of 2**62 + d round to one float, so sorting by float ratios
-    # alone would leave equal-cost devices in index order.
+    # alone would leave equal-cost devices in index order; only they need
+    # the exact sort.
     rng = np.random.default_rng(5)
+    exact_sorted = {False: 0, True: 0}
     for _ in range(300):
         n = int(rng.integers(0, 12))
         costs = [int(c) for c in rng.integers(0, 9, size=n)]
-        if rng.random() < 0.5:
-            sizes = [int(s) for s in rng.integers(0, 6, size=n)]
-        else:
+        big = rng.random() < 0.5
+        if big:
             sizes = [2**62 + int(d) for d in rng.integers(0, 4, size=n)]
+        else:
+            sizes = [int(s) for s in rng.integers(0, 6, size=n)]
         cap = int(rng.integers(0, 20))
+        before = len(exact_sorts)
         assert lp_bound(costs, sizes, cap) == reference_lp_bound(costs, sizes, cap)
+        exact_sorted[big] += len(exact_sorts) > before
+    assert exact_sorted[False] == 0 and exact_sorted[True] >= 20
+
+
+def test_default_profile_plans_need_no_exact_ratio_sort(exact_sorts):
+    # Scaled sizes 1, 2, 4 and 8 divide unit costs exactly, so equal float
+    # ratios are equal ratios.
+    for seed, n in ((1, 500), (2, 40)):
+        scenario = generate_scenario(n, seed=seed)
+        for budgets in (Budgets(1.0, 100.0), Budgets(3.0, 300.0)):
+            select_devices_dp(scenario, budgets)
+    assert exact_sorts == []
 
 
 def comparator_only_lp_bound(costs, sizes, cap):

@@ -236,10 +236,11 @@ def test_dp_byte_guard_refuses_before_allocating(three_device_scenario, monkeypa
         # grid, one take-bit byte plane, one shift byte and two uint8 value
         # layers per cell.
         (Budgets(2.0, 212.0), Discretization(2**-13, 30.0), (1 + 1 + 2 * 1) * 16385 * 8),
-        # Energy units 4/3/3 of 7, but device 1 is reduced away, and the
-        # survivors' 4 + 3 units fit all 7: the energy axis is dropped, and
-        # the grid has one energy cell. A 2**-16 s time unit keeps it large.
-        (Budgets(2.0, 200.0), Discretization(2**-16, 28.0), (1 + 1 + 2 * 1) * 131073 * 1),
+        # Energy units 400/240/320 of 960: all three survive, and their
+        # energy fits, so that axis is dropped and the grid has one energy
+        # cell; their time does not fit, so it stays. A 2**-16 s time unit
+        # keeps it large.
+        (Budgets(2.0, 240.0), Discretization(2**-16, 0.25), (1 + 1 + 2 * 1) * 131073 * 1),
     ]
     for budgets, disc, needed in cases:
         monkeypatch.setattr(scheduler, "MAX_DP_BYTES", needed)
@@ -258,9 +259,10 @@ def test_dp_byte_guard_refuses_before_allocating(three_device_scenario, monkeypa
         ("_value_dp", 16384, 200), ("_grid_dp", 16384, 7), ("_grid_dp", 131072, 0)
     ]
 
-    # With both axes the last instance would need the bytes of 8 energy
-    # cells; one byte less still plans it.
-    monkeypatch.setattr(scheduler, "MAX_DP_BYTES", (1 + 1 + 2 * 1) * 131073 * 8 - 1)
+    # With both axes the last instance would run the value table: three
+    # layers, the empty one and a scratch one, each of 131073 time by 8
+    # value cells of uint16 energies. One byte less still plans it.
+    monkeypatch.setattr(scheduler, "MAX_DP_BYTES", (3 + 2) * 131073 * 8 * 2 - 1)
     assert select_devices_dp(three_device_scenario, *cases[-1][:2]).device_ids == (0, 2)
 
 
