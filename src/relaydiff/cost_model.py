@@ -169,11 +169,14 @@ def stage_cost(
         raise ConfigurationError(f"k_steps must be >= 0, got {k_steps}")
     if latent_bytes < 0:
         raise ConfigurationError(f"latent_bytes must be >= 0, got {latent_bytes}")
+    # Without an override the Shannon rate is the same both ways.
+    up = link_rate(device, link, "up", server_pos_m)
+    overridden = link.rate_override_bps is not None and device.id in link.rate_override_bps
     return StageCost(*phase_costs(
         latent_bytes,
         k_steps,
-        link_rate(device, link, "down", server_pos_m),
-        link_rate(device, link, "up", server_pos_m),
+        link_rate(device, link, "down", server_pos_m) if overridden else up,
+        up,
         device.step_latency_s,
         device.rx_power_w,
         device.compute_power_w,
