@@ -15,7 +15,7 @@ predicted totals match a failure-free execution trace bit for bit.
 arrays, plus each device's exact model size. It, :func:`stage_cost` and
 :func:`split_step_cost` all evaluate one phase formula, :func:`phase_costs`,
 made only of correctly rounded multiplications and divisions, on link rates
-from one ``math`` formula (``_shannon``), which a fleet runs in one pass over
+from one ``math`` formula (``_rates``), which a fleet runs in one pass over
 its devices and a single device runs on a list of one; so every array
 element equals the matching :func:`stage_cost_for` field bit for bit (numpy's
 own ``log2``, ``**`` and ``hypot`` would not). A world whose link rate
@@ -102,31 +102,45 @@ def link_rate(
 
     if direction not in ("up", "down"):
         raise ConfigurationError(f"direction must be 'up' or 'down', got {direction!r}")
-    if link.rate_override_bps is not None and device.id in link.rate_override_bps:
-        up, down = link.rate_override_bps[device.id]
-        return up if direction == "up" else down
-    (distance,), (snr,), (rate,) = _shannon(link, server_pos_m, [device.pos_m], [device.tx_power_w])
-    if rate == 0.0:
-        raise ConfigurationError(f"device {device.id}: the link rate underflows to 0 bit/s "
-                                 f"at {distance:.6g} m from the server (SNR {snr:.6g})")
-    return rate
+    (up,), (down,) = _rates([device], [device.tx_power_w], link, server_pos_m)
+    return up if direction == "up" else down
 
 
-def _shannon(link: LinkParams, server_pos_m, positions, tx_powers) -> tuple[list[float], ...]:
-    """(distances, SNRs, rates) of devices at ``positions`` sending at ``tx_powers``.
+def _rates(devices: Sequence[Device], tx_powers, link: LinkParams,
+           server_pos_m) -> tuple[list[float], list[float]]:
+    """(up, down) link rates of ``devices`` sending at ``tx_powers``, as lists in their order.
 
-    The one copy of the link formula, in plain ``math`` so that the rates
+    The one copy of the link formula, in plain ``math``, so that the rates
     are the same bit for bit whether one device asks (:func:`link_rate`) or
-    a fleet does (:func:`fleet_rates`).
+    a fleet does (:func:`fleet_phase_costs`). The Shannon rate is the same
+    both ways; a device with a rate override takes its pair. The first rate
+    that underflows to 0 is refused with ConfigurationError.
     """
 
     # The clamp is max(distance, MIN_DISTANCE_M), without the cost of a call.
     dist, floor_m = math.dist, MIN_DISTANCE_M
-    distances = [floor_m if (d := dist(pos, server_pos_m)) < floor_m else d for pos in positions]
     ref_gain, exponent, noise = link.path_loss_ref_gain, -link.path_loss_exponent, link.noise_power_w
-    snrs = [tx * (ref_gain * distance ** exponent) / noise for distance, tx in zip(distances, tx_powers)]
     log2, bandwidth = math.log2, link.bandwidth_hz
-    return distances, snrs, [bandwidth * log2(1.0 + snr) for snr in snrs]
+    up = [
+        bandwidth * log2(1.0 + tx * (ref_gain * (
+            floor_m if (d := dist(dev.pos_m, server_pos_m)) < floor_m else d
+        ) ** exponent) / noise)
+        for dev, tx in zip(devices, tx_powers)
+    ]
+    down = up
+    overrides = link.rate_override_bps
+    if overrides:
+        down = list(up)
+        for i, dev in enumerate(devices):
+            if dev.id in overrides:
+                up[i], down[i] = overrides[dev.id]
+    if 0.0 in up:  # overrides are positive, so this is a Shannon rate
+        dev = devices[up.index(0.0)]
+        distance = max(dist(dev.pos_m, server_pos_m), floor_m)
+        snr = dev.tx_power_w * (ref_gain * distance ** exponent) / noise
+        raise ConfigurationError(f"device {dev.id}: the link rate underflows to 0 bit/s "
+                                 f"at {distance:.6g} m from the server (SNR {snr:.6g})")
+    return up, down
 
 
 def transfer_time(n_bytes: int, rate_bps: float) -> float:
@@ -169,13 +183,11 @@ def stage_cost(
         raise ConfigurationError(f"k_steps must be >= 0, got {k_steps}")
     if latent_bytes < 0:
         raise ConfigurationError(f"latent_bytes must be >= 0, got {latent_bytes}")
-    # Without an override the Shannon rate is the same both ways.
-    up = link_rate(device, link, "up", server_pos_m)
-    overridden = link.rate_override_bps is not None and device.id in link.rate_override_bps
+    (up,), (down,) = _rates([device], [device.tx_power_w], link, server_pos_m)
     return StageCost(*phase_costs(
         latent_bytes,
         k_steps,
-        link_rate(device, link, "down", server_pos_m) if overridden else up,
+        down,
         up,
         device.step_latency_s,
         device.rx_power_w,
@@ -258,42 +270,20 @@ class FleetCosts:
         )
 
 
-def fleet_rates(
-    devices: Sequence[Device], link: LinkParams, server_pos_m: tuple[float, float]
-) -> tuple[np.ndarray, np.ndarray]:
-    """(up, down) link rates of ``devices``, as arrays in the given order.
-
-    Each rate equals :func:`link_rate`'s: the Shannon rates come from one
-    pass of the same formula (the same in both directions), and a device
-    with a rate override takes its pair. A rate that underflows to 0 is
-    refused by :func:`link_rate` on the first such device, with its message.
-    """
-
-    _, _, up = _shannon(link, server_pos_m, map(attrgetter("pos_m"), devices),
-                        map(attrgetter("tx_power_w"), devices))
-    if 0.0 in up:
-        for dev in itertools.compress(devices, [not rate for rate in up]):
-            link_rate(dev, link, "up", server_pos_m)  # raises unless the rate is overridden
-    down = up
-    if link.rate_override_bps:
-        down = list(up)
-        for i, dev in enumerate(devices):
-            if dev.id in link.rate_override_bps:
-                up[i], down[i] = link.rate_override_bps[dev.id]
-    return np.array(up, dtype=np.float64), np.array(down, dtype=np.float64)
-
-
 def fleet_phase_costs(devices: Sequence[Device], link: LinkParams, server_pos_m, payload_bytes,
                       k_steps) -> tuple[np.ndarray, ...]:
     """:func:`phase_costs` of each of ``devices``, as six arrays in the devices' order."""
 
-    up, down = fleet_rates(devices, link, server_pos_m)
-    columns = (
+    tx = list(map(attrgetter("tx_power_w"), devices))
+    up, down = _rates(devices, tx, link, server_pos_m)
+    step, rx, compute = (
         np.fromiter(map(attrgetter(name), devices), dtype=np.float64, count=len(devices))
-        for name in ("step_latency_s", "rx_power_w", "compute_power_w", "tx_power_w")
+        for name in ("step_latency_s", "rx_power_w", "compute_power_w")
     )
     with np.errstate(over="ignore"):
-        return phase_costs(payload_bytes, k_steps, down, up, *columns)
+        return phase_costs(payload_bytes, k_steps, np.array(down, dtype=np.float64),
+                           np.array(up, dtype=np.float64), step, rx, compute,
+                           np.array(tx, dtype=np.float64))
 
 
 def fleet_costs(scenario: Scenario) -> FleetCosts:
@@ -351,18 +341,6 @@ class SplitStepCost:
     @property
     def t_step_s(self) -> float:
         return self.t_tran_s + self.t_cmp_s
-
-    @property
-    def e_a_j(self) -> float:
-        return self.cost_a.e_total()
-
-    @property
-    def e_b_j(self) -> float:
-        return self.cost_b.e_total()
-
-    @property
-    def e_step_j(self) -> float:
-        return self.e_a_j + self.e_b_j
 
 
 def split_step_cost(

@@ -27,7 +27,8 @@ import numpy as np
 
 from .cost_model import fleet_costs, fleet_phase_costs
 from .errors import ConfigurationError, LineageError, RecoveryInfeasible, ValidationError
-from .scenario import STAGE_PHASES, TRANSFER_PHASES, Scenario, read_json, require_field, write_json
+from .scenario import (STAGE_PHASES, TRANSFER_PHASES, Scenario, check_totals, read_fields, read_json,
+                       require_field, write_json)
 from .scheduler import Budgets, SchedulePlan, _select_dp
 
 EVENT_KINDS = ("download", "compute", "upload", "checkpoint", "failure", "replan")
@@ -344,27 +345,28 @@ def trace_to_dict(trace: SimTrace) -> dict:
 # An event record's fields besides device_id, each with its kind (see
 # relaydiff.scenario.require_field).
 _EVENT_FIELDS = (("t_start_s", float), ("t_end_s", float), ("kind", str), ("amount", int))
+# The trace's own fields besides the events and the time totals it recomputes.
+_TRACE_FIELDS = (("e_total_j", float), ("stages_completed", int), ("replans", int),
+                 ("completed", bool), ("feasible", bool), ("method", str))
 
 
 def trace_from_dict(data: dict) -> SimTrace:
     if not isinstance(data, dict):
         raise ValidationError(f"trace: expected an object, got {type(data).__name__}")
-    events_raw = data.get("events")
-    if not isinstance(events_raw, list):
-        raise ValidationError("trace.events: expected a list")
     events = []
-    for i, raw in enumerate(events_raw):
-        path = f"trace.events[{i}]"
+    for i, raw in enumerate(require_field(data, "events", list, "trace")):
         if not isinstance(raw, dict):
-            raise ValidationError(f"{path}: expected an object")
+            raise ValidationError(f"trace.events[{i}]: expected an object")
         device_id = raw.get("device_id")
         if device_id is not None and (isinstance(device_id, bool) or not isinstance(device_id, int)):
-            raise ValidationError(f"{path}.device_id: expected an integer or null")
+            raise ValidationError(f"trace.events[{i}].device_id: expected an integer or null")
         record = {"device_id": device_id}
         for name, kind in _EVENT_FIELDS:
             value = raw.get(name)
-            # JSON gives each field of a well-formed event its exact type.
-            record[name] = value if type(value) is kind else require_field(raw, name, kind, path)
+            # JSON gives each field of a well-formed event its exact type; the
+            # path is formatted only for a field that is not.
+            record[name] = (value if type(value) is kind
+                            else require_field(raw, name, kind, f"trace.events[{i}]"))
         events.append(Event(**record))
 
     # The simulator's clock starts at 0.0, each event starts exactly where the
@@ -383,55 +385,34 @@ def trace_from_dict(data: dict) -> SimTrace:
             )
         clock = event.t_end_s
 
-    t_tran = math.fsum(e.duration_s for e in events if e.kind in ("download", "upload"))
-    t_cmp = math.fsum(e.duration_s for e in events if e.kind == "compute")
+    t_tran = math.fsum([e.duration_s for e in events if e.kind in TRANSFER_PHASES])
+    t_cmp = math.fsum([e.duration_s for e in events if e.kind == "compute"])
     t_total = t_tran + t_cmp
     tran_fraction = t_tran / t_total if t_total > 0 else 0.0
-    for name, recomputed in (
-        ("t_tran_s", t_tran),
-        ("t_cmp_s", t_cmp),
-        ("t_total_s", t_total),
-        ("tran_fraction", tran_fraction),
-    ):
-        stored = data.get(name)
-        if isinstance(stored, bool) or not isinstance(stored, (int, float)):
-            raise ValidationError(f"trace.{name}: expected a number, got {stored!r}")
-        if not math.isclose(float(stored), recomputed, rel_tol=1e-12, abs_tol=1e-12):
-            raise ValidationError(f"trace.{name}: {stored} inconsistent with events ({recomputed})")
+    check_totals(data, (("t_tran_s", t_tran), ("t_cmp_s", t_cmp), ("t_total_s", t_total),
+                        ("tran_fraction", tran_fraction)), "events", "trace")
 
-    def _field(name, kinds):
-        value = data.get(name)
-        if kinds is bool:
-            if not isinstance(value, bool):
-                raise ValidationError(f"trace.{name}: expected a boolean, got {value!r}")
-            return value
-        if kinds is int:
-            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-                raise ValidationError(f"trace.{name}: expected an integer >= 0, got {value!r}")
-            return value
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValidationError(f"trace.{name}: expected a number, got {value!r}")
-        return float(value)
-
-    method = str(data.get("method", ""))
+    e_total, stages_completed, replans, completed, feasible, method = read_fields(
+        data, _TRACE_FIELDS, "trace")
     kinds = [e.kind for e in events]
     # A split step computes once on each device and writes no checkpoint.
     stages = kinds.count("compute") / 2 if method == "split" else kinds.count("checkpoint")
-    for name, recounted in (("stages_completed", stages), ("replans", kinds.count("replan"))):
-        if _field(name, int) != recounted:
-            raise ValidationError(f"trace.{name}: {data[name]} inconsistent with events ({recounted})")
+    for name, stored, recounted in (("stages_completed", stages_completed, stages),
+                                    ("replans", replans, kinds.count("replan"))):
+        if stored != recounted:
+            raise ValidationError(f"trace.{name}: {stored} inconsistent with events ({recounted})")
 
     return SimTrace(
         events=tuple(events),
         t_total_s=t_total,
-        e_total_j=_field("e_total_j", float),
+        e_total_j=e_total,
         t_tran_s=t_tran,
         t_cmp_s=t_cmp,
         tran_fraction=tran_fraction,
-        stages_completed=data["stages_completed"],
-        replans=data["replans"],
-        completed=_field("completed", bool),
-        feasible=_field("feasible", bool),
+        stages_completed=stages_completed,
+        replans=replans,
+        completed=completed,
+        feasible=feasible,
         method=method,
     )
 

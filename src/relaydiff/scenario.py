@@ -359,6 +359,32 @@ def require_field(obj: dict, key: str, kinds, path: str):
     return value
 
 
+def read_fields(obj: dict, table, path: str) -> list:
+    """The values of the ``(name, kind)`` fields of ``table`` in ``obj``, in table order.
+
+    A value whose type is exactly its kind is taken as it is; any other goes
+    through :func:`require_field`, which converts it or names what is wrong.
+    """
+
+    values = []
+    for name, kind in table:
+        value = obj.get(name)
+        values.append(value if type(value) is kind else require_field(obj, name, kind, path))
+    return values
+
+
+def check_totals(obj: dict, totals, parts: str, path: str) -> None:
+    """Raise unless each stored ``(name, recomputed)`` total of ``totals`` in ``obj``
+    is a number within a 1e-12 relative tolerance of its recomputed value."""
+
+    for name, recomputed in totals:
+        stored = require_field(obj, name, float, path)
+        if not math.isclose(stored, recomputed, rel_tol=1e-12, abs_tol=1e-12):
+            raise ValidationError(
+                f"{path}.{name}: {obj[name]} inconsistent with {parts} ({recomputed})"
+            )
+
+
 def _pair_value(value, path: str) -> tuple[float, float]:
     if (
         not isinstance(value, (list, tuple))

@@ -50,7 +50,7 @@ import numpy as np
 
 from .cost_model import FleetCosts, StageCost, aggregate_costs, fleet_costs
 from .errors import ConfigurationError, ValidationError
-from .scenario import Scenario, read_json, require_field, write_json
+from .scenario import Scenario, check_totals, read_fields, read_json, require_field, write_json
 
 METHODS = ("dp", "oracle", "no_ds")
 
@@ -652,6 +652,10 @@ def select_devices_oracle(scenario: Scenario, budgets: Budgets) -> SchedulePlan:
 # -- plan files ----------------------------------------------------------------
 
 _STAGE_FIELDS = ("t_down_s", "t_cmp_s", "t_up_s", "e_down_j", "e_cmp_j", "e_up_j")
+# The (name, kind) tables the loader reads records with (see relaydiff.scenario.read_fields).
+_STAGE_RECORD = (("device_id", int), *((name, float) for name in _STAGE_FIELDS))
+_BUDGET_FIELDS = (("t_max_s", float), ("e_max_j", float))
+_GRID_FIELDS = (("dt_s", float), ("de_j", float))
 
 
 def plan_to_dict(plan: SchedulePlan) -> dict:
@@ -673,55 +677,32 @@ def plan_to_dict(plan: SchedulePlan) -> dict:
 def plan_from_dict(data: dict) -> SchedulePlan:
     if not isinstance(data, dict):
         raise ValidationError(f"plan: expected an object, got {type(data).__name__}")
-    method = data.get("method")
-    if method not in METHODS:
-        raise ValidationError(f"plan.method: must be one of {METHODS}, got {method!r}")
 
-    budgets_raw = data.get("budgets")
-    if not isinstance(budgets_raw, dict):
-        raise ValidationError("plan.budgets: expected an object")
-    budgets = Budgets(*(require_field(budgets_raw, name, float, "plan.budgets")
-                        for name in ("t_max_s", "e_max_j")))
-
+    budgets = Budgets(*read_fields(require_field(data, "budgets", dict, "plan"), _BUDGET_FIELDS,
+                                   "plan.budgets"))
     disc = data.get("discretization")
     if disc is not None:
-        if not isinstance(disc, dict):
-            raise ValidationError("plan.discretization: expected an object or null")
-        disc = Discretization(*(require_field(disc, name, float, "plan.discretization")
-                                for name in ("dt_s", "de_j")))
+        disc = Discretization(*read_fields(require_field(data, "discretization", dict, "plan"),
+                                           _GRID_FIELDS, "plan.discretization"))
 
-    stages_raw = data.get("stages")
-    if not isinstance(stages_raw, list):
-        raise ValidationError("plan.stages: expected a list")
     stages = []
-    for i, stage_raw in enumerate(stages_raw):
+    for i, stage_raw in enumerate(require_field(data, "stages", list, "plan")):
         path = f"plan.stages[{i}]"
         if not isinstance(stage_raw, dict):
             raise ValidationError(f"{path}: expected an object")
-        dev_id = require_field(stage_raw, "device_id", int, path)
-        fields = {}
-        for name in _STAGE_FIELDS:
-            value = stage_raw.get(name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or value < 0:
+        dev_id, *costs = read_fields(stage_raw, _STAGE_RECORD, path)
+        for name, value in zip(_STAGE_FIELDS, costs):
+            if value < 0:
                 raise ValidationError(f"{path}.{name}: expected a number >= 0, got {value!r}")
-            fields[name] = float(value)
-        stages.append((dev_id, StageCost(**fields)))
+        stages.append((dev_id, StageCost(*costs)))
 
-    objective = data.get("objective_bytes")
-    if isinstance(objective, bool) or not isinstance(objective, int) or objective < 0:
+    objective = require_field(data, "objective_bytes", int, "plan")
+    if objective < 0:
         raise ValidationError(f"plan.objective_bytes: expected an integer >= 0, got {objective!r}")
 
     totals = aggregate_costs(cost for _, cost in stages)
-    for name, stored, recomputed in (
-        ("t_total_s", data.get("t_total_s"), totals.t_total_s),
-        ("e_total_j", data.get("e_total_j"), totals.e_total_j),
-    ):
-        if isinstance(stored, bool) or not isinstance(stored, (int, float)):
-            raise ValidationError(f"plan.{name}: expected a number, got {stored!r}")
-        if not math.isclose(float(stored), recomputed, rel_tol=1e-12, abs_tol=1e-12):
-            raise ValidationError(
-                f"plan.{name}: {stored} inconsistent with stage costs ({recomputed})"
-            )
+    check_totals(data, (("t_total_s", totals.t_total_s), ("e_total_j", totals.e_total_j)),
+                 "stage costs", "plan")
 
     return SchedulePlan(
         stages=tuple(stages),
@@ -729,7 +710,7 @@ def plan_from_dict(data: dict) -> SchedulePlan:
         t_total_s=totals.t_total_s,
         e_total_j=totals.e_total_j,
         budgets=budgets,
-        method=method,
+        method=data.get("method"),
         discretization=disc,
     )
 

@@ -26,3 +26,13 @@ def test_bench_dp_runs_every_shape():
     rows = done.stdout.splitlines()[1:]
     assert len(rows) == 8
     assert rows[-1].split()[8] == "–"  # the both-slack shape keeps no capacity axis
+
+
+def test_bench_io_times_every_piece():
+    done = run_script("benchmarks/bench_io.py", "--repeats", "3")
+    assert done.returncode == 0, done.stderr
+    rows = done.stdout.splitlines()[1:]
+    assert [row.split()[0] for row in rows] == [
+        "load_scenario", "load_plan", "fleet_costs", "check_stages", "replan", "save_trace",
+        "load_trace",
+    ]

@@ -215,6 +215,11 @@ def test_trace_load_validation(recovery_scenario, recovery_budgets):
         (lambda d: d["events"][0].pop("amount"), r"amount"),
         (lambda d: d.update(stages_completed=-1), r"stages_completed"),
         (lambda d: d.update(completed="yes"), r"completed"),
+        (lambda d: d.pop("completed"), r"^trace\.completed: missing required field$"),
+        (lambda d: d.update(method=5), r"^trace\.method: expected a string, got int$"),
+        (lambda d: d.update(method=None), r"^trace\.method: expected a string, got NoneType$"),
+        (lambda d: d.update(method=["dp"]), r"^trace\.method: expected a string, got list$"),
+        (lambda d: d.pop("method"), r"^trace\.method: missing required field$"),
     ]
     for mutate, pattern in cases:
         with pytest.raises(ValidationError, match=pattern):

@@ -505,6 +505,9 @@ def test_plan_load_validation(three_device_scenario, fixture_budgets, fixture_di
         (lambda d: d["stages"][0].update(t_down_s=-0.1), r"stages\[0\].t_down_s"),
         (lambda d: d.update(t_total_s=99.0), r"plan.t_total_s"),
         (lambda d: d["stages"][0].update(device_id=True), r"device_id"),
+        (lambda d: d["stages"][0].pop("t_cmp_s"),
+         r"^plan\.stages\[0\]\.t_cmp_s: missing required field$"),
+        (lambda d: d.pop("objective_bytes"), r"^plan\.objective_bytes: missing required field$"),
     ]
     for mutate, pattern in cases:
         with pytest.raises(ValidationError, match=pattern):
