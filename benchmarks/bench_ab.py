@@ -10,11 +10,17 @@ those of relaybench's plan-cold workload: three in four plan a fresh
 500-device world on the default 200-unit grid, every fourth a fresh
 40-device world on a 1000x1000 grid, at budgets from {1, 2, 3} s x
 {100, 200, 300} J. Each side generates its own copy of every world, outside
-the timed call, and the two plans must be identical (``scheduler.plan_to_dict``).
+the timed plan call, and the two worlds (``scenario.scenario_to_dict``) and
+the two plans (``scheduler.plan_to_dict``) must be identical.
+
+Work must not move out of the plan timer into the world's construction, so
+each side's ``generate_scenario`` call is timed too, and so is a
+``load_scenario`` of relaybench's recover-churn world (40 devices, seed 1,
+written once by each side), once per input in the same alternating order.
 
 Prints each side's mean and median plan time, the ratio of their plans per
-second, and how many inputs this checkout planned faster. Run from the
-repository root:
+second and how many inputs this checkout planned faster, then the medians
+and win counts of the generate and load calls. Run from the repository root:
 
     python3 benchmarks/bench_ab.py --base ../parent-checkout --plans 1000
 """
@@ -52,13 +58,27 @@ def load_sides(base: Path, tmp: Path) -> dict:
 
 
 def plan_input(rd, seed: int, i: int):
-    """(scenario, budgets, discretization) of input ``i``, built with package ``rd``."""
+    """(n_devices, world seed, budgets, discretization) of input ``i``, built with package ``rd``."""
 
     wide = i % 4 == 3
     t_max, e_max = random.Random(f"{seed}:{i}").choice(BUDGET_GRID)
-    scenario = rd.generate_scenario(40 if wide else 500, AREA_M, seed=seed * 1_000_003 + i)
     disc = rd.Discretization(t_max / 1000, e_max / 1000) if wide else None
-    return scenario, rd.Budgets(t_max_s=t_max, e_max_j=e_max), disc
+    return 40 if wide else 500, seed * 1_000_003 + i, rd.Budgets(t_max_s=t_max, e_max_j=e_max), disc
+
+
+def timed(call):
+    """(seconds, result) of ``call()``."""
+
+    started = time.perf_counter()
+    result = call()
+    return time.perf_counter() - started, result
+
+
+def summary(name: str, seconds: dict) -> str:
+    this, base = seconds["this"], seconds["base"]
+    won = sum(a < b for a, b in zip(this, base))
+    return (f"{name}: median this {statistics.median(this) * 1e3:.3f} ms, "
+            f"base {statistics.median(base) * 1e3:.3f} ms; this faster on {won} of {len(this)}")
 
 
 def main():
@@ -69,29 +89,41 @@ def main():
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
+    pieces = ("plan", "generate", "load")
+    seconds = {piece: {side: [] for side in SIDES} for piece in pieces}
     with tempfile.TemporaryDirectory() as tmp:
         packages = load_sides(args.base.resolve(), Path(tmp))
-        seconds = {side: [] for side in SIDES}
+        churn_world = {side: Path(tmp) / f"{side}.json" for side in SIDES}
+        for side, rd in packages.items():
+            rd.save_scenario(rd.generate_scenario(40, AREA_M, seed=1), churn_world[side])
         for i in range(args.plans):
-            plans = {}
+            worlds, plans = {}, {}
             for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
                 rd = packages[side]
-                scenario, budgets, disc = plan_input(rd, args.seed, i)
-                started = time.perf_counter()
-                plan = rd.select_devices_dp(scenario, budgets, disc)
-                seconds[side].append(time.perf_counter() - started)
+                n_devices, world_seed, budgets, disc = plan_input(rd, args.seed, i)
+                took, scenario = timed(
+                    lambda: rd.generate_scenario(n_devices, AREA_M, seed=world_seed))
+                seconds["generate"][side].append(took)
+                took, plan = timed(lambda: rd.select_devices_dp(scenario, budgets, disc))
+                seconds["plan"][side].append(took)
+                seconds["load"][side].append(timed(lambda: rd.load_scenario(churn_world[side]))[0])
+                worlds[side] = rd.scenario.scenario_to_dict(scenario)
                 plans[side] = rd.scheduler.plan_to_dict(plan)
+            if worlds["this"] != worlds["base"]:
+                sys.exit(f"error: input {i}: the worlds differ")
             if plans["this"] != plans["base"]:
                 sys.exit(f"error: input {i}: the plans differ")
 
     for side in SIDES:
-        times = seconds[side]
+        times = seconds["plan"][side]
         print(f"{side}: mean {statistics.fmean(times) * 1e3:.3f} ms, "
               f"median {statistics.median(times) * 1e3:.3f} ms over {len(times)} plans")
-    ratio = sum(seconds["base"]) / sum(seconds["this"])
-    won = sum(a < b for a, b in zip(seconds["this"], seconds["base"]))
-    print(f"identical plans: {args.plans}; plans/s this/base: {ratio:.3f}; "
+    this, base = seconds["plan"]["this"], seconds["plan"]["base"]
+    won = sum(a < b for a, b in zip(this, base))
+    print(f"identical plans: {args.plans}; plans/s this/base: {sum(base) / sum(this):.3f}; "
           f"this faster on {won} of {args.plans} inputs")
+    print(summary("generate_scenario", seconds["generate"]))
+    print(summary("load_scenario (40 devices, seed 1)", seconds["load"]))
 
 
 if __name__ == "__main__":

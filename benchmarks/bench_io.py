@@ -2,16 +2,20 @@
 
 A ``relaydiff simulate --fail-prob`` job loads a scenario and a plan,
 checks the plan's stored stage costs against the scenario, builds the
-scenario's stage costs once (``fleet_costs``) at its first failure,
-re-plans after each failure on the surviving devices, and writes the trace.
+scenario's stage costs once (``fleet_costs``, kept on the scenario) at its
+first failure, re-plans after each failure on the surviving devices, and
+writes the trace.
 This script times each of those pieces on the world of relaybench's
 recover-churn workload (40 devices, seed 1, its DP plan at 3 s / 300 J) and
 prints the median of ``--repeats`` calls:
 
 * ``load_scenario`` and ``load_plan``: the indented files ``save_scenario``
   and ``save_plan`` write;
-* ``fleet_costs``: the six phase-cost arrays of the available devices;
-* ``check_stages``: the plan's stage costs against the scenario's;
+* ``fleet_costs``: building the six phase-cost arrays of the available
+  devices (``cost_model._fleet_costs``; ``fleet_costs`` builds them once per
+  scenario and then returns the same object);
+* ``check_stages``: the plan's stage costs against the scenario's, on a
+  scenario without those arrays, as in a fresh ``simulate``;
 * ``replan``: the re-plan after the plan's first device fails in compute,
   on ``fleet.subset`` of the other devices with the residual budgets;
 * ``save_trace`` and ``load_trace``: the trace of that run.
@@ -43,7 +47,7 @@ from relaydiff import (
     select_devices_dp,
     simulate_pipeline,
 )
-from relaydiff.cost_model import fleet_costs
+from relaydiff.cost_model import _fleet_costs
 from relaydiff.pipeline import check_stages
 from relaydiff.scheduler import _select_dp
 
@@ -68,7 +72,7 @@ def main():
     plan = select_devices_dp(scenario, BUDGETS)
     first, cost = plan.stages[0]
     trace = simulate_pipeline(scenario, plan, FailureSpec(injected=((first, "compute"),)))
-    fleet = fleet_costs(scenario)
+    fleet = _fleet_costs(scenario)
     keep = np.array([dev.id != first for dev in fleet.devices])
     residual = Budgets(
         t_max_s=BUDGETS.t_max_s - (cost.t_down_s + cost.t_cmp_s),
@@ -83,7 +87,7 @@ def main():
         pieces = [
             ("load_scenario", lambda: load_scenario(scenario_path)),
             ("load_plan", lambda: load_plan(plan_path)),
-            ("fleet_costs", lambda: fleet_costs(scenario)),
+            ("fleet_costs", lambda: _fleet_costs(scenario)),
             ("check_stages", lambda: check_stages(scenario, plan)),
             ("replan", lambda: _select_dp(fleet.subset(keep), residual)),
             ("save_trace", lambda: save_trace(trace, trace_path)),

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cost_model import fleet_phase_costs, split_step_cost
+from .cost_model import available_ids, fleet_phase_costs, split_step_cost
 from .errors import ConfigurationError, ValidationError
 from .pipeline import SimTrace, Timeline
 from .scenario import Scenario
@@ -99,17 +99,14 @@ def pick_split_pair(scenario: Scenario, n_steps: int | None = None) -> SplitConf
     defaults to the scenario's steps per stage.
     """
 
-    candidates = sorted(
-        (dev for dev in scenario.devices if dev.available), key=lambda dev: dev.id
-    )
+    ids = available_ids(scenario)
+    candidates = range(len(scenario.devices)) if ids is None else ids
     if len(candidates) < 2:
         raise ConfigurationError(
             f"split baseline needs at least 2 available devices, found {len(candidates)}"
         )
     steps = scenario.steps_per_stage if n_steps is None else n_steps
-    t_down, t_cmp, t_up, *_ = fleet_phase_costs(
-        candidates, scenario.link, scenario.server_pos_m, scenario.feature_bytes, 0.5
-    )
+    t_down, t_cmp, t_up, *_ = fleet_phase_costs(scenario, scenario.feature_bytes, 0.5, ids)
     best, best_latency = None, math.inf
     with np.errstate(over="ignore"):  # a pair whose latency overflows never wins
         for a in range(len(candidates)):
@@ -122,4 +119,4 @@ def pick_split_pair(scenario: Scenario, n_steps: int | None = None) -> SplitConf
     if best is None:
         raise ConfigurationError("every split pair's step latency overflows")
     a, b = best
-    return SplitConfig(device_a_id=candidates[a].id, device_b_id=candidates[b].id, n_steps=steps)
+    return SplitConfig(device_a_id=candidates[a], device_b_id=candidates[b], n_steps=steps)

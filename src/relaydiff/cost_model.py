@@ -12,15 +12,23 @@ identities exact in floating point (order-independent, no drift), so a plan's
 predicted totals match a failure-free execution trace bit for bit.
 
 :class:`FleetCosts` holds the same six phase costs for a whole fleet as numpy
-arrays, plus each device's exact model size. It, :func:`stage_cost` and
+arrays, plus each device's id and exact model size. It, :func:`stage_cost` and
 :func:`split_step_cost` all evaluate one phase formula, :func:`phase_costs`,
 made only of correctly rounded multiplications and divisions, on link rates
-from one ``math`` formula (``_rates``), which a fleet runs in one pass over
-its devices and a single device runs on a list of one; so every array
+from one ``math`` formula (``_shannon``), which a fleet maps over its
+devices and a single device calls once; so every array
 element equals the matching :func:`stage_cost_for` field bit for bit (numpy's
 own ``log2``, ``**`` and ``hypot`` would not). A world whose link rate
 underflows to zero, or whose costs overflow, is refused with
 ConfigurationError.
+
+A fleet's costs are computed from the scenario's device columns
+(:class:`~relaydiff.scenario.DeviceColumns`), never from its ``Device``
+objects. :func:`fleet_costs` computes them once per scenario and keeps them
+on it, in its ``_fleet`` slot: every selector, every sweep cell, recovery and
+:func:`stage_cost_columns` then share one :class:`FleetCosts`, whose arrays
+cannot be written. A scenario starts without it (a changed copy is a new
+scenario), and only a call that needs the whole fleet fills it.
 """
 
 from __future__ import annotations
@@ -28,8 +36,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from operator import attrgetter
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -102,44 +109,70 @@ def link_rate(
 
     if direction not in ("up", "down"):
         raise ConfigurationError(f"direction must be 'up' or 'down', got {direction!r}")
-    (up,), (down,) = _rates([device], [device.tx_power_w], link, server_pos_m)
+    up, down = _device_rates(device, link, server_pos_m)
     return up if direction == "up" else down
 
 
-def _rates(devices: Sequence[Device], tx_powers, link: LinkParams,
-           server_pos_m) -> tuple[list[float], list[float]]:
-    """(up, down) link rates of ``devices`` sending at ``tx_powers``, as lists in their order.
+def _shannon(link: LinkParams, server_pos_m):
+    """The Shannon rate in bits/s, as a function of a device's position and transmit power.
 
     The one copy of the link formula, in plain ``math``, so that the rates
-    are the same bit for bit whether one device asks (:func:`link_rate`) or
-    a fleet does (:func:`fleet_phase_costs`). The Shannon rate is the same
+    are the same bit for bit whether one device asks (:func:`link_rate`)
+    or a fleet does (:func:`fleet_phase_costs`).
+    """
+
+    dist, floor_m, log2 = math.dist, MIN_DISTANCE_M, math.log2
+    ref_gain, exponent, noise = link.path_loss_ref_gain, -link.path_loss_exponent, link.noise_power_w
+    bandwidth = link.bandwidth_hz
+
+    def rate(pos_m, tx_w: float) -> float:
+        # The clamp is max(distance, MIN_DISTANCE_M), without the cost of a call.
+        return bandwidth * log2(1.0 + tx_w * (ref_gain * (
+            floor_m if (d := dist(pos_m, server_pos_m)) < floor_m else d
+        ) ** exponent) / noise)
+
+    return rate
+
+
+def _underflow(dev_id: int, pos_m, tx_w: float, link: LinkParams, server_pos_m) -> ConfigurationError:
+    distance = max(math.dist(pos_m, server_pos_m), MIN_DISTANCE_M)
+    snr = tx_w * (link.path_loss_ref_gain * distance ** -link.path_loss_exponent) / link.noise_power_w
+    return ConfigurationError(f"device {dev_id}: the link rate underflows to 0 bit/s "
+                              f"at {distance:.6g} m from the server (SNR {snr:.6g})")
+
+
+def _device_rates(device: Device, link: LinkParams, server_pos_m) -> tuple[float, float]:
+    """(up, down) link rates of one device: :func:`_rates` without its lists."""
+
+    overrides = link.rate_override_bps
+    if overrides and device.id in overrides:
+        return overrides[device.id]
+    rate = _shannon(link, server_pos_m)(device.pos_m, device.tx_power_w)
+    if not rate:
+        raise _underflow(device.id, device.pos_m, device.tx_power_w, link, server_pos_m)
+    return rate, rate
+
+
+def _rates(ids, positions, tx_powers, link: LinkParams,
+           server_pos_m) -> tuple[list[float], list[float]]:
+    """(up, down) link rates of the devices ``ids`` at ``positions`` sending at ``tx_powers``.
+
+    Lists in the order given. The Shannon rate (:func:`_shannon`) is the same
     both ways; a device with a rate override takes its pair. The first rate
     that underflows to 0 is refused with ConfigurationError.
     """
 
-    # The clamp is max(distance, MIN_DISTANCE_M), without the cost of a call.
-    dist, floor_m = math.dist, MIN_DISTANCE_M
-    ref_gain, exponent, noise = link.path_loss_ref_gain, -link.path_loss_exponent, link.noise_power_w
-    log2, bandwidth = math.log2, link.bandwidth_hz
-    up = [
-        bandwidth * log2(1.0 + tx * (ref_gain * (
-            floor_m if (d := dist(dev.pos_m, server_pos_m)) < floor_m else d
-        ) ** exponent) / noise)
-        for dev, tx in zip(devices, tx_powers)
-    ]
+    up = list(map(_shannon(link, server_pos_m), positions, tx_powers))
     down = up
     overrides = link.rate_override_bps
     if overrides:
         down = list(up)
-        for i, dev in enumerate(devices):
-            if dev.id in overrides:
-                up[i], down[i] = overrides[dev.id]
+        for i, dev_id in enumerate(ids):
+            if dev_id in overrides:
+                up[i], down[i] = overrides[dev_id]
     if 0.0 in up:  # overrides are positive, so this is a Shannon rate
-        dev = devices[up.index(0.0)]
-        distance = max(dist(dev.pos_m, server_pos_m), floor_m)
-        snr = dev.tx_power_w * (ref_gain * distance ** exponent) / noise
-        raise ConfigurationError(f"device {dev.id}: the link rate underflows to 0 bit/s "
-                                 f"at {distance:.6g} m from the server (SNR {snr:.6g})")
+        i = up.index(0.0)
+        raise _underflow(ids[i], positions[i], tx_powers[i], link, server_pos_m)
     return up, down
 
 
@@ -160,7 +193,11 @@ def phase_costs(latent_bytes, k_steps, rate_down, rate_up, step_latency_s, rx_w,
     t_up = transfer_time(latent_bytes, rate_up)
     t_cmp = k_steps * step_latency_s
     costs = (t_down, t_cmp, t_up, rx_w * t_down, compute_w * t_cmp, tx_w * t_up)
-    if not np.isfinite(costs).all():
+    if isinstance(t_cmp, np.ndarray):
+        finite = np.isfinite(costs).all()
+    else:
+        finite = all(map(math.isfinite, costs))
+    if not finite:
         raise ConfigurationError(
             "a stage or split-step cost overflows; a link rate or device parameter is out of range"
         )
@@ -183,16 +220,10 @@ def stage_cost(
         raise ConfigurationError(f"k_steps must be >= 0, got {k_steps}")
     if latent_bytes < 0:
         raise ConfigurationError(f"latent_bytes must be >= 0, got {latent_bytes}")
-    (up,), (down,) = _rates([device], [device.tx_power_w], link, server_pos_m)
+    up, down = _device_rates(device, link, server_pos_m)
     return StageCost(*phase_costs(
-        latent_bytes,
-        k_steps,
-        down,
-        up,
-        device.step_latency_s,
-        device.rx_power_w,
-        device.compute_power_w,
-        device.tx_power_w,
+        latent_bytes, k_steps, down, up, device.step_latency_s, device.rx_power_w,
+        device.compute_power_w, device.tx_power_w,
     ))
 
 
@@ -212,13 +243,15 @@ def stage_cost_for(scenario: Scenario, device: Device) -> StageCost:
 class FleetCosts:
     """Stage costs of a scenario's available devices, one array element each.
 
-    ``devices`` holds the available devices in ascending id order; element i
-    of every array belongs to ``devices[i]`` and equals the matching field (or
-    ``t_total()``/``e_total()``) of ``stage_cost_for(scenario, devices[i])``.
-    ``size_bytes[i]`` is ``devices[i].variant.size_bytes``, an exact Python int.
+    ``devices`` holds the available devices in ascending id order and ``ids``
+    their ids; element i of every array belongs to ``devices[i]`` and equals
+    the matching field (or ``t_total()``/``e_total()``) of
+    ``stage_cost_for(scenario, devices[i])``. ``size_bytes[i]`` is
+    ``devices[i].variant.size_bytes``, an exact Python int.
     """
 
     devices: tuple[Device, ...]
+    ids: np.ndarray
     size_bytes: tuple[int, ...]
     t_down_s: np.ndarray
     t_cmp_s: np.ndarray
@@ -249,12 +282,17 @@ class FleetCosts:
         keep = mask.tolist()
         return FleetCosts(
             tuple(itertools.compress(self.devices, keep)),
+            self.ids[mask],
             tuple(itertools.compress(self.size_bytes, keep)),
-            *(column[mask] for column in (
-                self.t_down_s, self.t_cmp_s, self.t_up_s, self.e_down_j, self.e_cmp_j,
-                self.e_up_j, self.t_total_s, self.e_total_j,
-            )),
+            *(column[mask] for column in self.phases()),
+            self.t_total_s[mask],
+            self.e_total_j[mask],
         )
+
+    def phases(self) -> tuple[np.ndarray, ...]:
+        """The six phase-cost arrays, in :func:`phase_costs` order."""
+
+        return self.t_down_s, self.t_cmp_s, self.t_up_s, self.e_down_j, self.e_cmp_j, self.e_up_j
 
     def totals(self, index) -> CostTotals:
         """:func:`aggregate_costs` of the stage costs at ``index``, a slice or positions."""
@@ -270,38 +308,81 @@ class FleetCosts:
         )
 
 
-def fleet_phase_costs(devices: Sequence[Device], link: LinkParams, server_pos_m, payload_bytes,
-                      k_steps) -> tuple[np.ndarray, ...]:
-    """:func:`phase_costs` of each of ``devices``, as six arrays in the devices' order."""
+def available_ids(scenario: Scenario) -> list[int] | None:
+    """Ascending ids of the scenario's available devices, or None if every device is available."""
 
-    tx = list(map(attrgetter("tx_power_w"), devices))
-    up, down = _rates(devices, tx, link, server_pos_m)
-    step, rx, compute = (
-        np.fromiter(map(attrgetter(name), devices), dtype=np.float64, count=len(devices))
-        for name in ("step_latency_s", "rx_power_w", "compute_power_w")
-    )
+    available = scenario._columns.available
+    return None if available.all() else np.flatnonzero(available).tolist()
+
+
+def fleet_phase_costs(scenario: Scenario, payload_bytes, k_steps,
+                      ids: list[int] | None = None) -> tuple[np.ndarray, ...]:
+    """:func:`phase_costs` of the devices ``ids`` of ``scenario``, or of all of them, as six arrays.
+
+    ``ids`` is an ascending list; None stands for every device. Read from
+    the scenario's columns, in id order.
+    """
+
+    columns = scenario._columns
+    positions = columns.pos_m
+    tx, step, rx, compute = (columns.tx_power_w, columns.step_latency_s,
+                             columns.rx_power_w, columns.compute_power_w)
+    if ids is None:
+        ids = range(len(positions))
+    else:
+        positions = tuple(map(positions.__getitem__, ids))
+        tx, step, rx, compute = (column[ids] for column in (tx, step, rx, compute))
+    up, down = _rates(ids, positions, tx.tolist(), scenario.link, scenario.server_pos_m)
+    rate_up = np.array(up, dtype=np.float64)
+    rate_down = rate_up if down is up else np.array(down, dtype=np.float64)
     with np.errstate(over="ignore"):
-        return phase_costs(payload_bytes, k_steps, np.array(down, dtype=np.float64),
-                           np.array(up, dtype=np.float64), step, rx, compute,
-                           np.array(tx, dtype=np.float64))
+        return phase_costs(payload_bytes, k_steps, rate_down, rate_up, step, rx, compute, tx)
 
 
 def fleet_costs(scenario: Scenario) -> FleetCosts:
-    """Stage costs and model sizes of every available device of ``scenario``."""
+    """Stage costs and model sizes of every available device of ``scenario``.
 
-    devices = tuple(sorted((dev for dev in scenario.devices if dev.available), key=attrgetter("id")))
-    phases = fleet_phase_costs(
-        devices, scenario.link, scenario.server_pos_m,
-        scenario.latent_bytes, scenario.steps_per_stage,
-    )
+    Computed on the first call and kept on the scenario, so every later call
+    returns the same object (see the module docstring).
+    """
+
+    fleet = scenario.__dict__.get("_fleet")
+    if fleet is None:
+        fleet = _fleet_costs(scenario)
+        object.__setattr__(scenario, "_fleet", fleet)
+    return fleet
+
+
+def _fleet_costs(scenario: Scenario) -> FleetCosts:
+    columns = scenario._columns
+    ids = available_ids(scenario)
+    if ids is None:
+        devices, id_array, sizes = columns.devices, columns.ids, columns.size_bytes
+    else:
+        devices, sizes = (tuple(map(column.__getitem__, ids))
+                          for column in (columns.devices, columns.size_bytes))
+        id_array = columns.ids[ids]
+    phases = fleet_phase_costs(scenario, scenario.latent_bytes, scenario.steps_per_stage, ids)
     t_down, t_cmp, t_up, e_down, e_cmp, e_up = phases
-    return FleetCosts(
-        devices,
-        tuple([v.param_count * v.bit_width // 8 for v in map(attrgetter("variant"), devices)]),
-        *phases,
-        t_total_s=t_down + t_cmp + t_up,
-        e_total_j=e_down + e_cmp + e_up,
-    )
+    fleet = FleetCosts(devices, id_array, sizes, *phases,
+                       t_down + t_cmp + t_up, e_down + e_cmp + e_up)
+    for array in (fleet.ids, *fleet.phases(), fleet.t_total_s, fleet.e_total_j):
+        array.flags.writeable = False
+    return fleet
+
+
+def stage_cost_columns(scenario: Scenario, ids: list[int]) -> tuple[np.ndarray, ...]:
+    """The six phase-cost arrays of the available devices ``ids`` (ascending) of ``scenario``.
+
+    Taken from the scenario's :func:`fleet_costs` when it has them, else
+    computed for those devices alone; the values are the same either way.
+    """
+
+    fleet = scenario.__dict__.get("_fleet")
+    if fleet is None:
+        return fleet_phase_costs(scenario, scenario.latent_bytes, scenario.steps_per_stage, ids)
+    rows = np.searchsorted(fleet.ids, ids)
+    return tuple(column[rows] for column in fleet.phases())
 
 
 @dataclass(frozen=True)

@@ -21,15 +21,15 @@ so both account time and energy the same way.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .cost_model import fleet_costs, fleet_phase_costs
+from .cost_model import fleet_costs, stage_cost_columns
 from .errors import ConfigurationError, LineageError, RecoveryInfeasible, ValidationError
 from .scenario import (STAGE_PHASES, TRANSFER_PHASES, Scenario, check_totals, read_fields, read_json,
                        require_field, write_json)
-from .scheduler import Budgets, SchedulePlan, _select_dp
+from .scheduler import _STAGE_FIELDS, Budgets, SchedulePlan, _select_dp
 
 EVENT_KINDS = ("download", "compute", "upload", "checkpoint", "failure", "replan")
 MARKER_KINDS = ("checkpoint", "failure", "replan")
@@ -184,28 +184,29 @@ class Timeline:
 def check_stages(scenario: Scenario, plan: SchedulePlan) -> None:
     """Raise unless every stage of ``plan`` has the cost ``scenario`` gives its device.
 
-    The costs of the plan's devices are recomputed as arrays, with the phase
-    formula of :func:`~relaydiff.cost_model.fleet_costs`. Raises
+    The costs of the plan's devices come from the scenario's
+    :func:`~relaydiff.cost_model.fleet_costs` if it has them, and are
+    otherwise computed for those devices alone with the same formula
+    (:func:`~relaydiff.cost_model.stage_cost_columns`). Raises
     ConfigurationError for a device the scenario lacks, and ValidationError
     for one the scenario marks unavailable or whose stored cost disagrees
     beyond a 1e-12 relative tolerance.
     """
 
-    devices = [scenario.device(dev_id) for dev_id in plan.device_ids]
-    for dev in devices:
-        if not dev.available:
+    ids = list(plan.device_ids)
+    for dev_id in ids:
+        if not scenario.device(dev_id).available:
             raise ValidationError(
-                f"plan stage of device {dev.id}: the scenario marks the device unavailable; "
+                f"plan stage of device {dev_id}: the scenario marks the device unavailable; "
                 "was the plan made for another scenario?"
             )
-    columns = fleet_phase_costs(devices, scenario.link, scenario.server_pos_m,
-                                scenario.latent_bytes, scenario.steps_per_stage)
+    columns = stage_cost_columns(scenario, ids)
     for (dev_id, cost), recomputed in zip(plan.stages, zip(*(c.tolist() for c in columns))):
-        for field, expected in zip(fields(cost), recomputed):
-            stored = getattr(cost, field.name)
+        for name, expected in zip(_STAGE_FIELDS, recomputed):
+            stored = getattr(cost, name)
             if not math.isclose(stored, expected, rel_tol=1e-12, abs_tol=1e-12):
                 raise ValidationError(
-                    f"plan stage of device {dev_id}: {field.name} {stored} disagrees with "
+                    f"plan stage of device {dev_id}: {name} {stored} disagrees with "
                     f"the scenario ({expected}); was the plan made for another scenario?"
                 )
 
@@ -223,9 +224,11 @@ def simulate_pipeline(
     caps than the plan was built for. Every stage's stored cost must match
     the scenario's within a 1e-12 relative tolerance, on a device the
     scenario marks available (:func:`check_stages`), so a plan made for
-    another scenario raises ValidationError. The first re-plan builds the
-    scenario's :class:`~relaydiff.cost_model.FleetCosts`; every re-plan of
-    the run selects on a subset of it, without the used and failed devices.
+    another scenario raises ValidationError. The first re-plan takes the
+    scenario's :class:`~relaydiff.cost_model.FleetCosts` (built then if no
+    earlier call built it); every re-plan of the run selects on a subset of
+    it, without the used and failed devices. A run without failures never
+    builds it.
     """
 
     budgets = plan.budgets if budgets is None else budgets
@@ -283,7 +286,7 @@ def simulate_pipeline(
         )
         if fleet is None:
             fleet = fleet_costs(scenario)
-        pool = fleet.subset(np.array([dev.id not in retired for dev in fleet.devices]))
+        pool = fleet.subset(np.array([dev_id not in retired for dev_id in fleet.ids.tolist()]))
         new_plan = _select_dp(pool, residual)
         replans += 1
         timeline.emit("replan", None, 0.0, 0)
@@ -385,12 +388,18 @@ def trace_from_dict(data: dict) -> SimTrace:
             )
         clock = event.t_end_s
 
-    t_tran = math.fsum([e.duration_s for e in events if e.kind in TRANSFER_PHASES])
-    t_cmp = math.fsum([e.duration_s for e in events if e.kind == "compute"])
+    check_totals(data, (
+        ("t_tran_s", math.fsum([e.duration_s for e in events if e.kind in TRANSFER_PHASES])),
+        ("t_cmp_s", math.fsum([e.duration_s for e in events if e.kind == "compute"])),
+    ), "events", "trace")
+    # The simulator sums the phase durations it was given, and each can
+    # differ by an ulp from t_end_s - t_start_s, so the stored sums are kept;
+    # the other two totals follow from them as in Timeline.trace.
+    t_tran, t_cmp = float(data["t_tran_s"]), float(data["t_cmp_s"])
     t_total = t_tran + t_cmp
     tran_fraction = t_tran / t_total if t_total > 0 else 0.0
-    check_totals(data, (("t_tran_s", t_tran), ("t_cmp_s", t_cmp), ("t_total_s", t_total),
-                        ("tran_fraction", tran_fraction)), "events", "trace")
+    check_totals(data, (("t_total_s", t_total), ("tran_fraction", tran_fraction)),
+                 "t_tran_s + t_cmp_s", "trace")
 
     e_total, stages_completed, replans, completed, feasible, method = read_fields(
         data, _TRACE_FIELDS, "trace")

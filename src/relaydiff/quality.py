@@ -32,9 +32,8 @@ def quality(plan: SchedulePlan, scenario: Scenario) -> QualityScore:
     exactly when every device is selected.
     """
 
-    plan_ids = set(plan.device_ids)
-    scenario_ids = {dev.id for dev in scenario.devices}
-    missing = plan_ids - scenario_ids
+    scenario_ids = range(len(scenario.devices))  # ids are dense from 0
+    missing = [dev_id for dev_id in plan.device_ids if dev_id not in scenario_ids]
     if missing:
         raise ConfigurationError(f"plan references devices not in the scenario: {sorted(missing)}")
     total = scenario.total_model_bytes()

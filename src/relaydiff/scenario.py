@@ -6,14 +6,29 @@ quantized copy of the denoising model, the shared link model, and the payload
 sizes moved per stage. Generation is fully seeded and the JSON serialization
 round-trips losslessly, so every downstream result is reproducible from
 (n_devices, area, seed, profile) alone.
+
+Ids are dense, ``0..n-1``, so a scenario also owns its devices as columns in
+ascending id order, entry i describing device i (:class:`DeviceColumns`,
+``scenario._columns``): every number a cost needs, built once per scenario
+and never written. :func:`generate_scenario` and the loader fill them from
+their own draws and records, and a scenario constructed from
+:class:`Device` objects reads them from those. Either way one vectorized
+pass validates them, and ``devices`` stays the public view, the objects in
+the order given. A scenario also carries a memo slot, ``_fleet``, which
+:func:`relaydiff.cost_model.fleet_costs` fills with the fleet's stage costs
+on first use. Every new scenario, including those :func:`mark_unavailable`
+and ``dataclasses.replace`` return, starts without one.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, replace
+from operator import attrgetter, itemgetter
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -127,9 +142,77 @@ class LinkParams:
                     )
 
 
+# The fields of a device record, in Device field order; a record is a tuple
+# of their values, read from a Device or from the dict of its fields.
+_RECORD_FIELDS = ("id", "pos_m", "variant", "step_latency_s", "compute_power_w", "tx_power_w",
+                  "rx_power_w", "available")
+_record_of = attrgetter(*_RECORD_FIELDS)
+_record_of_fields = itemgetter(*_RECORD_FIELDS)
+
+
+def _built(cls, fields: dict):
+    """An instance of the frozen dataclass ``cls`` that takes ``fields`` as its attributes.
+
+    ``__post_init__`` does not run: the caller has applied its rules.
+    """
+
+    obj = object.__new__(cls)
+    object.__setattr__(obj, "__dict__", fields)
+    return obj
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+class DeviceColumns(NamedTuple):
+    """A scenario's devices as columns in ascending id order: entry i is device i.
+
+    ``pos_m`` holds the devices' own (x, y) tuples of floats, which the link
+    formula reads one at a time with ``math`` (converting an array to such
+    tuples on every read would cost as much as that formula). ``size_bytes``
+    holds exact ints. Every other column is a numpy array that cannot be
+    written (``writeable=False``).
+    """
+
+    devices: tuple[Device, ...]
+    ids: np.ndarray
+    available: np.ndarray
+    pos_m: tuple[tuple[float, float], ...]
+    step_latency_s: np.ndarray
+    compute_power_w: np.ndarray
+    tx_power_w: np.ndarray
+    rx_power_w: np.ndarray
+    size_bytes: tuple[int, ...]
+
+
+def _device_table(records) -> tuple:
+    """(ids, positions, numbers, available, sizes) of device ``records``, in record order.
+
+    ``numbers`` is the float64 array of the :data:`_POSITIVE_FIELDS`, one row
+    each. Applies the rules of :class:`Device` to every record at once, and
+    raises the error the first record that breaks one would raise (a
+    negative id before a number that is not finite and positive, numbers
+    in field order). The variants are already checked.
+    """
+
+    ids, positions, variants, *numbers, available = tuple(zip(*records)) or ((),) * 8
+    n = len(ids)
+    numbers = np.fromiter(itertools.chain(*numbers), np.float64, 4 * n).reshape(4, n)
+    if n and (min(ids) < 0 or not ((numbers > 0.0) & (numbers < math.inf)).all()):
+        for dev_id, values in zip(ids, numbers.T.tolist()):
+            _check_device_id(dev_id)
+            for name, value in zip(_POSITIVE_FIELDS, values):
+                if not 0 < value < math.inf:
+                    raise _not_positive(dev_id, name, value)
+    sizes = tuple(v.param_count * v.bit_width // 8 for v in variants)
+    return ids, positions, numbers, np.fromiter(available, bool, n), sizes
+
+
 @dataclass(frozen=True)
 class Scenario:
-    """One immutable experiment world."""
+    """One immutable experiment world (see the module docstring for its columns)."""
 
     area_m: tuple[float, float]
     server_pos_m: tuple[float, float]
@@ -141,11 +224,20 @@ class Scenario:
     seed: int
 
     def __post_init__(self):
+        devices = tuple(self.devices)
+        self._attach(devices, _device_table(map(_record_of, devices)))
+
+    def _attach(self, devices: tuple[Device, ...], table) -> None:
+        """Check the scenario's rules and give it the columns of ``devices``.
+
+        ``table`` is the :func:`_device_table` of the devices' records.
+        """
+
         object.__setattr__(self, "area_m", (float(self.area_m[0]), float(self.area_m[1])))
         object.__setattr__(
             self, "server_pos_m", (float(self.server_pos_m[0]), float(self.server_pos_m[1]))
         )
-        object.__setattr__(self, "devices", tuple(self.devices))
+        object.__setattr__(self, "devices", devices)
         if not all(a > 0 and math.isfinite(a) for a in self.area_m):
             raise ValidationError(f"area_m: sides must be finite and positive, got {self.area_m!r}")
         if not isinstance(self.latent_bytes, int) or self.latent_bytes <= 0:
@@ -159,40 +251,71 @@ class Scenario:
             raise ValidationError(
                 f"steps_per_stage: must be an integer >= 1, got {self.steps_per_stage!r}"
             )
-        seen: dict[int, int] = {}
-        for i, dev in enumerate(self.devices):
-            if dev.id in seen:
+        ids, positions, numbers, available, sizes = table
+        n = len(ids)
+        xy = np.fromiter(itertools.chain.from_iterable(positions), np.float64, 2 * n).reshape(n, 2)
+        inside = ((xy >= 0.0) & (xy <= self.area_m)).all(axis=1)
+        # Ids in ascending order are dense from 0 and free of duplicates.
+        in_order = ids == tuple(range(n))
+        if not (in_order and inside.all()):
+            seen: dict[int, int] = {}
+            for i, dev_id in enumerate(ids):
+                if dev_id in seen:
+                    raise ValidationError(
+                        f"devices[{i}].id: duplicate id {dev_id} (also devices[{seen[dev_id]}])"
+                    )
+                seen[dev_id] = i
+                if not inside[i]:
+                    raise ValidationError(
+                        f"devices[{i}].pos_m: {positions[i]} outside area {self.area_m}"
+                    )
+            # ids must be dense from 0 so they double as column indices
+            if set(seen) != set(range(n)):
                 raise ValidationError(
-                    f"devices[{i}].id: duplicate id {dev.id} (also devices[{seen[dev.id]}])"
+                    f"devices: ids must cover 0..{n - 1} exactly, got {sorted(seen)}"
                 )
-            seen[dev.id] = i
-            x, y = dev.pos_m
-            if not (0.0 <= x <= self.area_m[0] and 0.0 <= y <= self.area_m[1]):
-                raise ValidationError(
-                    f"devices[{i}].pos_m: {dev.pos_m} outside area {self.area_m}"
-                )
-        # ids must be dense from 0 so they double as stable array indices
-        if set(seen) != set(range(len(self.devices))):
-            raise ValidationError(
-                f"devices: ids must cover 0..{len(self.devices) - 1} exactly, got {sorted(seen)}"
-            )
         if self.link.rate_override_bps is not None:
             for dev_id in self.link.rate_override_bps:
-                if dev_id not in seen:
-                    raise ValidationError(
-                        f"link.rate_override_bps[{dev_id}]: no such device id"
-                    )
-        # id -> position in `devices`, for device(); not a field.
-        object.__setattr__(self, "_position", seen)
+                if dev_id not in range(n):
+                    raise ValidationError(f"link.rate_override_bps[{dev_id}]: no such device id")
+        if in_order:
+            by_id = devices
+        else:
+            order = sorted(range(n), key=ids.__getitem__)
+            by_id, positions, sizes = (tuple(map(column.__getitem__, order))
+                                       for column in (devices, positions, sizes))
+            numbers, available = numbers[:, order], available[order]
+        _frozen(numbers)
+        object.__setattr__(self, "_columns", DeviceColumns(
+            by_id, _frozen(np.arange(n)), _frozen(available), positions, *numbers, sizes,
+        ))
 
     def device(self, device_id: int) -> Device:
-        position = self._position.get(device_id)
-        if position is None:
-            raise ConfigurationError(f"no device with id {device_id}")
-        return self.devices[position]
+        by_id = self._columns.devices
+        try:
+            if device_id >= 0:
+                return by_id[device_id]
+        except (IndexError, TypeError):
+            pass
+        raise ConfigurationError(f"no device with id {device_id}")
 
     def total_model_bytes(self) -> int:
-        return sum(dev.variant.size_bytes for dev in self.devices)
+        return sum(self._columns.size_bytes)
+
+
+def _scenario(device_fields: list[dict], table, **fields) -> Scenario:
+    """The :class:`Scenario` of ``fields`` whose devices have the fields ``device_fields``.
+
+    ``table`` is the :func:`_device_table` of those dicts. The generator and
+    the loader read the columns from the dicts they filled, and build each
+    :class:`Device` on its dict; neither applies the device rules a second
+    time nor gathers from the devices.
+    """
+
+    scenario = object.__new__(Scenario)
+    object.__setattr__(scenario, "__dict__", fields)
+    scenario._attach(tuple(_built(Device, dev) for dev in device_fields), table)
+    return scenario
 
 
 @dataclass(frozen=True)
@@ -282,29 +405,30 @@ def generate_scenario(
 
     width, height = float(area_m[0]), float(area_m[1])
     rng = np.random.default_rng(seed)
+    variants = [ModelVariant(bit_width=bits, param_count=prof.param_count)
+                for bits in ALLOWED_BIT_WIDTHS]
+    exponent = prof.quantization_latency_exponent
     devices = []
     for dev_id in range(n_devices):
-        x = float(rng.uniform(0.0, width))
-        y = float(rng.uniform(0.0, height))
-        bit_width = ALLOWED_BIT_WIDTHS[int(rng.integers(0, len(ALLOWED_BIT_WIDTHS)))]
+        # side * random() is uniform(0, side) bit for bit, at a third of the cost.
+        pos_m = (width * rng.random(), height * rng.random())
+        variant = variants[int(rng.integers(0, len(ALLOWED_BIT_WIDTHS)))]
         klass = prof.class_a if rng.random() < frac else prof.class_b
-        devices.append(
-            Device(
-                id=dev_id,
-                pos_m=(x, y),
-                variant=ModelVariant(bit_width=bit_width, param_count=prof.param_count),
-                step_latency_s=step_latency_for(
-                    klass, bit_width, prof.quantization_latency_exponent
-                ),
-                compute_power_w=klass.compute_power_w,
-                tx_power_w=klass.tx_power_w,
-                rx_power_w=klass.rx_power_w,
-            )
-        )
-    return Scenario(
+        devices.append({
+            "id": dev_id,
+            "pos_m": pos_m,
+            "variant": variant,
+            "step_latency_s": step_latency_for(klass, variant.bit_width, exponent),
+            "compute_power_w": klass.compute_power_w,
+            "tx_power_w": klass.tx_power_w,
+            "rx_power_w": klass.rx_power_w,
+            "available": True,
+        })
+    return _scenario(
+        devices,
+        _device_table(map(_record_of_fields, devices)),
         area_m=(width, height),
         server_pos_m=(width / 2.0, height / 2.0),
-        devices=tuple(devices),
         link=prof.link,
         latent_bytes=prof.latent_bytes,
         feature_bytes=prof.feature_bytes,
@@ -441,26 +565,23 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     }
 
 
-def _built(cls, fields: dict):
-    """An instance of the frozen dataclass ``cls`` that takes ``fields`` as its attributes.
+def _variant_from_dict(raw: dict, path: str, known: dict) -> ModelVariant:
+    """The variant of a record; ``known`` maps each (bit_width, param_count)
+    already read to its variant, so each variant is checked and built once."""
 
-    ``__post_init__`` does not run: the caller has applied its rules.
-    """
-
-    obj = object.__new__(cls)
-    object.__setattr__(obj, "__dict__", fields)
-    return obj
-
-
-def _variant_from_dict(raw: dict, path: str) -> ModelVariant:
     bit_width, param_count = raw.get("bit_width"), raw.get("param_count")
     if type(bit_width) is not int or type(param_count) is not int:
         bit_width = require_field(raw, "bit_width", int, path)
         param_count = require_field(raw, "param_count", int, path)
-    _check_variant(bit_width, param_count)
-    variant = _built(ModelVariant, {"bit_width": bit_width, "param_count": param_count})
-    if "size_bytes" in raw:
-        stored = require_field(raw, "size_bytes", int, path)
+    variant = known.get((bit_width, param_count))
+    if variant is None:
+        _check_variant(bit_width, param_count)
+        variant = known[bit_width, param_count] = _built(
+            ModelVariant, {"bit_width": bit_width, "param_count": param_count})
+    stored = raw.get("size_bytes")
+    if stored is not None or "size_bytes" in raw:
+        if type(stored) is not int:
+            stored = require_field(raw, "size_bytes", int, path)
         if stored != variant.size_bytes:
             raise ValidationError(
                 f"{path}.size_bytes: {stored} inconsistent with "
@@ -469,7 +590,7 @@ def _variant_from_dict(raw: dict, path: str) -> ModelVariant:
     return variant
 
 
-# The fields of a device record after its variant and id, in the order they
+# The fields of a device record after its id and variant, in the order they
 # are read, each with the type JSON gives it in a well-formed file. Every
 # float field is one of _POSITIVE_FIELDS.
 _DEVICE_FIELDS = (
@@ -479,40 +600,43 @@ _DEVICE_FIELDS = (
 )
 
 
-def _device_from_dict(raw, path: str) -> Device:
-    """One device record, read in one pass under the rules of :class:`Device`
-    and :class:`ModelVariant`, then built without checking it again."""
+def _fields_from_dict(raw, path: str, variants: dict) -> dict:
+    """The fields of the :class:`Device` of one record, read in one pass.
+
+    Checks the type of every field and the variant's rules; the other rules
+    of :class:`Device` are :func:`_device_table`'s, applied to every record at once.
+    """
 
     if not isinstance(raw, dict):
         raise ValidationError(f"{path}: expected an object")
-    variant = _variant_from_dict(require_field(raw, "variant", dict, path), f"{path}.variant")
+    variant = raw.get("variant")
+    if type(variant) is not dict:
+        variant = require_field(raw, "variant", dict, path)
     dev_id = raw.get("id")
-    if type(dev_id) is not int:
-        dev_id = require_field(raw, "id", int, path)
-    _check_device_id(dev_id)
-    fields = {"id": dev_id, "variant": variant}
+    fields = {"variant": _variant_from_dict(variant, f"{path}.variant", variants)}
+    fields["id"] = dev_id if type(dev_id) is int else require_field(raw, "id", int, path)
     for name, kind in _DEVICE_FIELDS:
         # Only "available" may be left out, and it defaults to true.
         value = raw.get(name, True)
         if type(value) is not kind:
             # Missing, of another type, or an int where a float is expected.
             value = require_field(raw, name, (list, tuple) if kind is list else kind, path)
-        if kind is float and not 0 < value < math.inf:
-            raise _not_positive(dev_id, name, value)
         fields[name] = value
     pos_m = fields["pos_m"]
     if len(pos_m) != 2 or type(pos_m[0]) is not float or type(pos_m[1]) is not float:
         pos_m = _pair(raw, "pos_m", path)
     fields["pos_m"] = tuple(pos_m)
-    return _built(Device, fields)
+    return fields
 
 
 def scenario_from_dict(data: dict) -> Scenario:
     if not isinstance(data, dict):
         raise ValidationError(f"scenario: expected an object, got {type(data).__name__}")
 
-    devices_raw = require_field(data, "devices", list, "scenario")
-    devices = [_device_from_dict(raw, f"devices[{i}]") for i, raw in enumerate(devices_raw)]
+    variants: dict = {}
+    devices = [_fields_from_dict(raw, f"devices[{i}]", variants)
+               for i, raw in enumerate(require_field(data, "devices", list, "scenario"))]
+    table = _device_table(map(_record_of_fields, devices))
 
     link_raw = require_field(data, "link", dict, "scenario")
     overrides = None
@@ -533,10 +657,11 @@ def scenario_from_dict(data: dict) -> Scenario:
         rate_override_bps=overrides,
     )
 
-    return Scenario(
+    return _scenario(
+        devices,
+        table,
         area_m=_pair(data, "area_m", "scenario"),
         server_pos_m=_pair(data, "server_pos_m", "scenario"),
-        devices=tuple(devices),
         link=link,
         latent_bytes=require_field(data, "latent_bytes", int, "scenario"),
         feature_bytes=require_field(data, "feature_bytes", int, "scenario"),

@@ -17,7 +17,11 @@ def run_script(*argv):
 def test_bench_ab_against_its_own_sources_plans_alike():
     done = run_script("benchmarks/bench_ab.py", "--base", str(ROOT), "--plans", "8")
     assert done.returncode == 0, done.stderr
-    assert "identical plans: 8;" in done.stdout
+    lines = done.stdout.splitlines()
+    assert "identical plans: 8;" in lines[2]
+    assert lines[3].startswith("generate_scenario: median this ")
+    assert lines[4].startswith("load_scenario (40 devices, seed 1): median this ")
+    assert all(line.endswith(" of 8") for line in lines[3:])
 
 
 def test_bench_dp_runs_every_shape():

@@ -6,6 +6,7 @@ with ``==``: every value is either dyadic or a correctly-rounded quotient that
 matches the decimal literal's nearest double.
 """
 
+import dataclasses
 import math
 import warnings
 
@@ -13,7 +14,19 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from relaydiff import ConfigurationError, Device, LinkParams, ModelVariant, Scenario
+from relaydiff import (
+    Budgets,
+    ConfigurationError,
+    Device,
+    LinkParams,
+    ModelVariant,
+    Scenario,
+    generate_scenario,
+    mark_unavailable,
+    pick_split_pair,
+    select_devices_dp,
+    select_devices_no_ds,
+)
 from relaydiff.cost_model import (
     aggregate_costs,
     fleet_costs,
@@ -346,3 +359,62 @@ def test_fleet_costs_equal_stage_cost_for(scenario):
     every_other = fleet.subset(np.arange(len(available)) % 2 == 0)
     assert every_other.devices == tuple(available[::2])
     assert every_other.size_bytes == tuple(dev.variant.size_bytes for dev in available[::2])
+
+
+# -- the scenario's device columns and its FleetCosts memo ------------------------
+
+
+def _fleet_fields(fleet):
+    return (fleet.devices, fleet.ids.tolist(), fleet.size_bytes,
+            [column.tolist() for column in (*fleet.phases(), fleet.t_total_s, fleet.e_total_j)])
+
+
+def test_fleet_costs_are_computed_once_per_scenario():
+    scenario = generate_scenario(30, seed=4)
+    fleet = fleet_costs(scenario)
+    assert fleet_costs(scenario) is fleet
+    for column in (fleet.ids, *fleet.phases(), fleet.t_total_s, fleet.e_total_j):
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 1
+
+
+def test_every_changed_copy_of_a_scenario_gets_fresh_costs():
+    scenario = generate_scenario(30, seed=4)
+    fleet = fleet_costs(scenario)
+    marked = mark_unavailable(scenario, {0, 7})
+    assert fleet_costs(marked) is not fleet
+    assert fleet_costs(marked).ids.tolist() == [i for i in range(30) if i not in (0, 7)]
+    unmarked = fleet.subset(~np.isin(fleet.ids, [0, 7]))
+    assert _fleet_fields(fleet_costs(marked)) == _fleet_fields(unmarked)
+
+    link = dataclasses.replace(scenario.link, rate_override_bps={3: (2.0**20, 2.0**21)})
+    overridden = dataclasses.replace(scenario, link=link)
+    costs = fleet_costs(overridden)
+    assert costs is not fleet and fleet_costs(scenario) is fleet
+    assert costs.stage_cost(3) == stage_cost_for(overridden, overridden.device(3))
+    assert costs.stage_cost(3) != fleet.stage_cost(3)
+    assert costs.t_down_s[3] == transfer_time(scenario.latent_bytes, 2.0**21)
+
+
+def test_scenario_columns_cannot_be_written():
+    columns = generate_scenario(5, seed=0)._columns
+    for name in ("ids", "available", "step_latency_s", "compute_power_w", "tx_power_w",
+                 "rx_power_w"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(columns, name)[0] = 1
+    with pytest.raises(TypeError):
+        columns.pos_m[0] = (0.0, 0.0)
+    with pytest.raises(TypeError):
+        columns.size_bytes[0] = 0
+
+
+def test_devices_in_any_order_give_the_same_costs_and_plans():
+    scenario = mark_unavailable(generate_scenario(40, seed=9), {5, 12})
+    order = np.random.default_rng(3).permutation(40).tolist()
+    shuffled = dataclasses.replace(scenario, devices=[scenario.devices[i] for i in order])
+    assert [dev.id for dev in shuffled.devices] == order
+    assert _fleet_fields(fleet_costs(shuffled)) == _fleet_fields(fleet_costs(scenario))
+    for budgets in (Budgets(1.0, 100.0), Budgets(3.0, 300.0)):
+        for select in (select_devices_dp, select_devices_no_ds):
+            assert select(shuffled, budgets) == select(scenario, budgets)
+    assert pick_split_pair(shuffled) == pick_split_pair(scenario)

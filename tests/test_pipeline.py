@@ -17,6 +17,7 @@ from relaydiff import (
     ConfigurationError,
     FailureSpec,
     LineageError,
+    NO_FAILURES,
     RecoveryInfeasible,
     ValidationError,
     aggregate_latent_lineage,
@@ -28,6 +29,7 @@ from relaydiff import (
     simulate_pipeline,
     trace_summary,
 )
+from relaydiff.cost_model import fleet_costs
 from relaydiff.pipeline import Event, Timeline, trace_from_dict, trace_to_dict
 from relaydiff.scenario import STAGE_PHASES
 
@@ -504,3 +506,36 @@ def test_a_plan_stage_on_an_unavailable_device_is_rejected(recovery_scenario, re
     with pytest.raises(ConfigurationError, match="no device with id 7"):
         simulate_pipeline(recovery_scenario, dataclasses.replace(
             plan, stages=((7, plan.stages[0][1]),), objective_bytes=0))
+
+
+def test_a_failure_free_run_builds_no_fleet_costs(default_scenario):
+    # A fresh scenario has no memo; checking a plan's stages then costs only
+    # the plan's own devices, and a run without failures never re-plans.
+    plan = select_devices_dp(default_scenario, Budgets(3.0, 300.0))
+    scenario = dataclasses.replace(default_scenario)
+    assert "_fleet" not in vars(scenario)
+    trace = simulate_pipeline(scenario, plan)
+    assert trace.completed and not trace.replans
+    assert "_fleet" not in vars(scenario)
+    # With the memo built the stages are checked against it, and agree.
+    fleet_costs(scenario)
+    assert simulate_pipeline(scenario, plan) == trace
+
+
+def test_traces_of_a_forty_device_world_round_trip_exactly(tmp_path):
+    # The loader keeps the stored time sums; recomputing them from
+    # t_end_s - t_start_s moved almost every long run by an ulp.
+    scenario = generate_scenario(40, (500.0, 500.0), seed=1)
+    plan = select_devices_dp(scenario, Budgets(3.0, 300.0))
+    path = tmp_path / "trace.json"
+    specs = [NO_FAILURES] + [FailureSpec(per_stage_prob=0.3, rng_seed=seed) for seed in range(200)]
+    replans = 0
+    for failures in specs:
+        try:
+            trace = simulate_pipeline(scenario, plan, failures)
+        except RecoveryInfeasible as exc:
+            trace = exc.trace
+        save_trace(trace, path)
+        assert load_trace(path) == trace
+        replans += trace.replans
+    assert replans > 100
