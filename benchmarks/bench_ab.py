@@ -10,13 +10,15 @@ those of relaybench's plan-cold workload: three in four plan a fresh
 500-device world on the default 200-unit grid, every fourth a fresh
 40-device world on a 1000x1000 grid, at budgets from {1, 2, 3} s x
 {100, 200, 300} J. Each side generates its own copy of every world, outside
-the timed plan call, and the two worlds (``scenario.scenario_to_dict``) and
-the two plans (``scheduler.plan_to_dict``) must be identical.
+the timed plan call, and the two worlds (``scenario.scenario_to_dict`` and
+the values of the device columns) and the two plans
+(``scheduler.plan_to_dict``) must be identical.
 
 Work must not move out of the plan timer into the world's construction, so
 each side's ``generate_scenario`` call is timed too, and so is a
 ``load_scenario`` of relaybench's recover-churn world (40 devices, seed 1,
-written once by each side), once per input in the same alternating order.
+written once by each side), once per input in the same alternating order;
+the two loaded worlds must be identical too.
 
 Prints each side's mean and median plan time, the ratio of their plans per
 second and how many inputs this checkout planned faster, then the medians
@@ -66,6 +68,18 @@ def plan_input(rd, seed: int, i: int):
     return 40 if wide else 500, seed * 1_000_003 + i, rd.Budgets(t_max_s=t_max, e_max_j=e_max), disc
 
 
+def world_fields(rd, scenario) -> tuple:
+    """The file form of ``scenario`` and the values of its device columns.
+
+    The column of ``Device`` objects is left out: those of two packages
+    never compare equal, and the file form holds their fields.
+    """
+
+    columns = {name: value.tolist() if hasattr(value, "tolist") else value
+               for name, value in scenario._columns._asdict().items() if name != "devices"}
+    return rd.scenario.scenario_to_dict(scenario), columns
+
+
 def timed(call):
     """(seconds, result) of ``call()``."""
 
@@ -97,7 +111,7 @@ def main():
         for side, rd in packages.items():
             rd.save_scenario(rd.generate_scenario(40, AREA_M, seed=1), churn_world[side])
         for i in range(args.plans):
-            worlds, plans = {}, {}
+            worlds, loaded, plans = {}, {}, {}
             for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
                 rd = packages[side]
                 n_devices, world_seed, budgets, disc = plan_input(rd, args.seed, i)
@@ -106,11 +120,15 @@ def main():
                 seconds["generate"][side].append(took)
                 took, plan = timed(lambda: rd.select_devices_dp(scenario, budgets, disc))
                 seconds["plan"][side].append(took)
-                seconds["load"][side].append(timed(lambda: rd.load_scenario(churn_world[side]))[0])
-                worlds[side] = rd.scenario.scenario_to_dict(scenario)
+                took, churn = timed(lambda: rd.load_scenario(churn_world[side]))
+                seconds["load"][side].append(took)
+                worlds[side] = world_fields(rd, scenario)
+                loaded[side] = world_fields(rd, churn)
                 plans[side] = rd.scheduler.plan_to_dict(plan)
             if worlds["this"] != worlds["base"]:
                 sys.exit(f"error: input {i}: the worlds differ")
+            if loaded["this"] != loaded["base"]:
+                sys.exit(f"error: input {i}: the loaded worlds differ")
             if plans["this"] != plans["base"]:
                 sys.exit(f"error: input {i}: the plans differ")
 

@@ -32,8 +32,6 @@ import tempfile
 import time
 from pathlib import Path
 
-import numpy as np
-
 from relaydiff import (
     Budgets,
     FailureSpec,
@@ -73,7 +71,7 @@ def main():
     first, cost = plan.stages[0]
     trace = simulate_pipeline(scenario, plan, FailureSpec(injected=((first, "compute"),)))
     fleet = _fleet_costs(scenario)
-    keep = np.array([dev.id != first for dev in fleet.devices])
+    keep = fleet.ids != first
     residual = Budgets(
         t_max_s=BUDGETS.t_max_s - (cost.t_down_s + cost.t_cmp_s),
         e_max_j=BUDGETS.e_max_j - math.fsum([cost.e_down_j, cost.e_cmp_j]),

@@ -63,10 +63,16 @@ def simulate_split(scenario: Scenario, config: SplitConfig, budgets: Budgets) ->
 
     The run always executes fully; exceeding the budgets only clears the
     trace's ``feasible`` flag. ``stages_completed`` counts executed steps.
+    Raises ValidationError if the scenario marks either device unavailable.
     """
 
     device_a = scenario.device(config.device_a_id)
     device_b = scenario.device(config.device_b_id)
+    for device in (device_a, device_b):
+        if not device.available:
+            raise ValidationError(
+                f"split device {device.id}: the scenario marks the device unavailable"
+            )
     step = split_step_cost(
         device_a,
         device_b,

@@ -9,10 +9,13 @@ The edge server's own consumption is out of scope and never charged.
 Aggregation convention: totals over many cost terms use ``math.fsum`` and
 ``t_total`` is defined as ``t_tran + t_cmp``. Both choices make the accounting
 identities exact in floating point (order-independent, no drift), so a plan's
-predicted totals match a failure-free execution trace bit for bit.
+predicted totals match a failure-free execution trace bit for bit. One body,
+``_fsum_totals``, adds them up for :func:`aggregate_costs` and
+:meth:`FleetCosts.totals` alike.
 
 :class:`FleetCosts` holds the same six phase costs for a whole fleet as numpy
-arrays, plus each device's id and exact model size. It, :func:`stage_cost` and
+arrays, plus each device's id and exact model size (no ``Device`` objects:
+a plan names its devices by id). It, :func:`stage_cost` and
 :func:`split_step_cost` all evaluate one phase formula, :func:`phase_costs`,
 made only of correctly rounded multiplications and divisions, on link rates
 from one ``math`` formula (``_shannon``), which a fleet maps over its
@@ -36,6 +39,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable
 
 import numpy as np
@@ -68,6 +72,11 @@ class StageCost:
         return self.e_down_j + self.e_cmp_j + self.e_up_j
 
 
+# The fields of a StageCost, in phase_costs order.
+_STAGE_FIELDS = ("t_down_s", "t_cmp_s", "t_up_s", "e_down_j", "e_cmp_j", "e_up_j")
+_phases_of = attrgetter(*_STAGE_FIELDS)
+
+
 @dataclass(frozen=True)
 class CostTotals:
     """fsum-aggregated totals over a collection of stage costs."""
@@ -81,16 +90,18 @@ class CostTotals:
         return self.t_tran_s + self.t_cmp_s
 
 
+def _fsum_totals(t_down, t_cmp, t_up, e_down, e_cmp, e_up) -> CostTotals:
+    """The totals of six lists (or tuples) of phase costs: the one fsum body of every total."""
+
+    return CostTotals(t_tran_s=math.fsum(t_down + t_up), t_cmp_s=math.fsum(t_cmp),
+                      e_total_j=math.fsum(e_down + e_cmp + e_up))
+
+
 def aggregate_costs(costs: Iterable[StageCost]) -> CostTotals:
     """Exactly-rounded totals; the one accounting path plans and traces share."""
 
-    costs = list(costs)
-    t_tran = math.fsum([c.t_down_s for c in costs] + [c.t_up_s for c in costs])
-    t_cmp = math.fsum(c.t_cmp_s for c in costs)
-    e_total = math.fsum(
-        [c.e_down_j for c in costs] + [c.e_cmp_j for c in costs] + [c.e_up_j for c in costs]
-    )
-    return CostTotals(t_tran_s=t_tran, t_cmp_s=t_cmp, e_total_j=e_total)
+    # The six phase columns of the costs; six empty ones if there are none.
+    return _fsum_totals(*(tuple(zip(*map(_phases_of, costs))) or ((),) * 6))
 
 
 def link_rate(
@@ -243,14 +254,13 @@ def stage_cost_for(scenario: Scenario, device: Device) -> StageCost:
 class FleetCosts:
     """Stage costs of a scenario's available devices, one array element each.
 
-    ``devices`` holds the available devices in ascending id order and ``ids``
-    their ids; element i of every array belongs to ``devices[i]`` and equals
-    the matching field (or ``t_total()``/``e_total()``) of
-    ``stage_cost_for(scenario, devices[i])``. ``size_bytes[i]`` is
-    ``devices[i].variant.size_bytes``, an exact Python int.
+    ``ids`` holds the available devices' ids in ascending order; element i of
+    every array belongs to device ``ids[i]`` and equals the matching field
+    (or ``t_total()``/``e_total()``) of its :func:`stage_cost_for`.
+    ``size_bytes[i]`` is that device's ``variant.size_bytes``, an exact
+    Python int.
     """
 
-    devices: tuple[Device, ...]
     ids: np.ndarray
     size_bytes: tuple[int, ...]
     t_down_s: np.ndarray
@@ -279,11 +289,9 @@ class FleetCosts:
         :func:`fleet_costs` gives on a scenario with only those devices available.
         """
 
-        keep = mask.tolist()
         return FleetCosts(
-            tuple(itertools.compress(self.devices, keep)),
             self.ids[mask],
-            tuple(itertools.compress(self.size_bytes, keep)),
+            tuple(itertools.compress(self.size_bytes, mask.tolist())),
             *(column[mask] for column in self.phases()),
             self.t_total_s[mask],
             self.e_total_j[mask],
@@ -297,15 +305,7 @@ class FleetCosts:
     def totals(self, index) -> CostTotals:
         """:func:`aggregate_costs` of the stage costs at ``index``, a slice or positions."""
 
-        return CostTotals(
-            t_tran_s=math.fsum(self.t_down_s[index].tolist() + self.t_up_s[index].tolist()),
-            t_cmp_s=math.fsum(self.t_cmp_s[index].tolist()),
-            e_total_j=math.fsum(
-                self.e_down_j[index].tolist()
-                + self.e_cmp_j[index].tolist()
-                + self.e_up_j[index].tolist()
-            ),
-        )
+        return _fsum_totals(*(column[index].tolist() for column in self.phases()))
 
 
 def available_ids(scenario: Scenario) -> list[int] | None:
@@ -357,14 +357,12 @@ def _fleet_costs(scenario: Scenario) -> FleetCosts:
     columns = scenario._columns
     ids = available_ids(scenario)
     if ids is None:
-        devices, id_array, sizes = columns.devices, columns.ids, columns.size_bytes
+        id_array, sizes = columns.ids, columns.size_bytes
     else:
-        devices, sizes = (tuple(map(column.__getitem__, ids))
-                          for column in (columns.devices, columns.size_bytes))
-        id_array = columns.ids[ids]
+        id_array, sizes = columns.ids[ids], tuple(map(columns.size_bytes.__getitem__, ids))
     phases = fleet_phase_costs(scenario, scenario.latent_bytes, scenario.steps_per_stage, ids)
     t_down, t_cmp, t_up, e_down, e_cmp, e_up = phases
-    fleet = FleetCosts(devices, id_array, sizes, *phases,
+    fleet = FleetCosts(id_array, sizes, *phases,
                        t_down + t_cmp + t_up, e_down + e_cmp + e_up)
     for array in (fleet.ids, *fleet.phases(), fleet.t_total_s, fleet.e_total_j):
         array.flags.writeable = False

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cost_model import FleetCosts, StageCost, aggregate_costs, fleet_costs
+from .cost_model import _STAGE_FIELDS, FleetCosts, StageCost, aggregate_costs, fleet_costs
 from .errors import ConfigurationError, ValidationError
 from .scenario import Scenario, check_totals, read_fields, read_json, require_field, write_json
 
@@ -184,10 +184,9 @@ def _build_plan(
     discretization: Discretization | None,
 ) -> SchedulePlan:
     picked = sorted(picked)
-    costs = [fleet.stage_cost(i) for i in picked]
-    totals = aggregate_costs(costs)
+    totals = fleet.totals(picked)
     plan = SchedulePlan(
-        stages=tuple((fleet.devices[i].id, cost) for i, cost in zip(picked, costs)),
+        stages=tuple(zip(fleet.ids[picked].tolist(), map(fleet.stage_cost, picked))),
         objective_bytes=sum(fleet.size_bytes[i] for i in picked),
         t_total_s=totals.t_total_s,
         e_total_j=totals.e_total_j,
@@ -215,7 +214,7 @@ def _greedy_count(fleet: FleetCosts, budgets: Budgets) -> int:
     fits only if every shorter one does: gallop to a misfit, then bisect.
     """
 
-    n = len(fleet.devices)
+    n = len(fleet.ids)
     step = 1
     while step <= n and _fits(fleet, slice(0, step), budgets):
         step *= 2
@@ -599,7 +598,7 @@ def select_devices_oracle(scenario: Scenario, budgets: Budgets) -> SchedulePlan:
     """
 
     fleet = fleet_costs(scenario)
-    n = len(fleet.devices)
+    n = len(fleet.ids)
     if n > ORACLE_MAX_DEVICES:
         raise ConfigurationError(
             f"oracle enumeration over {n} devices exceeds the {ORACLE_MAX_DEVICES}-device guard"
@@ -608,7 +607,7 @@ def select_devices_oracle(scenario: Scenario, budgets: Budgets) -> SchedulePlan:
     t_one = fleet.t_total_s.tolist()
     e_one = fleet.e_total_j.tolist()
     size_one = fleet.size_bytes
-    ids = [dev.id for dev in fleet.devices]
+    ids = fleet.ids.tolist()
 
     n_masks = 1 << n
     t_sum = [0.0] * n_masks
@@ -651,7 +650,6 @@ def select_devices_oracle(scenario: Scenario, budgets: Budgets) -> SchedulePlan:
 
 # -- plan files ----------------------------------------------------------------
 
-_STAGE_FIELDS = ("t_down_s", "t_cmp_s", "t_up_s", "e_down_j", "e_cmp_j", "e_up_j")
 # The (name, kind) tables the loader reads records with (see relaydiff.scenario.read_fields).
 _STAGE_RECORD = (("device_id", int), *((name, float) for name in _STAGE_FIELDS))
 _BUDGET_FIELDS = (("t_max_s", float), ("e_max_j", float))

@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .baseline_split import SplitConfig, pick_split_pair, simulate_split
+from .cost_model import fleet_costs
 from .errors import ConfigurationError, RelaydiffError, ValidationError
 from .pipeline import NO_FAILURES, Timeline, simulate_pipeline, trace_summary
 from .quality import quality
@@ -124,12 +125,17 @@ def _split_pair(scenario: Scenario) -> SplitConfig | None:
 
 
 def _split_row(
-    scenario: Scenario, budgets: Budgets, dp_stages: int, pair: SplitConfig | None
+    scenario: Scenario, budgets: Budgets, dp_stages: int,
+    pair: SplitConfig | RelaydiffError | None,
 ) -> dict:
+    """The split row of a cell; ``pair`` is the world's pick, or the error it raised."""
+
     n_steps = scenario.steps_per_stage * dp_stages
     if n_steps < 1 or pair is None:
         # Nothing comparable to run; an idle run trivially fits the budgets.
         return _empty_metrics()
+    if isinstance(pair, RelaydiffError):
+        raise pair
     config = replace(pair, n_steps=n_steps)
     trace = simulate_split(scenario, config, budgets)
     device_a = scenario.device(config.device_a_id)
@@ -177,7 +183,14 @@ def run_sweep(
 
     rows = []
     for world in scenarios:
-        pair = _split_pair(world) if "split" in spec.methods else None
+        try:
+            pair = _split_pair(world) if "split" in spec.methods else None
+        except RelaydiffError as exc:
+            # A world whose stages cannot be costed either (a link rate that
+            # underflows) aborts the sweep with that error; otherwise only
+            # the split cells that would run a pair fail.
+            fleet_costs(world)
+            pair = exc
         for t_max in spec.t_max_grid:
             for e_max in spec.e_max_grid:
                 budgets = Budgets(t_max_s=t_max, e_max_j=e_max)

@@ -12,6 +12,7 @@ from relaydiff import (
     ConfigurationError,
     SplitConfig,
     ValidationError,
+    generate_scenario,
     mark_unavailable,
     pick_split_pair,
     select_devices_dp,
@@ -88,6 +89,15 @@ def test_missing_device_is_a_configuration_error(pair_scenario):
     config = SplitConfig(device_a_id=0, device_b_id=7)
     with pytest.raises(ConfigurationError, match="no device with id 7"):
         simulate_split(pair_scenario, config, Budgets(1.0, 1.0))
+
+
+def test_split_refuses_an_unavailable_device():
+    scenario = mark_unavailable(generate_scenario(6, seed=3), {1})
+    for a, b in ((1, 2), (2, 1)):
+        with pytest.raises(ValidationError, match="split device 1: the scenario marks the "
+                                                  "device unavailable"):
+            simulate_split(scenario, SplitConfig(a, b), Budgets(2.0, 200.0))
+    assert simulate_split(scenario, SplitConfig(0, 2), Budgets(2.0, 200.0)).stages_completed == 5
 
 
 def test_pick_pair_on_two_devices(pair_scenario):

@@ -10,7 +10,14 @@ import time
 
 import pytest
 
-from relaydiff import load_plan, load_scenario, load_trace
+from relaydiff import (
+    generate_scenario,
+    load_plan,
+    load_scenario,
+    load_trace,
+    mark_unavailable,
+    save_scenario,
+)
 from relaydiff.cli import EXIT_OK, EXIT_RECOVERY, EXIT_USAGE, EXIT_VALIDATION, main
 
 
@@ -178,6 +185,15 @@ def test_split_rejects_bad_fraction(workdir):
 def test_split_needs_both_devices(workdir):
     code = main(["split", "-s", str(workdir / "s.json"), "--device-a", "0"])
     assert code == EXIT_VALIDATION
+
+
+def test_split_on_an_unavailable_device_is_a_validation_error(tmp_path, capsys):
+    path = tmp_path / "marked.json"
+    save_scenario(mark_unavailable(generate_scenario(6, seed=3), {1}), path)
+    code = main(["split", "-s", str(path), "--device-a", "1", "--device-b", "2"])
+    assert code == EXIT_VALIDATION
+    assert "split device 1: the scenario marks the device unavailable" in capsys.readouterr().err
+    assert main(["split", "-s", str(path), "--device-a", "0", "--device-b", "2"]) == EXIT_OK
 
 
 def test_sweep_writes_sorted_deterministic_csv(workdir, tmp_path, capsys):

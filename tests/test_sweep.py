@@ -1,6 +1,7 @@
 """Budget sweeps: row cardinality, ordering, CSV stability, trend columns."""
 
 import csv
+import dataclasses
 import io
 
 import pytest
@@ -10,6 +11,7 @@ from relaydiff import (
     SweepSpec,
     ValidationError,
     generate_scenario,
+    mark_unavailable,
     pick_split_pair,
     run_sweep,
 )
@@ -107,6 +109,27 @@ def test_failing_cells_become_infeasible_rows():
     oracle_rows = [r for r in rows if r["method"] == "oracle"]
     assert oracle_rows and all(r["feasible"] is False for r in oracle_rows)
     assert all(r["feasible"] is True for r in rows if r["method"] == "dp")
+
+
+def test_a_failing_split_pick_makes_infeasible_split_rows():
+    # The pick overflows on these features; the DP plan moves latents only.
+    world = dataclasses.replace(generate_scenario(6, seed=3), feature_bytes=10**308)
+    with pytest.raises(ConfigurationError, match="overflows"):
+        pick_split_pair(world)
+    spec = SweepSpec(t_max_grid=(2.0,), e_max_grid=(200.0,), methods=("dp", "split"))
+    dp_row, split_row = run_sweep(spec, scenario=world)
+    assert dp_row == run_sweep(dataclasses.replace(spec, methods=("dp",)), scenario=world)[0]
+    assert dp_row["feasible"] is True and dp_row["n_stages"] == 3
+    assert split_row["method"] == "split" and split_row["feasible"] is False
+    assert split_row["objective_bytes"] == 0
+
+
+def test_a_world_without_a_pair_keeps_idle_split_rows():
+    lonely = mark_unavailable(generate_scenario(6, seed=3), {0, 1, 2, 3, 4})
+    spec = SweepSpec(t_max_grid=(2.0,), e_max_grid=(200.0,), methods=("dp", "split"))
+    dp_row, split_row = run_sweep(spec, scenario=lonely)
+    assert dp_row["n_stages"] == 1
+    assert split_row["feasible"] is True and split_row["n_stages"] == 0
 
 
 def test_repetitions_generate_distinct_seeds():
