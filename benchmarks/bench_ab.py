@@ -10,9 +10,10 @@ those of relaybench's plan-cold workload: three in four plan a fresh
 500-device world on the default 200-unit grid, every fourth a fresh
 40-device world on a 1000x1000 grid, at budgets from {1, 2, 3} s x
 {100, 200, 300} J. Each side generates its own copy of every world, outside
-the timed plan call, and the two worlds (``scenario.scenario_to_dict`` and
-the values of the device columns) and the two plans
-(``scheduler.plan_to_dict``) must be identical.
+the timed plan call, and the two worlds (``scenario_to_dict`` and the values
+of the device columns) and the two plans (``plan_to_dict``) must be
+identical. Each side's converters come from its ``formats`` module, or from
+``scenario`` and ``scheduler`` in a checkout that predates it.
 
 Work must not move out of the plan timer into the world's construction, so
 each side's ``generate_scenario`` call is timed too, and so is a
@@ -68,6 +69,16 @@ def plan_input(rd, seed: int, i: int):
     return 40 if wide else 500, seed * 1_000_003 + i, rd.Budgets(t_max_s=t_max, e_max_j=e_max), disc
 
 
+def converters(rd) -> tuple:
+    """(scenario_to_dict, plan_to_dict) of package ``rd``."""
+
+    try:
+        formats = importlib.import_module(f"{rd.__name__}.formats")
+    except ModuleNotFoundError:
+        return rd.scenario.scenario_to_dict, rd.scheduler.plan_to_dict
+    return formats.scenario_to_dict, formats.plan_to_dict
+
+
 def world_fields(rd, scenario) -> tuple:
     """The file form of ``scenario`` and the values of its device columns.
 
@@ -77,7 +88,7 @@ def world_fields(rd, scenario) -> tuple:
 
     columns = {name: value.tolist() if hasattr(value, "tolist") else value
                for name, value in scenario._columns._asdict().items() if name != "devices"}
-    return rd.scenario.scenario_to_dict(scenario), columns
+    return converters(rd)[0](scenario), columns
 
 
 def timed(call):
@@ -124,7 +135,7 @@ def main():
                 seconds["load"][side].append(took)
                 worlds[side] = world_fields(rd, scenario)
                 loaded[side] = world_fields(rd, churn)
-                plans[side] = rd.scheduler.plan_to_dict(plan)
+                plans[side] = converters(rd)[1](plan)
             if worlds["this"] != worlds["base"]:
                 sys.exit(f"error: input {i}: the worlds differ")
             if loaded["this"] != loaded["base"]:

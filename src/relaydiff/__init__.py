@@ -18,16 +18,22 @@ from .errors import (
     RelaydiffError,
     ValidationError,
 )
+from .formats import (
+    load_plan,
+    load_scenario,
+    load_trace,
+    save_plan,
+    save_scenario,
+    save_trace,
+    trace_summary,
+)
 from .pipeline import (
     Event,
     FailureSpec,
     NO_FAILURES,
     SimTrace,
     aggregate_latent_lineage,
-    load_trace,
-    save_trace,
     simulate_pipeline,
-    trace_summary,
 )
 from .quality import QualityScore, quality
 from .scenario import (
@@ -38,17 +44,13 @@ from .scenario import (
     PROFILES,
     Scenario,
     generate_scenario,
-    load_scenario,
     mark_unavailable,
-    save_scenario,
 )
 from .scheduler import (
     Budgets,
     Discretization,
     SchedulePlan,
     default_discretization,
-    load_plan,
-    save_plan,
     select_devices_dp,
     select_devices_no_ds,
     select_devices_oracle,

@@ -19,14 +19,13 @@ from pathlib import Path
 
 from .baseline_split import SplitConfig, pick_split_pair, simulate_split
 from .errors import ConfigurationError, RecoveryInfeasible, ValidationError
-from .pipeline import FailureSpec, save_trace, simulate_pipeline, trace_summary
+from .formats import load_plan, load_scenario, save_plan, save_scenario, save_trace, trace_summary
+from .pipeline import FailureSpec, simulate_pipeline
 from .quality import quality
-from .scenario import generate_scenario, load_scenario, save_scenario
+from .scenario import generate_scenario
 from .scheduler import (
     Budgets,
     Discretization,
-    save_plan,
-    load_plan,
     select_devices_dp,
     select_devices_no_ds,
     select_devices_oracle,

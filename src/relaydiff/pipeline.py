@@ -25,11 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cost_model import fleet_costs, stage_cost_columns
+from .cost_model import _STAGE_FIELDS, fleet_costs, stage_cost_columns
 from .errors import ConfigurationError, LineageError, RecoveryInfeasible, ValidationError
-from .scenario import (STAGE_PHASES, TRANSFER_PHASES, Scenario, check_totals, read_fields, read_json,
-                       require_field, write_json)
-from .scheduler import _STAGE_FIELDS, Budgets, SchedulePlan, _select_dp
+from .scenario import STAGE_PHASES, TRANSFER_PHASES, Scenario
+from .scheduler import Budgets, SchedulePlan, _select_dp
 
 EVENT_KINDS = ("download", "compute", "upload", "checkpoint", "failure", "replan")
 MARKER_KINDS = ("checkpoint", "failure", "replan")
@@ -307,130 +306,3 @@ def aggregate_latent_lineage(trace: SimTrace) -> list[int]:
     if not trace.completed:
         raise LineageError("lineage is undefined for a run that did not complete")
     return [e.device_id for e in trace.events if e.kind == "checkpoint"]
-
-
-# -- trace files ---------------------------------------------------------------
-
-
-def trace_summary(trace: SimTrace) -> dict:
-    """Flat one-record summary, the trace-side columns of the sweep CSV."""
-
-    return {
-        "method": trace.method,
-        "stages_completed": trace.stages_completed,
-        "replans": trace.replans,
-        "t_total_s": trace.t_total_s,
-        "e_total_j": trace.e_total_j,
-        "t_tran_s": trace.t_tran_s,
-        "t_cmp_s": trace.t_cmp_s,
-        "tran_fraction": trace.tran_fraction,
-        "completed": trace.completed,
-        "feasible": trace.feasible,
-    }
-
-
-def trace_to_dict(trace: SimTrace) -> dict:
-    return {
-        **trace_summary(trace),
-        "events": [
-            {
-                "t_start_s": e.t_start_s,
-                "t_end_s": e.t_end_s,
-                "kind": e.kind,
-                "device_id": e.device_id,
-                "amount": e.amount,
-            }
-            for e in trace.events
-        ],
-    }
-
-
-# An event record's fields besides device_id, each with its kind (see
-# relaydiff.scenario.require_field).
-_EVENT_FIELDS = (("t_start_s", float), ("t_end_s", float), ("kind", str), ("amount", int))
-# The trace's own fields besides the events and the time totals it recomputes.
-_TRACE_FIELDS = (("e_total_j", float), ("stages_completed", int), ("replans", int),
-                 ("completed", bool), ("feasible", bool), ("method", str))
-
-
-def trace_from_dict(data: dict) -> SimTrace:
-    if not isinstance(data, dict):
-        raise ValidationError(f"trace: expected an object, got {type(data).__name__}")
-    events = []
-    for i, raw in enumerate(require_field(data, "events", list, "trace")):
-        if not isinstance(raw, dict):
-            raise ValidationError(f"trace.events[{i}]: expected an object")
-        device_id = raw.get("device_id")
-        if device_id is not None and (isinstance(device_id, bool) or not isinstance(device_id, int)):
-            raise ValidationError(f"trace.events[{i}].device_id: expected an integer or null")
-        record = {"device_id": device_id}
-        for name, kind in _EVENT_FIELDS:
-            value = raw.get(name)
-            # JSON gives each field of a well-formed event its exact type; the
-            # path is formatted only for a field that is not.
-            record[name] = (value if type(value) is kind
-                            else require_field(raw, name, kind, f"trace.events[{i}]"))
-        events.append(Event(**record))
-
-    # The simulator's clock starts at 0.0, each event starts exactly where the
-    # previous one ended, and markers take no time.
-    clock = 0.0
-    for i, event in enumerate(events):
-        if event.t_start_s != clock:
-            raise ValidationError(
-                f"trace.events[{i}].t_start_s: {event.t_start_s} is not where the "
-                f"timeline stands ({clock})"
-            )
-        if event.kind in MARKER_KINDS and event.t_end_s != event.t_start_s:
-            raise ValidationError(
-                f"trace.events[{i}]: a {event.kind} marker must be zero-width, "
-                f"got {event.t_start_s}..{event.t_end_s}"
-            )
-        clock = event.t_end_s
-
-    check_totals(data, (
-        ("t_tran_s", math.fsum([e.duration_s for e in events if e.kind in TRANSFER_PHASES])),
-        ("t_cmp_s", math.fsum([e.duration_s for e in events if e.kind == "compute"])),
-    ), "events", "trace")
-    # The simulator sums the phase durations it was given, and each can
-    # differ by an ulp from t_end_s - t_start_s, so the stored sums are kept;
-    # the other two totals follow from them as in Timeline.trace.
-    t_tran, t_cmp = float(data["t_tran_s"]), float(data["t_cmp_s"])
-    t_total = t_tran + t_cmp
-    tran_fraction = t_tran / t_total if t_total > 0 else 0.0
-    check_totals(data, (("t_total_s", t_total), ("tran_fraction", tran_fraction)),
-                 "t_tran_s + t_cmp_s", "trace")
-
-    e_total, stages_completed, replans, completed, feasible, method = read_fields(
-        data, _TRACE_FIELDS, "trace")
-    kinds = [e.kind for e in events]
-    # A split step computes once on each device and writes no checkpoint.
-    stages = kinds.count("compute") / 2 if method == "split" else kinds.count("checkpoint")
-    for name, stored, recounted in (("stages_completed", stages_completed, stages),
-                                    ("replans", replans, kinds.count("replan"))):
-        if stored != recounted:
-            raise ValidationError(f"trace.{name}: {stored} inconsistent with events ({recounted})")
-
-    return SimTrace(
-        events=tuple(events),
-        t_total_s=t_total,
-        e_total_j=e_total,
-        t_tran_s=t_tran,
-        t_cmp_s=t_cmp,
-        tran_fraction=tran_fraction,
-        stages_completed=stages_completed,
-        replans=replans,
-        completed=completed,
-        feasible=feasible,
-        method=method,
-    )
-
-
-def save_trace(trace: SimTrace, path) -> None:
-    """Write ``trace`` as compact JSON with sorted keys (:func:`load_trace` reads indented files too)."""
-
-    write_json(trace_to_dict(trace), path)
-
-
-def load_trace(path) -> SimTrace:
-    return trace_from_dict(read_json(path))

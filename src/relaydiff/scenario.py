@@ -3,15 +3,15 @@
 A :class:`Scenario` is an immutable value object describing one deployment:
 an area with an edge server, a fleet of heterogeneous devices each hosting a
 quantized copy of the denoising model, the shared link model, and the payload
-sizes moved per stage. Generation is fully seeded and the JSON serialization
-round-trips losslessly, so every downstream result is reproducible from
-(n_devices, area, seed, profile) alone.
+sizes moved per stage. Generation is fully seeded, so every downstream
+result is reproducible from (n_devices, area, seed, profile) alone; files
+are read and written by :mod:`relaydiff.formats`.
 
 Ids are dense, ``0..n-1``, so a scenario also owns its devices as columns in
 ascending id order, entry i describing device i (:class:`DeviceColumns`,
 ``scenario._columns``): every number a cost needs, built once per scenario
 and never written. ``Scenario(...)`` is the one way a scenario is made:
-:func:`generate_scenario`, the loader, :func:`mark_unavailable` and
+:func:`generate_scenario`, the file loader, :func:`mark_unavailable` and
 ``dataclasses.replace`` all pass it :class:`Device` objects, and its
 ``__post_init__`` reads the columns from them and checks them in one
 vectorized pass. The generator and the loader build their devices unchecked
@@ -26,11 +26,9 @@ one.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, replace
 from operator import itemgetter
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -412,8 +410,14 @@ def generate_scenario(
 
 
 def mark_unavailable(scenario: Scenario, device_ids: set[int]) -> Scenario:
-    """Copy of ``scenario`` with the given devices flagged unavailable."""
+    """Copy of ``scenario`` with the given devices flagged unavailable.
 
+    Raises ValidationError naming any id the scenario has no device for.
+    """
+
+    unknown = set(device_ids).difference(range(len(scenario.devices)))
+    if unknown:
+        raise ValidationError(f"mark_unavailable: no device with id {sorted(unknown)}")
     return replace(
         scenario,
         devices=tuple(
@@ -421,250 +425,3 @@ def mark_unavailable(scenario: Scenario, device_ids: set[int]) -> Scenario:
             for dev in scenario.devices
         ),
     )
-
-
-# -- JSON serialization -------------------------------------------------------
-
-
-# The JSON type each Python container or string type is read from.
-_JSON_TYPES = {list: "an array", tuple: "an array", dict: "an object", str: "a string"}
-
-
-def require_field(obj: dict, key: str, kinds, path: str):
-    """``obj[key]`` if it is of ``kinds``, else ValidationError naming ``path.key``.
-
-    ``kinds`` is ``bool``, ``int`` (never a bool), ``float`` (any int or
-    float but a bool, returned as a float) or a type or tuple of types of
-    one JSON type (:data:`_JSON_TYPES`), which the message names.
-    """
-
-    if key not in obj:
-        raise ValidationError(f"{path}.{key}: missing required field")
-    value = obj[key]
-    if kinds is bool:
-        if not isinstance(value, bool):
-            raise ValidationError(f"{path}.{key}: expected a boolean, got {value!r}")
-    elif kinds is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValidationError(f"{path}.{key}: expected an integer, got {value!r}")
-    elif kinds is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValidationError(f"{path}.{key}: expected a number, got {value!r}")
-        value = float(value)
-    elif not isinstance(value, kinds):
-        expected = _JSON_TYPES[kinds if isinstance(kinds, type) else kinds[0]]
-        raise ValidationError(f"{path}.{key}: expected {expected}, got {type(value).__name__}")
-    return value
-
-
-def read_fields(obj: dict, table, path: str) -> list:
-    """The values of the ``(name, kind)`` fields of ``table`` in ``obj``, in table order.
-
-    A value whose type is exactly its kind is taken as it is; any other goes
-    through :func:`require_field`, which converts it or names what is wrong.
-    """
-
-    values = []
-    for name, kind in table:
-        value = obj.get(name)
-        values.append(value if type(value) is kind else require_field(obj, name, kind, path))
-    return values
-
-
-def check_totals(obj: dict, totals, parts: str, path: str) -> None:
-    """Raise unless each stored ``(name, recomputed)`` total of ``totals`` in ``obj``
-    is a number within a 1e-12 relative tolerance of its recomputed value."""
-
-    for name, recomputed in totals:
-        stored = require_field(obj, name, float, path)
-        if not math.isclose(stored, recomputed, rel_tol=1e-12, abs_tol=1e-12):
-            raise ValidationError(
-                f"{path}.{name}: {obj[name]} inconsistent with {parts} ({recomputed})"
-            )
-
-
-def _pair_value(value, path: str) -> tuple[float, float]:
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 2
-        or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
-    ):
-        raise ValidationError(f"{path}: expected a pair of numbers, got {value!r}")
-    return (float(value[0]), float(value[1]))
-
-
-def _pair(obj: dict, key: str, path: str) -> tuple[float, float]:
-    return _pair_value(require_field(obj, key, (list, tuple), path), f"{path}.{key}")
-
-
-def scenario_to_dict(scenario: Scenario) -> dict:
-    link = scenario.link
-    overrides = None
-    if link.rate_override_bps is not None:
-        overrides = {
-            str(dev_id): [float(up), float(down)]
-            for dev_id, (up, down) in sorted(link.rate_override_bps.items())
-        }
-    return {
-        "area_m": list(scenario.area_m),
-        "server_pos_m": list(scenario.server_pos_m),
-        "devices": [
-            {
-                "id": dev.id,
-                "pos_m": list(dev.pos_m),
-                "variant": {
-                    "bit_width": dev.variant.bit_width,
-                    "param_count": dev.variant.param_count,
-                    "size_bytes": dev.variant.size_bytes,
-                },
-                "step_latency_s": dev.step_latency_s,
-                "compute_power_w": dev.compute_power_w,
-                "tx_power_w": dev.tx_power_w,
-                "rx_power_w": dev.rx_power_w,
-                "available": dev.available,
-            }
-            for dev in scenario.devices
-        ],
-        "link": {
-            "bandwidth_hz": link.bandwidth_hz,
-            "noise_power_w": link.noise_power_w,
-            "path_loss_ref_gain": link.path_loss_ref_gain,
-            "path_loss_exponent": link.path_loss_exponent,
-            "rate_override_bps": overrides,
-        },
-        "latent_bytes": scenario.latent_bytes,
-        "feature_bytes": scenario.feature_bytes,
-        "steps_per_stage": scenario.steps_per_stage,
-        "seed": scenario.seed,
-    }
-
-
-def _variant_from_dict(raw: dict, path: str, known: dict) -> ModelVariant:
-    """The variant of a record; ``known`` maps each (bit_width, param_count)
-    already read to its variant, so each variant is checked and built once."""
-
-    bit_width, param_count = raw.get("bit_width"), raw.get("param_count")
-    if type(bit_width) is not int or type(param_count) is not int:
-        bit_width = require_field(raw, "bit_width", int, path)
-        param_count = require_field(raw, "param_count", int, path)
-    variant = known.get((bit_width, param_count))
-    if variant is None:
-        variant = known[bit_width, param_count] = ModelVariant(bit_width, param_count)
-    stored = raw.get("size_bytes")
-    if stored is not None or "size_bytes" in raw:
-        if type(stored) is not int:
-            stored = require_field(raw, "size_bytes", int, path)
-        if stored != variant.size_bytes:
-            raise ValidationError(
-                f"{path}.size_bytes: {stored} inconsistent with "
-                f"param_count * bit_width / 8 = {variant.size_bytes}"
-            )
-    return variant
-
-
-# The fields of a device record after its id and variant, in the order they
-# are read, each with the type JSON gives it in a well-formed file. Every
-# float field is one of _POSITIVE_FIELDS.
-_DEVICE_FIELDS = (
-    ("pos_m", list),
-    *((name, float) for name in _POSITIVE_FIELDS),
-    ("available", bool),
-)
-
-
-def _device_from_dict(raw, path: str, variants: dict) -> Device:
-    """The :class:`Device` of one record, read in one pass.
-
-    Checks the type of every field and the variant's rules; the other rules
-    of :class:`Device` are :func:`_device_table`'s, which the :class:`Scenario`
-    applies to every device at once.
-    """
-
-    if not isinstance(raw, dict):
-        raise ValidationError(f"{path}: expected an object")
-    variant = raw.get("variant")
-    if type(variant) is not dict:
-        variant = require_field(raw, "variant", dict, path)
-    dev_id = raw.get("id")
-    fields = {"variant": _variant_from_dict(variant, f"{path}.variant", variants)}
-    fields["id"] = dev_id if type(dev_id) is int else require_field(raw, "id", int, path)
-    for name, kind in _DEVICE_FIELDS:
-        # Only "available" may be left out, and it defaults to true.
-        value = raw.get(name, True)
-        if type(value) is not kind:
-            # Missing, of another type, or an int where a float is expected.
-            value = require_field(raw, name, (list, tuple) if kind is list else kind, path)
-        fields[name] = value
-    pos_m = fields["pos_m"]
-    if len(pos_m) != 2 or type(pos_m[0]) is not float or type(pos_m[1]) is not float:
-        pos_m = _pair(raw, "pos_m", path)
-    fields["pos_m"] = tuple(pos_m)
-    return _built(fields)
-
-
-def scenario_from_dict(data: dict) -> Scenario:
-    if not isinstance(data, dict):
-        raise ValidationError(f"scenario: expected an object, got {type(data).__name__}")
-
-    variants: dict = {}
-    devices = tuple(_device_from_dict(raw, f"devices[{i}]", variants)
-                    for i, raw in enumerate(require_field(data, "devices", list, "scenario")))
-
-    link_raw = require_field(data, "link", dict, "scenario")
-    overrides = None
-    if link_raw.get("rate_override_bps") is not None:
-        overrides_raw = require_field(link_raw, "rate_override_bps", dict, "link")
-        overrides = {}
-        for key, pair in overrides_raw.items():
-            try:
-                dev_id = int(key)
-            except (TypeError, ValueError):
-                raise ValidationError(f"link.rate_override_bps: key {key!r} is not a device id")
-            overrides[dev_id] = _pair_value(pair, f"link.rate_override_bps[{key}]")
-    link = LinkParams(
-        bandwidth_hz=require_field(link_raw, "bandwidth_hz", float, "link"),
-        noise_power_w=require_field(link_raw, "noise_power_w", float, "link"),
-        path_loss_ref_gain=require_field(link_raw, "path_loss_ref_gain", float, "link"),
-        path_loss_exponent=require_field(link_raw, "path_loss_exponent", float, "link"),
-        rate_override_bps=overrides,
-    )
-
-    return Scenario(
-        area_m=_pair(data, "area_m", "scenario"),
-        server_pos_m=_pair(data, "server_pos_m", "scenario"),
-        devices=devices,
-        link=link,
-        latent_bytes=require_field(data, "latent_bytes", int, "scenario"),
-        feature_bytes=require_field(data, "feature_bytes", int, "scenario"),
-        steps_per_stage=require_field(data, "steps_per_stage", int, "scenario"),
-        seed=require_field(data, "seed", int, "scenario"),
-    )
-
-
-def write_json(data, path, indent: int | None = None) -> None:
-    """Write ``data`` to ``path`` as JSON with sorted keys and a final newline.
-
-    Without ``indent`` the text is compact, written by json's C encoder; an
-    indent makes json fall back to its pure-Python encoder, several times
-    slower, so only hand-edited inputs are indented.
-    """
-
-    separators = (",", ":") if indent is None else None
-    Path(path).write_text(json.dumps(data, indent=indent, separators=separators, sort_keys=True) + "\n")
-
-
-def read_json(path):
-    """The JSON value in the file at ``path``; ValidationError if the text is not JSON."""
-
-    try:
-        return json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
-
-
-def save_scenario(scenario: Scenario, path) -> None:
-    write_json(scenario_to_dict(scenario), path, indent=2)
-
-
-def load_scenario(path) -> Scenario:
-    return scenario_from_dict(read_json(path))

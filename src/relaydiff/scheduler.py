@@ -48,9 +48,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cost_model import _STAGE_FIELDS, FleetCosts, StageCost, aggregate_costs, fleet_costs
+from .cost_model import FleetCosts, StageCost, fleet_costs
 from .errors import ConfigurationError, ValidationError
-from .scenario import Scenario, check_totals, read_fields, read_json, require_field, write_json
+from .scenario import Scenario
 
 METHODS = ("dp", "oracle", "no_ds")
 
@@ -646,76 +646,3 @@ def select_devices_oracle(scenario: Scenario, budgets: Budgets) -> SchedulePlan:
 
     picked = [i for i in range(n) if best >> i & 1]
     return _build_plan(fleet, picked, budgets, "oracle", None)
-
-
-# -- plan files ----------------------------------------------------------------
-
-# The (name, kind) tables the loader reads records with (see relaydiff.scenario.read_fields).
-_STAGE_RECORD = (("device_id", int), *((name, float) for name in _STAGE_FIELDS))
-_BUDGET_FIELDS = (("t_max_s", float), ("e_max_j", float))
-_GRID_FIELDS = (("dt_s", float), ("de_j", float))
-
-
-def plan_to_dict(plan: SchedulePlan) -> dict:
-    disc = plan.discretization
-    return {
-        "method": plan.method,
-        "budgets": {"t_max_s": plan.budgets.t_max_s, "e_max_j": plan.budgets.e_max_j},
-        "discretization": None if disc is None else {"dt_s": disc.dt_s, "de_j": disc.de_j},
-        "stages": [
-            {"device_id": dev_id, **{f: getattr(cost, f) for f in _STAGE_FIELDS}}
-            for dev_id, cost in plan.stages
-        ],
-        "objective_bytes": plan.objective_bytes,
-        "t_total_s": plan.t_total_s,
-        "e_total_j": plan.e_total_j,
-    }
-
-
-def plan_from_dict(data: dict) -> SchedulePlan:
-    if not isinstance(data, dict):
-        raise ValidationError(f"plan: expected an object, got {type(data).__name__}")
-
-    budgets = Budgets(*read_fields(require_field(data, "budgets", dict, "plan"), _BUDGET_FIELDS,
-                                   "plan.budgets"))
-    disc = data.get("discretization")
-    if disc is not None:
-        disc = Discretization(*read_fields(require_field(data, "discretization", dict, "plan"),
-                                           _GRID_FIELDS, "plan.discretization"))
-
-    stages = []
-    for i, stage_raw in enumerate(require_field(data, "stages", list, "plan")):
-        path = f"plan.stages[{i}]"
-        if not isinstance(stage_raw, dict):
-            raise ValidationError(f"{path}: expected an object")
-        dev_id, *costs = read_fields(stage_raw, _STAGE_RECORD, path)
-        for name, value in zip(_STAGE_FIELDS, costs):
-            if value < 0:
-                raise ValidationError(f"{path}.{name}: expected a number >= 0, got {value!r}")
-        stages.append((dev_id, StageCost(*costs)))
-
-    objective = require_field(data, "objective_bytes", int, "plan")
-    if objective < 0:
-        raise ValidationError(f"plan.objective_bytes: expected an integer >= 0, got {objective!r}")
-
-    totals = aggregate_costs(cost for _, cost in stages)
-    check_totals(data, (("t_total_s", totals.t_total_s), ("e_total_j", totals.e_total_j)),
-                 "stage costs", "plan")
-
-    return SchedulePlan(
-        stages=tuple(stages),
-        objective_bytes=objective,
-        t_total_s=totals.t_total_s,
-        e_total_j=totals.e_total_j,
-        budgets=budgets,
-        method=data.get("method"),
-        discretization=disc,
-    )
-
-
-def save_plan(plan: SchedulePlan, path) -> None:
-    write_json(plan_to_dict(plan), path, indent=2)
-
-
-def load_plan(path) -> SchedulePlan:
-    return plan_from_dict(read_json(path))

@@ -16,7 +16,8 @@ from pathlib import Path
 from .baseline_split import SplitConfig, pick_split_pair, simulate_split
 from .cost_model import fleet_costs
 from .errors import ConfigurationError, RelaydiffError, ValidationError
-from .pipeline import NO_FAILURES, Timeline, simulate_pipeline, trace_summary
+from .formats import trace_summary
+from .pipeline import NO_FAILURES, Timeline, simulate_pipeline
 from .quality import quality
 from .scenario import Scenario, generate_scenario
 from .scheduler import (
@@ -183,14 +184,13 @@ def run_sweep(
 
     rows = []
     for world in scenarios:
+        # A world whose stages cannot be costed (a link rate that underflows)
+        # aborts the sweep with that error, whatever the methods.
+        fleet_costs(world)
         try:
             pair = _split_pair(world) if "split" in spec.methods else None
         except RelaydiffError as exc:
-            # A world whose stages cannot be costed either (a link rate that
-            # underflows) aborts the sweep with that error; otherwise only
-            # the split cells that would run a pair fail.
-            fleet_costs(world)
-            pair = exc
+            pair = exc  # only the split cells that would run a pair fail
         for t_max in spec.t_max_grid:
             for e_max in spec.e_max_grid:
                 budgets = Budgets(t_max_s=t_max, e_max_j=e_max)

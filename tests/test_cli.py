@@ -307,10 +307,11 @@ def silent_world(tmp_path_factory):
 @pytest.mark.parametrize("command", [
     ["split"],
     ["sweep", "-o", "rows.csv"],
+    ["sweep", "--methods", "dp,no_ds", "-o", "rows.csv"],
     ["schedule", "--t-max", "3", "--e-max", "300", "-o", "p.json"],
     ["schedule", "--method", "no_ds", "--t-max", "3", "--e-max", "300", "-o", "p.json"],
     ["oracle", "--t-max", "3", "--e-max", "300", "-o", "p.json"],
-], ids=["split", "sweep", "schedule", "no_ds", "oracle"])
+], ids=["split", "sweep", "sweep-dp-no_ds", "schedule", "no_ds", "oracle"])
 def test_zero_link_rate_exits_3_naming_the_device(silent_world, tmp_path, monkeypatch, capsys,
                                                   command):
     monkeypatch.chdir(tmp_path)

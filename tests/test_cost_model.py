@@ -37,7 +37,7 @@ from relaydiff.cost_model import (
     stage_cost_for,
     transfer_time,
 )
-from relaydiff.scenario import scenario_from_dict, scenario_to_dict
+from relaydiff.formats import scenario_from_dict, scenario_to_dict
 
 SERVER = (0.0, 0.0)
 

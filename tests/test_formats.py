@@ -1,0 +1,150 @@
+"""The file formats module: its field tables, the docs that show them, and the import order."""
+
+import ast
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from relaydiff import (
+    Budgets,
+    FailureSpec,
+    SweepSpec,
+    formats,
+    generate_scenario,
+    run_sweep,
+    select_devices_dp,
+    simulate_pipeline,
+)
+from relaydiff.formats import PAIR, RATES, Nullable, Omittable
+from relaydiff.sweep import CSV_COLUMNS
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "relaydiff"
+DOCS = ROOT / "docs" / "file_formats.md"
+
+RECORDS = {
+    "scenario": formats.SCENARIO,
+    "device": formats.DEVICE,
+    "variant": formats.VARIANT,
+    "link": formats.LINK,
+    "plan": formats.PLAN,
+    "budgets": formats.BUDGETS,
+    "grid": formats.GRID,
+    "stage": formats.STAGE,
+    "trace": formats.TRACE,
+    "event": formats.EVENT,
+}
+
+
+def json_type(kind) -> str:
+    """How the docs name the JSON type of a field of ``kind``."""
+
+    if isinstance(kind, Nullable):
+        return f"{json_type(kind.kind)} or null"
+    if isinstance(kind, Omittable):
+        return json_type(kind.kind)
+    if isinstance(kind, (list, dict)):
+        record = kind[0] if isinstance(kind, list) else kind
+        name = next(name for name, table in RECORDS.items() if table is record)
+        return f"array of `{name}`" if isinstance(kind, list) else f"`{name}` object"
+    if isinstance(kind, tuple):
+        return "string"  # one of the values the model accepts
+    return {int: "integer", float: "number", bool: "boolean", str: "string",
+            PAIR: "[number, number]", RATES: "{id: [number, number]}"}[kind]
+
+
+def code_tables() -> dict:
+    return {
+        record: {name: (json_type(kind), "no" if isinstance(kind, (Nullable, Omittable)) else "yes")
+                 for name, kind in table.items()}
+        for record, table in RECORDS.items()
+    }
+
+
+def docs_tables(text: str) -> dict:
+    """``{record: {field: (JSON type, required)}}`` from the ``#### `record``` tables of the docs."""
+
+    tables, record = {}, None
+    for line in text.splitlines():
+        if line.startswith("#"):
+            heading = re.fullmatch(r"#### `(\w+)`", line)
+            record = heading and heading.group(1)
+            if record:
+                tables[record] = {}
+        elif record and (row := re.fullmatch(r"\| `(\w+)` \| (.+) \| (yes|no) \|", line)):
+            tables[record][row.group(1)] = (row.group(2), row.group(3))
+    return tables
+
+
+def test_the_docs_show_every_record_table():
+    assert docs_tables(DOCS.read_text()) == code_tables()
+
+
+def test_the_docs_list_the_sweep_columns_with_their_types():
+    section = DOCS.read_text().split("## Sweep table", 1)[1]
+    documented = re.findall(r"^\| `(\w+)` \| (\w+) \|", section, flags=re.MULTILINE)
+    assert [name for name, _ in documented] == list(CSV_COLUMNS)
+    (row,) = run_sweep(SweepSpec(t_max_grid=(2.0,), e_max_grid=(200.0,), methods=("dp",)),
+                       n_devices=3, base_seed=0)
+    assert documented == [(name, type(row[name]).__name__) for name in CSV_COLUMNS]
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda text: text.replace("| `seed` | integer | yes |\n", "", 1),
+    lambda text: text.replace("| `t_end_s` | number |", "| `t_stop_s` | number |", 1),
+    lambda text: text.replace("| `amount` | integer |", "| `amount` | number |", 1),
+    lambda text: text.replace("| `available` | boolean | no |", "| `available` | boolean | yes |", 1),
+], ids=["removed", "renamed", "retyped", "required-flipped"])
+def test_a_changed_docs_row_is_caught(mutate):
+    text = DOCS.read_text()
+    changed = mutate(text)
+    assert changed != text
+    assert docs_tables(changed) != code_tables()
+
+
+def test_each_writer_writes_exactly_its_table(default_scenario):
+    scenario = generate_scenario(6, seed=3)
+    data = formats.scenario_to_dict(scenario)
+    assert list(data) == list(formats.SCENARIO)
+    assert list(data["devices"][0]) == list(formats.DEVICE)
+    assert list(data["devices"][0]["variant"]) == list(formats.VARIANT)
+    assert list(data["link"]) == list(formats.LINK)
+    plan = select_devices_dp(default_scenario, Budgets(3.0, 300.0))
+    data = formats.plan_to_dict(plan)
+    assert list(data) == list(formats.PLAN)
+    assert list(data["budgets"]) == list(formats.BUDGETS)
+    assert list(data["discretization"]) == list(formats.GRID)
+    assert list(data["stages"][0]) == list(formats.STAGE)
+    trace = simulate_pipeline(default_scenario, plan, FailureSpec(injected=((plan.device_ids[0], "compute"),)))
+    data = formats.trace_to_dict(trace)
+    assert list(data) == list(formats.TRACE)
+    assert list(data["events"][0]) == list(formats.EVENT)
+    # The summary's order is the CLI's CSV header.
+    assert list(formats.trace_summary(trace)) == [
+        "method", "stages_completed", "replans", "t_total_s", "e_total_j", "t_tran_s", "t_cmp_s",
+        "tran_fraction", "completed", "feasible",
+    ]
+
+
+@pytest.mark.parametrize("module", sorted(path.stem for path in PACKAGE.glob("*.py")))
+def test_each_module_imports_on_its_own(module):
+    name = "relaydiff" if module == "__init__" else f"relaydiff.{module}"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", f"import {name}"], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("module", ["scenario", "scheduler", "pipeline"])
+def test_model_modules_know_no_file_format(module):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update(alias.name for alias in node.names)
+            imported.add(getattr(node, "module", None))
+    assert not imported & {"json", "formats"}

@@ -30,7 +30,8 @@ from relaydiff import (
     trace_summary,
 )
 from relaydiff.cost_model import fleet_costs
-from relaydiff.pipeline import Event, Timeline, trace_from_dict, trace_to_dict
+from relaydiff.formats import trace_from_dict, trace_to_dict
+from relaydiff.pipeline import Event, Timeline
 from relaydiff.scenario import STAGE_PHASES
 
 from conftest import DYADIC_DISC

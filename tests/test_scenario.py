@@ -15,13 +15,8 @@ from relaydiff import (
     mark_unavailable,
     save_scenario,
 )
-from relaydiff.scenario import (
-    ALLOWED_BIT_WIDTHS,
-    PROFILES,
-    scenario_from_dict,
-    scenario_to_dict,
-    step_latency_for,
-)
+from relaydiff.formats import scenario_from_dict, scenario_to_dict
+from relaydiff.scenario import ALLOWED_BIT_WIDTHS, PROFILES, step_latency_for
 
 from conftest import dyadic_device, dyadic_scenario
 
@@ -174,6 +169,16 @@ def test_mark_unavailable(three_device_scenario):
     assert [d.available for d in marked.devices] == [False, True, False]
     # the original scenario is untouched
     assert all(d.available for d in three_device_scenario.devices)
+
+
+def test_mark_unavailable_refuses_unknown_ids():
+    scenario = generate_scenario(6, seed=3)
+    with pytest.raises(ValidationError) as info:
+        mark_unavailable(scenario, {99, -1})
+    assert str(info.value) == "mark_unavailable: no device with id [-1, 99]"
+    with pytest.raises(ValidationError, match=r"no device with id \[6\]$"):
+        mark_unavailable(scenario, {0, 6})
+    assert mark_unavailable(scenario, set()) == scenario
 
 
 def test_device_lookup(three_device_scenario):

@@ -33,6 +33,7 @@ from relaydiff import (
 from relaydiff import scheduler
 from relaydiff.cost_model import aggregate_costs, stage_cost_for
 from relaydiff.cli import EXIT_VALIDATION, main
+from relaydiff.formats import plan_from_dict, plan_to_dict
 from relaydiff.scheduler import (
     DEFAULT_GRID_UNITS,
     MAX_DP_BYTES,
@@ -40,8 +41,6 @@ from relaydiff.scheduler import (
     capacity_units,
     cost_units,
     default_discretization,
-    plan_from_dict,
-    plan_to_dict,
 )
 
 from conftest import DYADIC_DISC, dyadic_device, dyadic_scenario, make_dyadic_instance
