@@ -9,14 +9,15 @@ the value table (the fewest energy units per (t, v) cell, one layer per
 surviving device). Each shape is timed best-of-``--repeats`` on random unit
 costs and four-valued model sizes (one parameter count at 4, 8, 16 and 32
 bits), then run once more under ``tracemalloc`` for the peak of the numpy
-buffers it allocates. The ``kept`` column counts the devices left after
+buffers it allocates. The other columns are the facts of the kernel's
+reduction step (``reduce_knapsack``): ``kept`` counts the devices left after
 pruning, ``surv`` those left after the bound reduction, ``lb`` is the
 reduction's lower bound (the best greedy fill, in scaled sizes), ``kbound``
 the sum of the ``k_max`` largest scaled sizes among the survivors,
-``bound`` the value bound the kernel used (the least of ``kbound`` and the
-two axes' Dantzig bounds over the survivors), ``axes`` the capacity axes
-the table kept (``t×e``, ``t``, ``e``, or ``–`` for none) and ``table`` the
-table that ran. The fifth and sixth shapes sit on either side of the table
+``bound`` the value bound (the least of ``kbound`` and the two axes'
+Dantzig bounds over the survivors), ``axes`` the capacity axes the table
+kept (``t×e``, ``t``, ``e``, or ``–`` for none) and ``table`` the table
+that ran. The fifth and sixth shapes sit on either side of the table
 choice: the same devices and time axis, with the energy axis just below or
 just above the value bound. The seventh shape's energy costs sum to less
 than its energy capacity, so that axis is dropped; the last shape's costs
@@ -27,14 +28,12 @@ the repository root:
 """
 
 import argparse
-import math
 import time
 import tracemalloc
 
 import numpy as np
 
-from relaydiff import scheduler
-from relaydiff.scheduler import knapsack_2d, lp_bound, prune_dominated, reduce_by_bounds
+from relaydiff.scheduler import knapsack_2d, reduce_knapsack
 
 PARAM_COUNT = 1_000_000_000
 SIZES = np.array([PARAM_COUNT * bits // 8 for bits in (4, 8, 16, 32)], dtype=np.int64)
@@ -45,50 +44,6 @@ def random_instance(rng, n, cap_t, cap_e):
     unit_e = rng.integers(1, max(2, cap_e // 4), size=n, dtype=np.int64)
     sizes = rng.choice(SIZES, size=n)
     return unit_t, unit_e, sizes
-
-
-def value_bounds(unit_t, unit_e, sizes, cap_t, cap_e):
-    """(kept, survivors, LB, k_max bound, bound used), computed as ``knapsack_2d`` does.
-
-    A dropped axis leaves the bound as it is: the Dantzig bound of an axis
-    that the survivors' total cost fits is their total size, with or without
-    its costs.
-    """
-
-    kept, k_max = prune_dominated(unit_t, unit_e, sizes, cap_t, cap_e)
-    ct, ce = unit_t[kept].tolist(), unit_e[kept].tolist()
-    kept = kept.tolist()
-    scaled = [int(sizes[i]) for i in kept]
-    gcd = math.gcd(*scaled) or 1
-    scaled = [size // gcd for size in scaled]
-    survivors, lb = reduce_by_bounds(ct, ce, scaled, cap_t, cap_e)
-    scaled, ct, ce = ([values[j] for j in survivors] for values in (scaled, ct, ce))
-    k_max_bound = sum(sorted(scaled, reverse=True)[:k_max])
-    bound = min(k_max_bound, lp_bound(ct, scaled, cap_t), lp_bound(ce, scaled, cap_e))
-    return len(kept), len(survivors), lb, k_max_bound, bound
-
-
-def table_used(kernel_args):
-    """(table, axes): the table one ``knapsack_2d`` call filled and the capacity axes it kept."""
-
-    used = []
-    fills = {"grid": scheduler._grid_dp, "value": scheduler._value_dp}
-    try:
-        for label, fill in fills.items():
-
-            def counted(*args, _fill=fill, _label=label):
-                used.append((_label, args[3], args[4]))
-                return _fill(*args)
-
-            setattr(scheduler, fill.__name__, counted)
-        knapsack_2d(*kernel_args)
-    finally:
-        for fill in fills.values():
-            setattr(scheduler, fill.__name__, fill)
-    table, cap_t, cap_e = used[0]
-    axes = [name for name, cap, kept in (("t", kernel_args[3], cap_t), ("e", kernel_args[4], cap_e))
-            if cap == kept]
-    return table, "×".join(axes) or "–"
 
 
 def best_of(args, repeats):
@@ -135,14 +90,15 @@ def main():
     )
     for kernel_args in cases:
         unit_t, _, _, cap_t, cap_e = kernel_args
-        kept, survivors, lb, k_max_bound, bound = value_bounds(*kernel_args)
-        table, axes = table_used(kernel_args)
+        facts = reduce_knapsack(*kernel_args)
+        axes = "×".join(name for name, cap, left in zip("te", (cap_t, cap_e), facts.caps)
+                        if cap == left) or "–"
         seconds = best_of(kernel_args, args.repeats)
         peak_mb = traced_peak(kernel_args) / 2**20
         print(
-            f"{len(unit_t):>4} {kept:>5} {survivors:>5} {cap_t:>6} {cap_e:>6} {lb:>5} "
-            f"{k_max_bound:>7} {bound:>6} {axes:>5} {table:>6} {seconds * 1e3:>8.1f}ms "
-            f"{peak_mb:>8.1f}MB"
+            f"{len(unit_t):>4} {facts.kept:>5} {len(facts.survivors):>5} {cap_t:>6} {cap_e:>6} "
+            f"{facts.lb:>5} {facts.k_max_bound:>7} {facts.bound:>6} {axes:>5} {facts.table:>6} "
+            f"{seconds * 1e3:>8.1f}ms {peak_mb:>8.1f}MB"
         )
 
 

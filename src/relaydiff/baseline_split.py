@@ -54,7 +54,7 @@ class SplitConfig:
             raise ValidationError(
                 f"split.split_fraction: must be in [0, 1], got {self.split_fraction!r}"
             )
-        if not isinstance(self.n_steps, int) or self.n_steps < 1:
+        if type(self.n_steps) is not int or self.n_steps < 1:
             raise ValidationError(f"split.n_steps: must be an integer >= 1, got {self.n_steps!r}")
 
 

@@ -39,8 +39,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from operator import attrgetter
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -54,9 +53,8 @@ MIN_DISTANCE_M = 1.0
 BITS_PER_BYTE = 8.0
 
 
-@dataclass(frozen=True)
-class StageCost:
-    """Phase latencies and energies of one stage on one device."""
+class StageCost(NamedTuple):
+    """Phase latencies and energies of one stage on one device, in phase_costs order."""
 
     t_down_s: float
     t_cmp_s: float
@@ -70,11 +68,6 @@ class StageCost:
 
     def e_total(self) -> float:
         return self.e_down_j + self.e_cmp_j + self.e_up_j
-
-
-# The fields of a StageCost, in phase_costs order.
-_STAGE_FIELDS = ("t_down_s", "t_cmp_s", "t_up_s", "e_down_j", "e_cmp_j", "e_up_j")
-_phases_of = attrgetter(*_STAGE_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -101,7 +94,7 @@ def aggregate_costs(costs: Iterable[StageCost]) -> CostTotals:
     """Exactly-rounded totals; the one accounting path plans and traces share."""
 
     # The six phase columns of the costs; six empty ones if there are none.
-    return _fsum_totals(*(tuple(zip(*map(_phases_of, costs))) or ((),) * 6))
+    return _fsum_totals(*(tuple(zip(*costs)) or ((),) * 6))
 
 
 def link_rate(

@@ -16,7 +16,7 @@ import math
 from pathlib import Path
 from typing import NamedTuple
 
-from .cost_model import _STAGE_FIELDS, StageCost, _phases_of, aggregate_costs
+from .cost_model import StageCost, aggregate_costs
 from .errors import ValidationError
 from .pipeline import MARKER_KINDS, Event, SimTrace
 from .scenario import _POSITIVE_FIELDS, TRANSFER_PHASES, LinkParams, ModelVariant, Scenario, _built
@@ -73,7 +73,7 @@ SCENARIO = Record(devices=[DEVICE], link=LINK, area_m=PAIR, server_pos_m=PAIR, l
 
 BUDGETS = Record(t_max_s=float, e_max_j=float)
 GRID = Record(dt_s=float, de_j=float)
-STAGE = Record(device_id=int, **dict.fromkeys(_STAGE_FIELDS, float))
+STAGE = Record(device_id=int, **dict.fromkeys(StageCost._fields, float))
 PLAN = Record(budgets=BUDGETS, discretization=Nullable(GRID), stages=[STAGE], objective_bytes=int,
               t_total_s=float, e_total_j=float, method=METHODS)
 
@@ -166,11 +166,10 @@ def _pair_value(value, path: str) -> tuple[float, float]:
 def _rates_value(raw: dict, path: str) -> dict[int, tuple[float, float]]:
     rates = {}
     for key, pair in raw.items():
-        try:
-            dev_id = int(key)
-        except (TypeError, ValueError):
-            raise ValidationError(f"{path}: key {key!r} is not a device id")
-        rates[dev_id] = _pair_value(pair, f"{path}[{key}]")
+        # Only the form the writer writes, str(id), so no two keys name one id.
+        if not (key.isdecimal() and str(int(key)) == key):
+            raise ValidationError(f"{path}: key {key!r} is not a device id written as str(id)")
+        rates[int(key)] = _pair_value(pair, f"{path}[{key}]")
     return rates
 
 
@@ -253,7 +252,7 @@ def plan_from_dict(data: dict) -> SchedulePlan:
             values.append(value if type(value) is exact
                           else require_field(raw, name, kind, f"plan.stages[{i}]"))
         dev_id, *costs = values
-        for name, value in zip(_STAGE_FIELDS, costs):
+        for name, value in zip(StageCost._fields, costs):
             if value < 0:
                 raise ValidationError(f"plan.stages[{i}].{name}: expected a number >= 0, got {value!r}")
         stages.append((dev_id, StageCost(*costs)))
@@ -369,7 +368,7 @@ def _writer(record, **writers):
 def _stage_json(stage) -> dict:
     """A plan holds each stage as a (device_id, StageCost) pair."""
 
-    return dict(zip(STAGE, (stage[0], *_phases_of(stage[1]))))
+    return dict(zip(STAGE, (stage[0], *stage[1])))
 
 
 scenario_to_dict = _writer(SCENARIO)

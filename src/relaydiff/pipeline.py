@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cost_model import _STAGE_FIELDS, fleet_costs, stage_cost_columns
+from .cost_model import StageCost, fleet_costs, stage_cost_columns
 from .errors import ConfigurationError, LineageError, RecoveryInfeasible, ValidationError
 from .scenario import STAGE_PHASES, TRANSFER_PHASES, Scenario
 from .scheduler import Budgets, SchedulePlan, _select_dp
@@ -201,8 +201,7 @@ def check_stages(scenario: Scenario, plan: SchedulePlan) -> None:
             )
     columns = stage_cost_columns(scenario, ids)
     for (dev_id, cost), recomputed in zip(plan.stages, zip(*(c.tolist() for c in columns))):
-        for name, expected in zip(_STAGE_FIELDS, recomputed):
-            stored = getattr(cost, name)
+        for name, stored, expected in zip(StageCost._fields, cost, recomputed):
             if not math.isclose(stored, expected, rel_tol=1e-12, abs_tol=1e-12):
                 raise ValidationError(
                     f"plan stage of device {dev_id}: {name} {stored} disagrees with "

@@ -59,7 +59,7 @@ class ModelVariant:
             raise ValidationError(
                 f"variant.bit_width: must be one of {ALLOWED_BIT_WIDTHS}, got {bit_width!r}"
             )
-        if not isinstance(param_count, int) or param_count <= 0:
+        if type(param_count) is not int or param_count <= 0:
             raise ValidationError(f"variant.param_count: must be a positive integer, got {param_count!r}")
         if param_count * bit_width % 8:
             raise ValidationError("variant: param_count * bit_width must be a whole number of bytes")
@@ -229,14 +229,14 @@ class Scenario:
         object.__setattr__(self, "devices", devices)
         if not all(a > 0 and math.isfinite(a) for a in self.area_m):
             raise ValidationError(f"area_m: sides must be finite and positive, got {self.area_m!r}")
-        if not isinstance(self.latent_bytes, int) or self.latent_bytes <= 0:
+        if type(self.latent_bytes) is not int or self.latent_bytes <= 0:
             raise ValidationError(f"latent_bytes: must be a positive integer, got {self.latent_bytes!r}")
-        if not isinstance(self.feature_bytes, int) or self.feature_bytes < self.latent_bytes:
+        if type(self.feature_bytes) is not int or self.feature_bytes < self.latent_bytes:
             raise ValidationError(
                 f"feature_bytes: must be an integer >= latent_bytes ({self.latent_bytes}), "
                 f"got {self.feature_bytes!r}"
             )
-        if not isinstance(self.steps_per_stage, int) or self.steps_per_stage < 1:
+        if type(self.steps_per_stage) is not int or self.steps_per_stage < 1:
             raise ValidationError(
                 f"steps_per_stage: must be an integer >= 1, got {self.steps_per_stage!r}"
             )
@@ -412,10 +412,12 @@ def generate_scenario(
 def mark_unavailable(scenario: Scenario, device_ids: set[int]) -> Scenario:
     """Copy of ``scenario`` with the given devices flagged unavailable.
 
-    Raises ValidationError naming any id the scenario has no device for.
+    Raises ValidationError naming any id the scenario has no device for,
+    and any that is not an int (a bool is not an id).
     """
 
-    unknown = set(device_ids).difference(range(len(scenario.devices)))
+    n = len(scenario.devices)
+    unknown = {i for i in device_ids if type(i) is not int or i not in range(n)}
     if unknown:
         raise ValidationError(f"mark_unavailable: no device with id {sorted(unknown)}")
     return replace(

@@ -8,23 +8,10 @@ variants' byte sizes. Three methods share one plan type:
   are computed once, as arrays (:class:`~relaydiff.cost_model.FleetCosts`),
   and discretized (ceiling for costs, floor for capacities, so a plan that
   fits in units also fits exactly, up to float rounding) and a 0/1 knapsack
-  over (time units, energy units) is solved one device at a time with numpy.
-  Devices no optimal plan holds are dropped first: those over capacity,
-  those that at least as many bigger, no costlier devices could replace as
-  any fitting set can hold (each block of devices is compared at once with
-  all still undecided), and those whose upper bound (size plus the Dantzig
-  fill of the room left on each axis) is below the value of a greedily
-  found fitting set. Sizes are divided by their gcd. Each axis whose
-  capacity the survivors' total cost fits binds no subset of them and is
-  dropped, so the table has one cell on it: most plans fill one column, a
-  fleet that fits both budgets one cell, and inputs whose two-axis table
-  would pass the byte limit can plan. The table has a time axis and
-  either an energy axis (best value per cell, one take-bit per survivor
-  and cell) or, when the value bound (the least of the k largest sizes and
-  each axis's Dantzig optimum) is shorter, a value axis (fewest energy
-  units per (time, value) cell); the one with fewer
-  cells runs unless only the other fits the byte limit. Both return the
-  same plan: a tie keeps a device skipped. The DP result is finally
+  over (time units, energy units) is solved one device at a time with numpy
+  (:func:`knapsack_2d`). Devices no optimal plan holds and each axis the
+  survivors' total cost fits are dropped first, and the value bound picks
+  one of two tables (:func:`reduce_knapsack`). The DP result is finally
   compared against the greedy baseline, which it must beat and which
   replaces a DP pick that misses the exact budgets by float rounding, so
   the method never loses to no-selection through rounding alone.
@@ -45,6 +32,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -393,29 +381,27 @@ def reduce_by_bounds(ct, ce, scaled, cap_t: int, cap_e: int) -> tuple[list[int],
     return survivors, lb
 
 
+class Reduction(NamedTuple):
+    """What :func:`reduce_knapsack` found, and the table fill it leaves to run."""
+
+    kept: int  # devices left by prune_dominated
+    survivors: list[int]  # ascending input indices of those left by reduce_by_bounds
+    lb: int  # reduce_by_bounds's lower bound, in sizes divided by their gcd
+    k_max_bound: int  # the sum of the k_max largest of those sizes among the survivors
+    bound: int  # the value bound: the least of k_max_bound and both Dantzig bounds
+    caps: tuple[int, int]  # (cap_t, cap_e) after the axis drops, 0 for a dropped axis
+    table: str  # "grid" or "value"
+    fill: functools.partial  # fill(): the ascending survivor positions the table picks
+
+
 def knapsack_2d(unit_t, unit_e, sizes, cap_t: int, cap_e: int) -> list[int]:
     """Indices of the canonical max-``sizes`` subset whose unit costs fit (cap_t, cap_e).
 
     The canonical optimum is the optimal subset whose membership, read from
     the highest index down, is lexicographically smallest: a device is left
-    out whenever taking it only ties. :func:`prune_dominated` drops devices
-    never in it, and sizes are divided by their gcd. :func:`reduce_by_bounds`
-    then drops each device j whose upper bound UB_j is below LB, the value
-    of a fitting set found greedily: the optimum is at least LB, so no
-    optimal subset holds j, and without j the optimal subsets are the same.
-
-    If the survivors' energy units sum to at most cap_e, their energy costs
-    and cap_e become 0, and the same holds for time. Every subset fits a
-    dropped axis, so the feasible subsets and the canonical optimum stay
-    the same. The grid's backtrack from cap_e keeps e at or above the
-    energy total of the devices not yet decided (t likewise, for time),
-    where every value a take-bit compares is the 1-D one, so the plan is
-    the same too.
-
-    ``bound`` is the most any fitting subset of the survivors is worth: the
-    least of the sum of the ``k_max`` largest scaled sizes and each axis's
-    Dantzig bound (:func:`lp_bound`), each a relaxation. One of two tables
-    is then filled, one 2-D layer per survivor:
+    out whenever taking it only ties. :func:`reduce_knapsack` drops devices
+    and axes without changing it and picks the table that is then filled,
+    one 2-D layer per survivor:
 
     * the grid (:func:`_grid_dp`): ``value[t, e]``, the largest value within
       (t, e) units, in the narrowest unsigned dtype that holds ``bound``.
@@ -429,9 +415,34 @@ def knapsack_2d(unit_t, unit_e, sizes, cap_t: int, cap_e: int) -> list[int]:
       ``g_j[t, V] <= e`` (the devices before it reach V within (t, e)), else
       taken (t, e and V drop by its costs and size). That is the grid's
       rule, so both tables return the same subset.
+    """
 
-    Among the tables whose buffers fit ``MAX_DP_BYTES``, the one with fewer
-    cells per device runs: the value table iff ``bound < cap_e``.
+    reduction = reduce_knapsack(unit_t, unit_e, sizes, cap_t, cap_e)
+    return [reduction.survivors[j] for j in reduction.fill()]
+
+
+def reduce_knapsack(unit_t, unit_e, sizes, cap_t: int, cap_e: int) -> Reduction:
+    """The survivors, bounds, capacities and table of :func:`knapsack_2d`.
+
+    :func:`prune_dominated` drops devices never in the canonical optimum,
+    and sizes are divided by their gcd. :func:`reduce_by_bounds` then drops
+    each device j whose upper bound UB_j is below LB, the value of a fitting
+    set found greedily: the optimum is at least LB, so no optimal subset
+    holds j, and without j the optimal subsets are the same.
+
+    If the survivors' energy units sum to at most cap_e, their energy costs
+    and cap_e become 0, and the same holds for time. Every subset fits a
+    dropped axis, so the feasible subsets and the canonical optimum stay
+    the same. The grid's backtrack from cap_e keeps e at or above the
+    energy total of the devices not yet decided (t likewise, for time),
+    where every value a take-bit compares is the 1-D one, so the plan is
+    the same too.
+
+    ``bound`` is the most any fitting subset of the survivors is worth: the
+    least of the sum of the ``k_max`` largest scaled sizes and each axis's
+    Dantzig bound (:func:`lp_bound`), each a relaxation. Among the tables
+    whose buffers fit ``MAX_DP_BYTES``, the one with fewer cells per device
+    runs: the value table iff ``bound < cap_e``.
 
     Raises ConfigurationError if the value bound does not fit 64 bits or
     neither table fits ``MAX_DP_BYTES``, before any DP buffer is allocated.
@@ -446,41 +457,39 @@ def knapsack_2d(unit_t, unit_e, sizes, cap_t: int, cap_e: int) -> list[int]:
     scaled = [int(sizes[i]) for i in kept]
     gcd = math.gcd(*scaled) or 1
     scaled = [size // gcd for size in scaled]
-    survivors, _ = reduce_by_bounds(ct, ce, scaled, cap_t, cap_e)
-    kept = [kept[j] for j in survivors]
+    survivors, lb = reduce_by_bounds(ct, ce, scaled, cap_t, cap_e)
     scaled, ct, ce = ([values[j] for j in survivors] for values in (scaled, ct, ce))
     if sum(ce) <= cap_e:
         ce, cap_e = [0] * len(ce), 0
     if sum(ct) <= cap_t:
         ct, cap_t = [0] * len(ct), 0
-    bound = min(
-        sum(sorted(scaled, reverse=True)[:k_max]),
-        lp_bound(ct, scaled, cap_t),
-        lp_bound(ce, scaled, cap_e),
-    )
+    k_max_bound = sum(sorted(scaled, reverse=True)[:k_max])
+    bound = min(k_max_bound, lp_bound(ct, scaled, cap_t), lp_bound(ce, scaled, cap_e))
     if bound >> 64:
         raise ConfigurationError(
             f"DP values reach {bound} (sizes divided by their gcd {gcd}); "
             "that does not fit 64 bits"
         )
 
-    # Grid, per cell: one take-bit byte plane per 8 kept devices, one shift
+    # Grid, per cell: one take-bit byte plane per 8 survivors, one shift
     # byte and two value layers. Value table, per cell: every layer and one
     # scratch layer.
     grid_dtype = np.min_scalar_type(bound)
-    grid_bytes = (-(-len(kept) // 8) + 1 + 2 * grid_dtype.itemsize) * (cap_t + 1) * (cap_e + 1)
+    grid_bytes = (-(-len(survivors) // 8) + 1 + 2 * grid_dtype.itemsize) * (cap_t + 1) * (cap_e + 1)
     value_dtype = np.min_scalar_type(cap_e + 1)
-    value_bytes = (len(kept) + 2) * (cap_t + 1) * (bound + 1) * value_dtype.itemsize
+    value_bytes = (len(survivors) + 2) * (cap_t + 1) * (bound + 1) * value_dtype.itemsize
     tables = [
-        (grid_bytes, cap_e + 1, _grid_dp, (grid_dtype,)),
-        (value_bytes, bound + 1, _value_dp, (bound, value_dtype)),
+        (grid_bytes, cap_e + 1, "grid", _grid_dp, (grid_dtype,)),
+        (value_bytes, bound + 1, "value", _value_dp, (bound, value_dtype)),
     ]
     if bound < cap_e:
         tables.reverse()
-    for nbytes, _, fill, extra in tables:
+    for nbytes, _, table, fill, extra in tables:
         if nbytes <= MAX_DP_BYTES:
-            return [kept[j] for j in fill(ct, ce, scaled, cap_t, cap_e, *extra)]
-    nbytes, cols, _, _ = tables[0]
+            fill = functools.partial(fill, ct, ce, scaled, cap_t, cap_e, *extra)
+            return Reduction(len(kept), [kept[j] for j in survivors], lb, k_max_bound, bound,
+                             (cap_t, cap_e), table, fill)
+    nbytes, cols, *_ = tables[0]
     raise ConfigurationError(
         f"DP would allocate {nbytes} bytes (limit {MAX_DP_BYTES}) for a "
         f"{cap_t + 1}x{cols}-cell table; coarsen the discretization"
@@ -488,7 +497,7 @@ def knapsack_2d(unit_t, unit_e, sizes, cap_t: int, cap_e: int) -> list[int]:
 
 
 def _grid_dp(ct, ce, scaled, cap_t, cap_e, dtype) -> list[int]:
-    """Ascending kept positions of the canonical optimum, from the grid."""
+    """Ascending survivor positions of the canonical optimum, from the grid."""
 
     value = np.zeros((cap_t + 1, cap_e + 1), dtype=dtype)
     scratch = np.empty_like(value)
@@ -520,7 +529,7 @@ def _grid_dp(ct, ce, scaled, cap_t, cap_e, dtype) -> list[int]:
 
 
 def _value_dp(ct, ce, scaled, cap_t, cap_e, bound, dtype) -> list[int]:
-    """Ascending kept positions of the canonical optimum, from the value table.
+    """Ascending survivor positions of the canonical optimum, from the value table.
 
     Each layer is stored value-major, ``layer[v, t]``, so every numpy call
     walks rows of cap_t + 1 time cells rather than short value rows.

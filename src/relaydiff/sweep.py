@@ -81,7 +81,7 @@ class SweepSpec:
                 raise ValidationError(
                     f"sweep.methods: {method!r} not one of {SWEEP_METHODS}"
                 )
-        if not isinstance(self.repetitions, int) or self.repetitions < 1:
+        if type(self.repetitions) is not int or self.repetitions < 1:
             raise ValidationError(
                 f"sweep.repetitions: must be an integer >= 1, got {self.repetitions!r}"
             )

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 
 import pytest
 
@@ -9,6 +10,8 @@ from relaydiff import (
     ConfigurationError,
     Device,
     ModelVariant,
+    SplitConfig,
+    SweepSpec,
     ValidationError,
     generate_scenario,
     load_scenario,
@@ -179,6 +182,34 @@ def test_mark_unavailable_refuses_unknown_ids():
     with pytest.raises(ValidationError, match=r"no device with id \[6\]$"):
         mark_unavailable(scenario, {0, 6})
     assert mark_unavailable(scenario, set()) == scenario
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda s: mark_unavailable(s, {True}), r"mark_unavailable: no device with id \[True\]"),
+    (lambda s: dataclasses.replace(s, latent_bytes=True), "latent_bytes: must be a positive integer"),
+    (lambda s: dataclasses.replace(s, latent_bytes=1, feature_bytes=True),
+     "feature_bytes: must be an integer >= latent_bytes"),
+    (lambda s: dataclasses.replace(s, steps_per_stage=True), "steps_per_stage: must be an integer"),
+    (lambda s: ModelVariant(bit_width=8, param_count=True), "variant.param_count: must be a positive"),
+    (lambda s: SplitConfig(0, 1, n_steps=True), "split.n_steps: must be an integer"),
+    (lambda s: SweepSpec(repetitions=True), "sweep.repetitions: must be an integer"),
+], ids=["mark_unavailable", "latent_bytes", "feature_bytes", "steps_per_stage", "param_count",
+        "n_steps", "repetitions"])
+def test_a_bool_is_not_an_integer(three_device_scenario, build, message):
+    with pytest.raises(ValidationError, match=message):
+        build(three_device_scenario)
+
+
+@pytest.mark.parametrize("key", ["01", " 1", "+1", "-1", "1.0", "\u0661"])
+def test_override_keys_are_written_as_the_writer_writes_them(three_device_scenario, tmp_path, key):
+    path = tmp_path / "s.json"
+    save_scenario(three_device_scenario, path)
+    data = json.loads(path.read_text())
+    data["link"]["rate_override_bps"][key] = [2e6, 2e6]  # "01" read as id 1 replaced its pair
+    path.write_text(json.dumps(data))
+    message = f"link.rate_override_bps: key {re.escape(repr(key))} is not a device id"
+    with pytest.raises(ValidationError, match=message):
+        load_scenario(path)
 
 
 def test_device_lookup(three_device_scenario):
