@@ -15,11 +15,12 @@ trace is built by the stage pipeline's :class:`~relaydiff.pipeline.Timeline`.
 
 :func:`pick_split_pair` scores every ordered pair of available devices by
 the latency of one step split evenly. It computes each device's half-step
-phase times once, as arrays, then scores all partners of one device at a
-time with the :class:`~relaydiff.cost_model.SplitStepCost` latency
-expression, term for term. Ties go to the lowest (a, b) id pair: devices
-are scanned in ascending id order, the first of equal scores in a row is
-taken, and a row replaces the best pair only if it is strictly faster.
+phase costs once, as arrays, then scores all partners of one device at a
+time with :attr:`~relaydiff.cost_model.SplitStepCost.t_step_s` itself,
+evaluated with those arrays as device B's costs. Ties go to the lowest
+(a, b) id pair: devices are scanned in ascending id order, the first of
+equal scores in a row is taken, and a row replaces the best pair only if
+it is strictly faster.
 """
 
 from __future__ import annotations
@@ -29,10 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cost_model import available_ids, fleet_phase_costs, split_step_cost
+from .cost_model import SplitStepCost, StageCost, available_ids, fleet_phase_costs, split_step_cost
 from .errors import ConfigurationError, ValidationError
 from .pipeline import SimTrace, Timeline
-from .scenario import Scenario
+from .scenario import Scenario, _is_device_id
 from .scheduler import Budgets
 
 
@@ -46,6 +47,10 @@ class SplitConfig:
     n_steps: int = 5
 
     def __post_init__(self):
+        for name in ("device_a_id", "device_b_id"):
+            value = getattr(self, name)
+            if not _is_device_id(value):
+                raise ValidationError(f"split.{name}: must be a non-negative integer, got {value!r}")
         if self.device_a_id == self.device_b_id:
             raise ValidationError(
                 f"split.device_b_id: must differ from device_a_id ({self.device_a_id})"
@@ -112,12 +117,12 @@ def pick_split_pair(scenario: Scenario, n_steps: int | None = None) -> SplitConf
             f"split baseline needs at least 2 available devices, found {len(candidates)}"
         )
     steps = scenario.steps_per_stage if n_steps is None else n_steps
-    t_down, t_cmp, t_up, *_ = fleet_phase_costs(scenario, scenario.feature_bytes, 0.5, ids)
+    phases = fleet_phase_costs(scenario, scenario.feature_bytes, 0.5, ids)
+    partners = StageCost(*phases)
     best, best_latency = None, math.inf
     with np.errstate(over="ignore"):  # a pair whose latency overflows never wins
         for a in range(len(candidates)):
-            # SplitStepCost.t_step_s of (a, b) for every b: t_tran_s + t_cmp_s.
-            row = ((t_up[a] + t_down) + (t_up + t_down[a])) + (t_cmp[a] + t_cmp)
+            row = SplitStepCost(StageCost(*(c[a] for c in phases)), partners).t_step_s
             row[a] = math.inf
             b = int(np.argmin(row))
             if row[b] < best_latency:

@@ -18,20 +18,21 @@ arrays, plus each device's id and exact model size (no ``Device`` objects:
 a plan names its devices by id). It, :func:`stage_cost` and
 :func:`split_step_cost` all evaluate one phase formula, :func:`phase_costs`,
 made only of correctly rounded multiplications and divisions, on link rates
-from one ``math`` formula (``_shannon``), which a fleet maps over its
-devices and a single device calls once; so every array
-element equals the matching :func:`stage_cost_for` field bit for bit (numpy's
-own ``log2``, ``**`` and ``hypot`` would not). A world whose link rate
+from one rate rule (``_rates``), which a fleet applies to its devices and a
+single device to a list of one; so every array element equals the matching
+:func:`stage_cost_for` field bit for bit. A world whose link rate
 underflows to zero, or whose costs overflow, is refused with
 ConfigurationError.
 
 A fleet's costs are computed from the scenario's device columns
 (:class:`~relaydiff.scenario.DeviceColumns`), never from its ``Device``
 objects. :func:`fleet_costs` computes them once per scenario and keeps them
-on it, in its ``_fleet`` slot: every selector, every sweep cell, recovery and
-:func:`stage_cost_columns` then share one :class:`FleetCosts`, whose arrays
-cannot be written. A scenario starts without it (a changed copy is a new
-scenario), and only a call that needs the whole fleet fills it.
+on it, in its ``_fleet`` slot: every selector, every sweep cell, every plan
+check and recovery then share one :class:`FleetCosts`, whose arrays cannot
+be written. A scenario starts without it (a changed copy is a new scenario)
+and fills it on first use. So every call that takes a world's costs from
+it refuses a world with any available device that cannot be costed, not
+only one whose plan uses that device.
 """
 
 from __future__ import annotations
@@ -113,16 +114,15 @@ def link_rate(
 
     if direction not in ("up", "down"):
         raise ConfigurationError(f"direction must be 'up' or 'down', got {direction!r}")
-    up, down = _device_rates(device, link, server_pos_m)
+    (up,), (down,) = _rates((device.id,), (device.pos_m,), (device.tx_power_w,), link, server_pos_m)
     return up if direction == "up" else down
 
 
 def _shannon(link: LinkParams, server_pos_m):
     """The Shannon rate in bits/s, as a function of a device's position and transmit power.
 
-    The one copy of the link formula, in plain ``math``, so that the rates
-    are the same bit for bit whether one device asks (:func:`link_rate`)
-    or a fleet does (:func:`fleet_phase_costs`).
+    The one copy of the link formula, in plain ``math`` (numpy's ``log2``,
+    ``**`` and ``hypot`` would round differently); :func:`_rates` maps it.
     """
 
     dist, floor_m, log2 = math.dist, MIN_DISTANCE_M, math.log2
@@ -145,25 +145,16 @@ def _underflow(dev_id: int, pos_m, tx_w: float, link: LinkParams, server_pos_m) 
                               f"at {distance:.6g} m from the server (SNR {snr:.6g})")
 
 
-def _device_rates(device: Device, link: LinkParams, server_pos_m) -> tuple[float, float]:
-    """(up, down) link rates of one device: :func:`_rates` without its lists."""
-
-    overrides = link.rate_override_bps
-    if overrides and device.id in overrides:
-        return overrides[device.id]
-    rate = _shannon(link, server_pos_m)(device.pos_m, device.tx_power_w)
-    if not rate:
-        raise _underflow(device.id, device.pos_m, device.tx_power_w, link, server_pos_m)
-    return rate, rate
-
-
 def _rates(ids, positions, tx_powers, link: LinkParams,
            server_pos_m) -> tuple[list[float], list[float]]:
     """(up, down) link rates of the devices ``ids`` at ``positions`` sending at ``tx_powers``.
 
     Lists in the order given. The Shannon rate (:func:`_shannon`) is the same
     both ways; a device with a rate override takes its pair. The first rate
-    that underflows to 0 is refused with ConfigurationError.
+    that underflows to 0 is refused with ConfigurationError. The one rate
+    rule: one device (:func:`link_rate`, :func:`stage_cost`) passes lists
+    of one, a fleet (:func:`fleet_phase_costs`) its columns, so both get
+    the same rates bit for bit.
     """
 
     up = list(map(_shannon(link, server_pos_m), positions, tx_powers))
@@ -224,7 +215,7 @@ def stage_cost(
         raise ConfigurationError(f"k_steps must be >= 0, got {k_steps}")
     if latent_bytes < 0:
         raise ConfigurationError(f"latent_bytes must be >= 0, got {latent_bytes}")
-    up, down = _device_rates(device, link, server_pos_m)
+    (up,), (down,) = _rates((device.id,), (device.pos_m,), (device.tx_power_w,), link, server_pos_m)
     return StageCost(*phase_costs(
         latent_bytes, k_steps, down, up, device.step_latency_s, device.rx_power_w,
         device.compute_power_w, device.tx_power_w,
@@ -360,20 +351,6 @@ def _fleet_costs(scenario: Scenario) -> FleetCosts:
     for array in (fleet.ids, *fleet.phases(), fleet.t_total_s, fleet.e_total_j):
         array.flags.writeable = False
     return fleet
-
-
-def stage_cost_columns(scenario: Scenario, ids: list[int]) -> tuple[np.ndarray, ...]:
-    """The six phase-cost arrays of the available devices ``ids`` (ascending) of ``scenario``.
-
-    Taken from the scenario's :func:`fleet_costs` when it has them, else
-    computed for those devices alone; the values are the same either way.
-    """
-
-    fleet = scenario.__dict__.get("_fleet")
-    if fleet is None:
-        return fleet_phase_costs(scenario, scenario.latent_bytes, scenario.steps_per_stage, ids)
-    rows = np.searchsorted(fleet.ids, ids)
-    return tuple(column[rows] for column in fleet.phases())
 
 
 @dataclass(frozen=True)

@@ -25,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cost_model import StageCost, fleet_costs, stage_cost_columns
+from .cost_model import StageCost, fleet_costs
 from .errors import ConfigurationError, LineageError, RecoveryInfeasible, ValidationError
-from .scenario import STAGE_PHASES, TRANSFER_PHASES, Scenario
+from .scenario import STAGE_PHASES, TRANSFER_PHASES, Scenario, _is_device_id
 from .scheduler import Budgets, SchedulePlan, _select_dp
 
 EVENT_KINDS = ("download", "compute", "upload", "checkpoint", "failure", "replan")
@@ -77,10 +77,14 @@ class FailureSpec:
 
     def __post_init__(self):
         object.__setattr__(
-            self, "injected", tuple((int(d), str(p)) for d, p in self.injected)
+            self, "injected", tuple((d, str(p)) for d, p in self.injected)
         )
         seen = set()
         for dev_id, phase in self.injected:
+            if not _is_device_id(dev_id):
+                raise ValidationError(
+                    f"failures.injected: device id must be a non-negative integer, got {dev_id!r}"
+                )
             if phase not in STAGE_PHASES:
                 raise ValidationError(
                     f"failures.injected[{dev_id}]: phase must be one of {STAGE_PHASES}, got {phase!r}"
@@ -183,24 +187,26 @@ class Timeline:
 def check_stages(scenario: Scenario, plan: SchedulePlan) -> None:
     """Raise unless every stage of ``plan`` has the cost ``scenario`` gives its device.
 
-    The costs of the plan's devices come from the scenario's
-    :func:`~relaydiff.cost_model.fleet_costs` if it has them, and are
-    otherwise computed for those devices alone with the same formula
-    (:func:`~relaydiff.cost_model.stage_cost_columns`). Raises
-    ConfigurationError for a device the scenario lacks, and ValidationError
-    for one the scenario marks unavailable or whose stored cost disagrees
-    beyond a 1e-12 relative tolerance.
+    Raises ConfigurationError for a device the scenario lacks, and
+    ValidationError for one the scenario marks unavailable. The stored costs
+    are then compared with the scenario's
+    :func:`~relaydiff.cost_model.fleet_costs`, built now if no earlier call
+    built it, so a world with any available device that cannot be costed
+    raises its ConfigurationError; a stored cost that disagrees beyond a
+    1e-12 relative tolerance raises ValidationError.
     """
 
-    ids = list(plan.device_ids)
+    ids = plan.device_ids
     for dev_id in ids:
         if not scenario.device(dev_id).available:
             raise ValidationError(
                 f"plan stage of device {dev_id}: the scenario marks the device unavailable; "
                 "was the plan made for another scenario?"
             )
-    columns = stage_cost_columns(scenario, ids)
-    for (dev_id, cost), recomputed in zip(plan.stages, zip(*(c.tolist() for c in columns))):
+    fleet = fleet_costs(scenario)
+    rows = np.searchsorted(fleet.ids, ids)
+    columns = (column[rows].tolist() for column in fleet.phases())
+    for (dev_id, cost), recomputed in zip(plan.stages, zip(*columns)):
         for name, stored, expected in zip(StageCost._fields, cost, recomputed):
             if not math.isclose(stored, expected, rel_tol=1e-12, abs_tol=1e-12):
                 raise ValidationError(
@@ -222,11 +228,11 @@ def simulate_pipeline(
     caps than the plan was built for. Every stage's stored cost must match
     the scenario's within a 1e-12 relative tolerance, on a device the
     scenario marks available (:func:`check_stages`), so a plan made for
-    another scenario raises ValidationError. The first re-plan takes the
-    scenario's :class:`~relaydiff.cost_model.FleetCosts` (built then if no
-    earlier call built it); every re-plan of the run selects on a subset of
-    it, without the used and failed devices. A run without failures never
-    builds it.
+    another scenario raises ValidationError, and a world with any available
+    device that cannot be costed raises ConfigurationError, as a selector
+    would. Every re-plan of the run selects on a subset of the scenario's
+    :class:`~relaydiff.cost_model.FleetCosts`, without the used and failed
+    devices.
     """
 
     budgets = plan.budgets if budgets is None else budgets
@@ -237,12 +243,12 @@ def simulate_pipeline(
                 f"injected failure for device {dev_id} which is not in the plan"
             )
     check_stages(scenario, plan)
+    fleet = fleet_costs(scenario)
 
     rng = np.random.default_rng(failures.rng_seed)
     injected = dict(failures.injected)
 
     timeline = Timeline()
-    fleet = None
     retired: set[int] = set()
     stages_completed = 0
     replans = 0
@@ -282,8 +288,6 @@ def simulate_pipeline(
             t_max_s=max(budgets.t_max_s - t_spent, 0.0),
             e_max_j=max(budgets.e_max_j - e_spent, 0.0),
         )
-        if fleet is None:
-            fleet = fleet_costs(scenario)
         pool = fleet.subset(np.array([dev_id not in retired for dev_id in fleet.ids.tolist()]))
         new_plan = _select_dp(pool, residual)
         replans += 1

@@ -55,7 +55,7 @@ class ModelVariant:
 
     def __post_init__(self):
         bit_width, param_count = self.bit_width, self.param_count
-        if bit_width not in ALLOWED_BIT_WIDTHS:
+        if type(bit_width) is not int or bit_width not in ALLOWED_BIT_WIDTHS:
             raise ValidationError(
                 f"variant.bit_width: must be one of {ALLOWED_BIT_WIDTHS}, got {bit_width!r}"
             )
@@ -97,8 +97,14 @@ class Device:
 _POSITIVE_FIELDS = ("step_latency_s", "compute_power_w", "tx_power_w", "rx_power_w")
 
 
+def _is_device_id(value) -> bool:
+    """Whether ``value`` can be a device id: an int (a bool is not one) >= 0."""
+
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
 def _check_device_id(dev_id) -> None:
-    if not isinstance(dev_id, int) or isinstance(dev_id, bool) or dev_id < 0:
+    if not _is_device_id(dev_id):
         raise ValidationError(f"device(id={dev_id!r}).id: must be a non-negative integer")
 
 
@@ -280,11 +286,8 @@ class Scenario:
 
     def device(self, device_id: int) -> Device:
         by_id = self._columns.devices
-        try:
-            if device_id >= 0:
-                return by_id[device_id]
-        except (IndexError, TypeError):
-            pass
+        if _is_device_id(device_id) and device_id < len(by_id):
+            return by_id[device_id]
         raise ConfigurationError(f"no device with id {device_id}")
 
     def total_model_bytes(self) -> int:
@@ -417,7 +420,7 @@ def mark_unavailable(scenario: Scenario, device_ids: set[int]) -> Scenario:
     """
 
     n = len(scenario.devices)
-    unknown = {i for i in device_ids if type(i) is not int or i not in range(n)}
+    unknown = {i for i in device_ids if not _is_device_id(i) or i >= n}
     if unknown:
         raise ValidationError(f"mark_unavailable: no device with id {sorted(unknown)}")
     return replace(

@@ -5,6 +5,7 @@ All commands run in-process through main(argv). Exit codes: 0 success,
 4 infeasible recovery.
 """
 
+import dataclasses
 import json
 import time
 
@@ -319,6 +320,24 @@ def test_zero_link_rate_exits_3_naming_the_device(silent_world, tmp_path, monkey
     assert code == EXIT_VALIDATION
     assert "underflows to 0 bit/s" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_simulate_refuses_a_world_whose_non_plan_device_cannot_be_costed(workdir, tmp_path, capsys):
+    # The plan's own stages still check out; the far device is only in the
+    # pool a re-plan would draw on, and the world is refused as schedule
+    # and sweep refuse it.
+    scenario = load_scenario(workdir / "s.json")
+    far = min(set(range(len(scenario.devices))) - set(load_plan(workdir / "plan.json").device_ids))
+    save_scenario(dataclasses.replace(scenario, area_m=(2e12, 2e12), devices=tuple(
+        dataclasses.replace(dev, pos_m=(1e12, 1e12)) if dev.id == far else dev
+        for dev in scenario.devices
+    )), tmp_path / "s.json")
+    out = tmp_path / "trace.json"
+    code = main(["simulate", "-s", str(tmp_path / "s.json"), "-p", str(workdir / "plan.json"),
+                 "-o", str(out)])
+    assert code == EXIT_VALIDATION
+    assert f"device {far}: the link rate underflows to 0 bit/s" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_a_capacity_past_the_float_range_exits_3(workdir, tmp_path, capsys):

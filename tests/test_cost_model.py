@@ -180,7 +180,7 @@ def test_fleet_costs_refuse_a_zero_rate_with_the_link_rate_message():
     devices = (make_device(0), *(make_device(i, pos=(1e12, 1e12)) for i in (1, 2, 3)))
     scenario = Scenario(
         area_m=(2e12, 2e12), server_pos_m=SERVER, devices=devices,
-        link=make_link(rate_override_bps={1: (8e6, 8e6)}), latent_bytes=1024,
+        link=make_link(rate_override_bps={1: (8e6, 4e6)}), latent_bytes=1024,
         feature_bytes=1024, steps_per_stage=5, seed=0,
     )
     with pytest.raises(ConfigurationError) as expected:
@@ -189,6 +189,11 @@ def test_fleet_costs_refuse_a_zero_rate_with_the_link_rate_message():
     with pytest.raises(ConfigurationError) as refused:
         fleet_costs(scenario)
     assert str(refused.value) == str(expected.value)
+    # With only the overridden far device, the world can be costed, and the
+    # one device and the fleet take its pinned pair alike.
+    alone = dataclasses.replace(scenario, devices=devices[:2])
+    assert [link_rate(devices[1], alone.link, way, SERVER) for way in ("up", "down")] == [8e6, 4e6]
+    assert stage_cost_for(alone, devices[1]) == fleet_costs(alone).stage_cost(1)
 
 
 def test_costs_that_overflow_are_refused_without_a_warning():

@@ -509,18 +509,18 @@ def test_a_plan_stage_on_an_unavailable_device_is_rejected(recovery_scenario, re
             plan, stages=((7, plan.stages[0][1]),), objective_bytes=0))
 
 
-def test_a_failure_free_run_builds_no_fleet_costs(default_scenario):
-    # A fresh scenario has no memo; checking a plan's stages then costs only
-    # the plan's own devices, and a run without failures never re-plans.
+def test_a_failure_free_run_fills_the_fleet_costs_memo(default_scenario):
+    # Checking a plan's stages takes the whole fleet's costs, so one run on a
+    # fresh scenario leaves them on it, and every later run shares them.
     plan = select_devices_dp(default_scenario, Budgets(3.0, 300.0))
     scenario = dataclasses.replace(default_scenario)
     assert "_fleet" not in vars(scenario)
     trace = simulate_pipeline(scenario, plan)
     assert trace.completed and not trace.replans
-    assert "_fleet" not in vars(scenario)
-    # With the memo built the stages are checked against it, and agree.
-    fleet_costs(scenario)
-    assert simulate_pipeline(scenario, plan) == trace
+    fleet = vars(scenario)["_fleet"]
+    assert fleet is fleet_costs(scenario)
+    assert simulate_pipeline(scenario, plan) == trace == simulate_pipeline(default_scenario, plan)
+    assert vars(scenario)["_fleet"] is fleet
 
 
 def test_traces_of_a_forty_device_world_round_trip_exactly(tmp_path):

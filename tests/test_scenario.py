@@ -9,6 +9,7 @@ import pytest
 from relaydiff import (
     ConfigurationError,
     Device,
+    FailureSpec,
     ModelVariant,
     SplitConfig,
     SweepSpec,
@@ -96,6 +97,10 @@ def test_model_variant_sizes():
 def test_model_variant_invariants():
     with pytest.raises(ValidationError, match="bit_width"):
         ModelVariant(12, 1000)
+    # 8.0 equals an allowed width, but would make size_bytes a float.
+    with pytest.raises(ValidationError) as info:
+        ModelVariant(8.0, 10)
+    assert str(info.value) == "variant.bit_width: must be one of (32, 16, 8, 4), got 8.0"
     with pytest.raises(ValidationError, match="param_count"):
         ModelVariant(32, 0)
     with pytest.raises(ValidationError, match="whole number of bytes"):
@@ -198,6 +203,26 @@ def test_mark_unavailable_refuses_unknown_ids():
 def test_a_bool_is_not_an_integer(three_device_scenario, build, message):
     with pytest.raises(ValidationError, match=message):
         build(three_device_scenario)
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda s: SplitConfig(True, 2), ValidationError,
+     "split.device_a_id: must be a non-negative integer, got True"),
+    (lambda s: SplitConfig(0, -1), ValidationError,
+     "split.device_b_id: must be a non-negative integer, got -1"),
+    (lambda s: FailureSpec(injected=((0.5, "compute"),)), ValidationError,
+     "failures.injected: device id must be a non-negative integer, got 0.5"),
+    (lambda s: FailureSpec(injected=(("2", "compute"),)), ValidationError,
+     "failures.injected: device id must be a non-negative integer, got '2'"),
+    (lambda s: FailureSpec(injected=((True, "compute"),)), ValidationError,
+     "failures.injected: device id must be a non-negative integer, got True"),
+    (lambda s: s.device(True), ConfigurationError, "no device with id True"),
+], ids=["split-bool", "split-negative", "injected-float", "injected-str", "injected-bool",
+        "device-bool"])
+def test_a_device_id_is_a_non_negative_int(three_device_scenario, build, error, message):
+    with pytest.raises(error) as info:
+        build(three_device_scenario)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("key", ["01", " 1", "+1", "-1", "1.0", "\u0661"])
