@@ -25,9 +25,18 @@ Each input does the work of one job of each workload relaybench gates:
 
 The two sides' worlds (``scenario_to_dict`` and the values of the device
 columns), plans (``plan_to_dict``), run outcomes and traces
-(``trace_to_dict``) must be identical, input by input. Prints the ratio of
-plans per second, then one line per piece with each side's median and on
-how many inputs this checkout was faster. Run from the repository root:
+(``trace_to_dict``) must be identical, input by input.
+
+Last, ``import relaydiff, relaydiff.cli`` is timed in ``--imports`` fresh
+child interpreters per side, from each checkout's own ``src``, the sides
+alternating, as relaybench times the import part of ``setup_s``. The
+children inherit the environment, ``PYTHONDONTWRITEBYTECODE`` included, so
+where that is set every import compiles the package.
+
+Prints the ratio of plans per second, then one line per piece and one for
+the import with each side's median and 90th percentile and on how many
+inputs (or import pairs) this checkout was faster. Run from the repository
+root:
 
     python3 benchmarks/bench_ab.py --base ../parent-checkout --plans 1000
 """
@@ -37,6 +46,7 @@ import importlib
 import random
 import shutil
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -158,11 +168,29 @@ def run_input(rd, files, seed: int, i: int, times: dict) -> dict:
     }
 
 
-def summary(name: str, times: dict) -> str:
-    this, base = times["this"][name], times["base"][name]
+def import_seconds(root: Path) -> float:
+    """Seconds to import relaydiff and relaydiff.cli from ``root``'s sources in a fresh interpreter."""
+
+    src = root / "src"
+    code = ("import sys, time; sys.path.insert(0, sys.argv[1]); started = time.perf_counter(); "
+            "import relaydiff, relaydiff.cli; print(time.perf_counter() - started, relaydiff.__file__)")
+    done = subprocess.run([sys.executable, "-c", code, str(src)], capture_output=True, text=True,
+                          check=True, timeout=60)
+    seconds, path = done.stdout.split()
+    if Path(path).resolve().parent != (src / "relaydiff").resolve():
+        sys.exit(f"error: relaydiff imported from {path}, not from {src}")
+    return float(seconds)
+
+
+def p90(values: list) -> float:
+    return statistics.quantiles(values, n=10, method="inclusive")[-1] if len(values) > 1 else values[0]
+
+
+def summary(name: str, this: list, base: list) -> str:
     won = sum(a < b for a, b in zip(this, base))
-    return (f"{name}: median this {statistics.median(this) * 1e3:.3f} ms, "
-            f"base {statistics.median(base) * 1e3:.3f} ms; this faster on {won} of {len(this)}")
+    return (f"{name}: median this {statistics.median(this) * 1e3:.3f} ms, p90 {p90(this) * 1e3:.3f} ms; "
+            f"base median {statistics.median(base) * 1e3:.3f} ms, p90 {p90(base) * 1e3:.3f} ms; "
+            f"this faster on {won} of {len(this)}")
 
 
 def main():
@@ -171,6 +199,8 @@ def main():
                         help="root of the checkout to compare against")
     parser.add_argument("--plans", type=int, default=1000)
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--imports", type=int, default=20,
+                        help="fresh-interpreter imports per side")
     args = parser.parse_args()
 
     times = {side: {piece: [] for piece in PIECES} for side in SIDES}
@@ -185,13 +215,18 @@ def main():
                 if value != results["base"][name]:
                     sys.exit(f"error: input {i}: the {name} differ")
             infeasible += not results["this"]["outcomes"]
+    imports = {side: [] for side in SIDES}
+    for i in range(args.imports):
+        for side in SIDES[::-1] if i % 2 else SIDES:
+            imports[side].append(import_seconds(ROOT if side == "this" else args.base.resolve()))
 
     plan_seconds = {side: sum(times[side]["select_devices_dp"]) for side in SIDES}
     print(f"identical worlds, plans, outcomes and traces on {args.plans} inputs "
           f"({infeasible} runs found no feasible continuation); "
           f"plans/s this/base: {plan_seconds['base'] / plan_seconds['this']:.3f}")
     for piece in PIECES:
-        print(summary(piece, times))
+        print(summary(piece, times["this"][piece], times["base"][piece]))
+    print(summary("import", imports["this"], imports["base"]))
 
 
 if __name__ == "__main__":

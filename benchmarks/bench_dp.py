@@ -1,8 +1,8 @@
 """Time the scheduler's DP kernel and report its peak traced memory.
 
 ``knapsack_2d`` first drops devices that can never be in the returned plan,
-drops each capacity axis that the survivors' total cost fits (every subset
-fits it), then fills one of two tables: the grid (narrow unsigned value
+drops each capacity axis that every subset fitting the other axis fits,
+then fills one of two tables: the grid (narrow unsigned value
 layers and one take-bit per surviving device and (t, e) cell, packed 8
 devices per byte) or, when the value bound is below the energy capacity,
 the value table (the fewest energy units per (t, v) cell, one layer per
@@ -20,9 +20,12 @@ kept (``t×e``, ``t``, ``e``, or ``–`` for none) and ``table`` the table
 that ran. The fifth and sixth shapes sit on either side of the table
 choice: the same devices and time axis, with the energy axis just below or
 just above the value bound. The seventh shape's energy costs sum to less
-than its energy capacity, so that axis is dropped; the last shape's costs
-fit both capacities, so both axes are, and the table has one cell. Run from
-the repository root:
+than its energy capacity, so that axis is dropped; the eighth shape's costs
+fit both capacities, so both axes are, and the table has one cell. The
+ninth is modelled on a two-budget plan-cold plan: its survivors' energy
+costs sum past the energy capacity, but no set that fits the time capacity
+can pass it, so the energy axis is dropped as well. Run from the
+repository root:
 
     PYTHONPATH=src python3 benchmarks/bench_dp.py
 """
@@ -83,6 +86,14 @@ def main():
     cases.append((unit_t, unit_e, sizes, 800, 800))
     # The same devices under capacities their total costs fit: both axes slack.
     cases.append((unit_t, unit_e, sizes, int(unit_t.sum()), int(unit_e.sum())))
+    # A two-budget plan-cold plan: 40 devices, most of the largest size, of
+    # 20-45 time and 7-11 energy units under 200x200. No 10 fit the time
+    # budget together and no 9 pass the energy budget, though the
+    # survivors' total energy does: only the implied-axis test drops it.
+    unit_t = rng.integers(20, 46, size=40, dtype=np.int64)
+    unit_e = rng.integers(7, 12, size=40, dtype=np.int64)
+    sizes = np.where(rng.random(40) < 0.8, SIZES[-1], rng.choice(SIZES, size=40))
+    cases.append((unit_t, unit_e, sizes, 200, 200))
 
     print(
         f"{'n':>4} {'kept':>5} {'surv':>5} {'cap_t':>6} {'cap_e':>6} {'lb':>5} {'kbound':>7} "

@@ -416,13 +416,16 @@ def mark_unavailable(scenario: Scenario, device_ids: set[int]) -> Scenario:
     """Copy of ``scenario`` with the given devices flagged unavailable.
 
     Raises ValidationError naming any id the scenario has no device for,
-    and any that is not an int (a bool is not an id).
+    and any that is not an int (a bool is not an id): the ints in ascending
+    order, then the others by their repr.
     """
 
     n = len(scenario.devices)
     unknown = {i for i in device_ids if not _is_device_id(i) or i >= n}
     if unknown:
-        raise ValidationError(f"mark_unavailable: no device with id {sorted(unknown)}")
+        ints = {i for i in unknown if isinstance(i, int) and not isinstance(i, bool)}
+        listed = sorted(ints) + sorted(unknown - ints, key=repr)
+        raise ValidationError(f"mark_unavailable: no device with id {listed}")
     return replace(
         scenario,
         devices=tuple(

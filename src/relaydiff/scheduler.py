@@ -9,8 +9,8 @@ variants' byte sizes. Three methods share one plan type:
   and discretized (ceiling for costs, floor for capacities, so a plan that
   fits in units also fits exactly, up to float rounding) and a 0/1 knapsack
   over (time units, energy units) is solved one device at a time with numpy
-  (:func:`knapsack_2d`). Devices no optimal plan holds and each axis the
-  survivors' total cost fits are dropped first, and the value bound picks
+  (:func:`knapsack_2d`). Devices no optimal plan holds and each budget the
+  other one implies are dropped first, and the value bound picks
   one of two tables (:func:`reduce_knapsack`). The DP result is finally
   compared against the greedy baseline, which it must beat and which
   replaces a DP pick that misses the exact budgets by float rounding, so
@@ -381,6 +381,13 @@ def reduce_by_bounds(ct, ce, scaled, cap_t: int, cap_e: int) -> tuple[list[int],
     return survivors, lb
 
 
+def _implied(costs, cap: int, other, other_cap: int) -> bool:
+    """Whether the k largest ``other`` costs fit, k being the most ``costs`` that fit ``cap``."""
+
+    k = bisect.bisect_right(list(itertools.accumulate(sorted(costs))), cap)
+    return sum(sorted(other, reverse=True)[:k]) <= other_cap
+
+
 class Reduction(NamedTuple):
     """What :func:`reduce_knapsack` found, and the table fill it leaves to run."""
 
@@ -430,19 +437,25 @@ def reduce_knapsack(unit_t, unit_e, sizes, cap_t: int, cap_e: int) -> Reduction:
     set found greedily: the optimum is at least LB, so no optimal subset
     holds j, and without j the optimal subsets are the same.
 
-    If the survivors' energy units sum to at most cap_e, their energy costs
-    and cap_e become 0, and the same holds for time. Every subset fits a
-    dropped axis, so the feasible subsets and the canonical optimum stay
-    the same. The grid's backtrack from cap_e keeps e at or above the
-    energy total of the devices not yet decided (t likewise, for time),
-    where every value a take-bit compares is the 1-D one, so the plan is
-    the same too.
+    If no subset of the survivors that fits cap_t can miss cap_e, their
+    energy costs and cap_e become 0: with k the most survivors whose time
+    units fit cap_t together, the k largest energy units sum to at most
+    cap_e (:func:`_implied`; k is all survivors when their total fits). The
+    time axis is then tested the same way against the energy axis as it now
+    stands, so two axes that imply each other are never both dropped. The
+    feasible subsets, and so the canonical optimum, stay the same. So does
+    the plan: at each backtrack state, a subset of the undecided devices
+    that fits the time left fits the energy left too, since with the
+    devices already taken it fits cap_t; every value a take-bit compares is
+    therefore the 1-D one (time likewise, after a time drop).
 
     ``bound`` is the most any fitting subset of the survivors is worth: the
     least of the sum of the ``k_max`` largest scaled sizes and each axis's
-    Dantzig bound (:func:`lp_bound`), each a relaxation. Among the tables
-    whose buffers fit ``MAX_DP_BYTES``, the one with fewer cells per device
-    runs: the value table iff ``bound < cap_e``.
+    Dantzig bound (:func:`lp_bound`), each a relaxation. It is taken before
+    the drops: a dropped axis's bound still holds, as the feasible subsets
+    did not change, and without it the bound could pass 64 bits. Among the
+    tables whose buffers fit ``MAX_DP_BYTES``, the one with fewer cells per
+    device runs: the value table iff ``bound < cap_e``.
 
     Raises ConfigurationError if the value bound does not fit 64 bits or
     neither table fits ``MAX_DP_BYTES``, before any DP buffer is allocated.
@@ -459,12 +472,12 @@ def reduce_knapsack(unit_t, unit_e, sizes, cap_t: int, cap_e: int) -> Reduction:
     scaled = [size // gcd for size in scaled]
     survivors, lb = reduce_by_bounds(ct, ce, scaled, cap_t, cap_e)
     scaled, ct, ce = ([values[j] for j in survivors] for values in (scaled, ct, ce))
-    if sum(ce) <= cap_e:
-        ce, cap_e = [0] * len(ce), 0
-    if sum(ct) <= cap_t:
-        ct, cap_t = [0] * len(ct), 0
     k_max_bound = sum(sorted(scaled, reverse=True)[:k_max])
     bound = min(k_max_bound, lp_bound(ct, scaled, cap_t), lp_bound(ce, scaled, cap_e))
+    if _implied(ct, cap_t, ce, cap_e):
+        ce, cap_e = [0] * len(ce), 0
+    if _implied(ce, cap_e, ct, cap_t):
+        ct, cap_t = [0] * len(ct), 0
     if bound >> 64:
         raise ConfigurationError(
             f"DP values reach {bound} (sizes divided by their gcd {gcd}); "

@@ -94,6 +94,36 @@ def three_device_scenario() -> Scenario:
 
 
 @pytest.fixture
+def crossed_scenario() -> Scenario:
+    """Two slow, frugal devices and two fast, power-hungry ones, on which
+    neither of the (2.0 s, 200 J) budgets implies the other:
+
+    device 0: t = 0.0625 + 1.0625 + 0.0625 = 1.1875, e = 20.015625  (4 GB)
+    device 1: t = 0.0625 + 0.875 + 0.0625  = 1.0,    e = 29.953125  (2 GB)
+    device 2: t = 0.0625 + 0.0625 + 0.0625 = 0.1875, e = 120.09375  (3 GB)
+    device 3: t = 0.0625 + 0.1875 + 0.0625 = 0.3125, e = 100.03125  (1 GB)
+
+    Devices 0 and 1 miss the time budget together, 2 and 3 the energy one;
+    every other pair fits and no three do. The three fastest (1, 2, 3) fit
+    in 1.5 s but need 250.078125 J, and the three most frugal (0, 1, 3)
+    need 150 J but 2.5 s. The optimum is {0, 2} (7 GB; 1.375 s,
+    140.109375 J).
+    """
+
+    specs = [  # bit width, parameters, step latency, compute power
+        (32, 1_000_000_000, 0.265625, 18.75),
+        (16, 1_000_000_000, 0.21875, 34.125),
+        (32, 750_000_000, 0.015625, 1920.0),
+        (8, 1_000_000_000, 0.046875, 533.0),
+    ]
+    devices = [
+        dyadic_device(i, bits, count, step_latency_s=step, compute_power_w=power)
+        for i, (bits, count, step, power) in enumerate(specs)
+    ]
+    return dyadic_scenario(devices, {i: (2.0**25, 2.0**25) for i in range(len(devices))})
+
+
+@pytest.fixture
 def fixture_budgets() -> Budgets:
     return Budgets(t_max_s=2.0, e_max_j=200.0)
 

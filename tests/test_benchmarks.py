@@ -19,15 +19,19 @@ def run_script(*argv):
 
 
 def test_bench_ab_against_its_own_sources_plans_alike():
-    done = run_script("benchmarks/bench_ab.py", "--base", str(ROOT), "--plans", "8")
+    done = run_script("benchmarks/bench_ab.py", "--base", str(ROOT), "--plans", "8",
+                      "--imports", "3")
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert lines[0].startswith("identical worlds, plans, outcomes and traces on 8 inputs ")
     assert [line.split(":")[0] for line in lines[1:]] == [
         "select_devices_dp", "generate_scenario", "load_scenario", "load_plan",
-        "simulate_pipeline", "save_trace", "load_trace",
+        "simulate_pipeline", "save_trace", "load_trace", "import",
     ]
-    assert all(" median this " in line and line.endswith(" of 8") for line in lines[1:])
+    assert all(" median this " in line and " ms, p90 " in line and " base median " in line
+               for line in lines[1:])
+    assert all(line.endswith(" of 8") for line in lines[1:-1])
+    assert lines[-1].endswith(" of 3")
 
 
 def test_bench_ab_runs_each_side_first_half_the_time_within_each_input_kind():
@@ -47,8 +51,10 @@ def test_bench_dp_runs_every_shape():
     done = run_script("benchmarks/bench_dp.py", "--repeats", "1")
     assert done.returncode == 0, done.stderr
     rows = [row.split() for row in done.stdout.splitlines()[1:]]
-    assert len(rows) == 8
+    assert len(rows) == 9
     # The fifth and sixth shapes sit on either side of the table choice.
     assert (rows[4][4], rows[4][9]) == ("96", "grid")
     assert (rows[5][4], rows[5][9]) == ("104", "value")
-    assert rows[-1][8] == "–"  # the both-slack shape keeps no capacity axis
+    assert rows[7][8] == "–"  # the both-slack shape keeps no capacity axis
+    # The plan-cold-like shape keeps only the time axis, in a grid.
+    assert rows[8][8:10] == ["t", "grid"]

@@ -9,15 +9,23 @@ replacer count and a fractional knapsack sorted by exact ratios. The bound
 reduction is held to brute force over every subset, in Python ints.
 """
 
+import bisect
 import functools
 import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from relaydiff import Budgets, ConfigurationError, generate_scenario, scheduler, select_devices_dp
-from relaydiff.scheduler import knapsack_2d, lp_bound, prune_dominated, reduce_by_bounds
+from relaydiff.scheduler import (
+    knapsack_2d,
+    lp_bound,
+    prune_dominated,
+    reduce_by_bounds,
+    reduce_knapsack,
+)
 
 
 def reference_fill(unit_t, unit_e, sizes, cap_t, cap_e):
@@ -455,3 +463,87 @@ def test_sizes_past_the_float_range_are_refused_as_too_wide():
     # cost / size instead, so the 64-bit check refuses the instance.
     with pytest.raises(ConfigurationError, match="does not fit 64 bits"):
         knapsack_2d(np.array([1, 2]), np.array([2, 1]), [2**1100, 2**1100 + 1], 3, 3)
+
+
+
+def implied_drops(unit_t, unit_e, cap_t, cap_e, facts) -> int:
+    """How many axes ``reduce_knapsack`` dropped that the survivors' total cost does not fit."""
+
+    return sum(
+        left == 0 < cap < sum(int(costs[j]) for j in facts.survivors)
+        for costs, cap, left in ((unit_t, cap_t, facts.caps[0]), (unit_e, cap_e, facts.caps[1]))
+    )
+
+
+def test_one_of_two_mutually_implied_axes_is_dropped(table_calls):
+    # Unit costs (6, 5) and (5, 6) under (10, 10): each device fits alone,
+    # neither replaces the other, and no two fit together on either axis, so
+    # each axis implies the other. Only the energy axis, tested first, is
+    # dropped; dropping both would admit both devices.
+    unit_t, unit_e, sizes = np.array([6, 5]), np.array([5, 6]), np.array([3, 3])
+    facts = reduce_knapsack(unit_t, unit_e, sizes, 10, 10)
+    assert facts.survivors == [0, 1] and facts.caps == (10, 0)
+    assert implied_drops(unit_t, unit_e, 10, 10, facts) == 1
+    assert assert_matches_reference(unit_t, unit_e, sizes, 10, 10) == [0]
+    assert table_calls.fills == [("_grid_dp", 10, 0)]
+
+
+def test_dropped_axis_dantzig_bound_keeps_the_value_bound_within_64_bits():
+    # Device 2 is reduced away (its upper bound, 1 + 6 in units of m, is
+    # below the 10m of device 0 alone), but it lets k_max reach 2. Devices 0
+    # and 1 miss both budgets together, so with no two fitting the time
+    # budget the energy axis is dropped. Over the survivors the k_max bound
+    # (16m) and the time axis's Dantzig bound (6m + 4/6 of 10m) pass 2**64;
+    # only the energy axis's (6m + 5/12 of 10m) stays below it. Taken after
+    # the drop, that bound would be the survivors' total, and the instance
+    # would be refused.
+    m = 2**64 // 11
+    unit_t, unit_e = np.array([6, 3, 2]), np.array([12, 7, 5])
+    sizes = [10 * m + 1, 6 * m + 1, m]
+    assert prune_dominated(unit_t, unit_e, sizes, 7, 12)[1] == 2
+    survivors = sizes[:2]
+    assert sum(survivors) >> 64 and lp_bound([6, 3], survivors, 7) >> 64
+    assert not lp_bound([12, 7], survivors, 12) >> 64
+    facts = reduce_knapsack(unit_t, unit_e, sizes, 7, 12)
+    assert facts.survivors == [0, 1] and facts.caps == (7, 0)
+    assert facts.bound == lp_bound([12, 7], survivors, 12)
+    assert knapsack_2d(unit_t, unit_e, sizes, 7, 12) == canonical_subset(
+        unit_t, unit_e, sizes, 7, 12
+    ) == [0]
+
+
+@st.composite
+def time_bound_instances(draw):
+    """6-12 devices with energy costs of 1-4 and time costs of 1-12, and
+    sizes equal to their time costs or one more, so many tie and few are
+    reduced away. The time capacity holds a few of them; the energy
+    capacity is drawn around the k largest energy costs, k being the most
+    devices whose time costs fit together."""
+
+    n = draw(st.integers(6, 12))
+    unit_t = draw(st.lists(st.integers(1, 12), min_size=n, max_size=n))
+    unit_e = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    extra = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    cap_t = draw(st.integers(6, 30))
+    k = bisect.bisect_right(list(itertools.accumulate(sorted(unit_t))), cap_t)
+    cap_e = max(sum(sorted(unit_e, reverse=True)[:k]) + draw(st.integers(-1, 2)), 0)
+    return unit_t, unit_e, [t + x for t, x in zip(unit_t, extra)], cap_t, cap_e
+
+
+def test_kernel_matches_the_canonical_optimum_where_an_implied_axis_is_dropped():
+    drops = []
+
+    @settings(max_examples=250, deadline=None, derandomize=True)
+    @given(time_bound_instances())
+    def check(instance):
+        unit_t, unit_e, sizes, cap_t, cap_e = instance
+        facts = reduce_knapsack(unit_t, unit_e, sizes, cap_t, cap_e)
+        drops.append(implied_drops(unit_t, unit_e, cap_t, cap_e, facts))
+        assert knapsack_2d(unit_t, unit_e, sizes, cap_t, cap_e) == canonical_subset(
+            unit_t, unit_e, sizes, cap_t, cap_e
+        )
+
+    check()
+    # 103 of these 250 instances drop an axis their survivors' total cost
+    # does not fit; the rest keep both axes or drop one the old way.
+    assert sum(map(bool, drops)) >= len(drops) // 4

@@ -189,6 +189,18 @@ def test_mark_unavailable_refuses_unknown_ids():
     assert mark_unavailable(scenario, set()) == scenario
 
 
+def test_mark_unavailable_lists_ids_of_mixed_types():
+    # The ids do not sort together, which raised a bare TypeError: the
+    # ints come first in ascending order, then the rest by their repr.
+    scenario = generate_scenario(3, seed=0)
+    with pytest.raises(ValidationError) as info:
+        mark_unavailable(scenario, {"a", 99})
+    assert str(info.value) == "mark_unavailable: no device with id [99, 'a']"
+    with pytest.raises(ValidationError) as info:
+        mark_unavailable(scenario, {2.5, None, True, 7, -1, "b"})
+    assert str(info.value) == "mark_unavailable: no device with id [-1, 7, 'b', 2.5, None, True]"
+
+
 @pytest.mark.parametrize("build, message", [
     (lambda s: mark_unavailable(s, {True}), r"mark_unavailable: no device with id \[True\]"),
     (lambda s: dataclasses.replace(s, latent_bytes=True), "latent_bytes: must be a positive integer"),

@@ -31,7 +31,7 @@ from relaydiff import (
     select_devices_oracle,
 )
 from relaydiff import scheduler
-from relaydiff.cost_model import aggregate_costs, stage_cost_for
+from relaydiff.cost_model import aggregate_costs, fleet_costs, stage_cost_for
 from relaydiff.cli import EXIT_VALIDATION, main
 from relaydiff.formats import plan_from_dict, plan_to_dict
 from relaydiff.scheduler import (
@@ -222,67 +222,96 @@ def test_dp_refuses_absurd_tables(three_device_scenario):
     assert MAX_DP_BYTES == 1 << 30
 
 
-def test_dp_byte_guard_refuses_before_allocating(three_device_scenario, monkeypatch, table_calls):
-    # The 4/2/3 GB sizes divide by their gcd (1 GB) to 4/2/3; no three fit,
-    # so values reach at most 4 + 3 = 7. A 2**-13 s time unit gives 16385
-    # time cells, so each table needs far more than the call's fixed ~6 kB.
+def test_dp_byte_guard_refuses_before_allocating(
+    crossed_scenario, three_device_scenario, monkeypatch, table_calls
+):
+    # The crossed fleet's 4/2/3/1 GB sizes divide by their gcd (1 GB) to
+    # 4/2/3/1, and no three devices fit, so all four survive and the time
+    # axis's Dantzig bound, 8, is the value bound. Both budgets bind on it.
+    # A 2**-13 s time unit gives 16385 time cells, so each table needs far
+    # more than the call's fixed ~6 kB.
     cases = [
-        # Energy units 100/60/80 of 200: 201 energy cells > 8 value cells,
-        # so the value table, three surviving layers, the empty layer and
-        # one scratch layer of uint8 energies.
-        (Budgets(2.0, 200.0), Discretization(2**-13, 1.0), (3 + 2) * 16385 * 8),
-        # Energy units 4/2/3 of 7: 8 energy cells <= 8 value cells, so the
+        # Energy units 21/30/121/101 of 200: 201 energy cells > 9 value
+        # cells, so the value table, four surviving layers, the empty layer
+        # and one scratch layer of uint8 energies.
+        (crossed_scenario, Budgets(2.0, 200.0), Discretization(2**-13, 1.0), (4 + 2) * 16385 * 9),
+        # Energy units 1/2/5/5 of 8: 9 energy cells <= 9 value cells, so the
         # grid, one take-bit byte plane, one shift byte and two uint8 value
         # layers per cell.
-        (Budgets(2.0, 212.0), Discretization(2**-13, 30.0), (1 + 1 + 2 * 1) * 16385 * 8),
-        # Energy units 400/240/320 of 960: all three survive, and their
-        # energy fits, so that axis is dropped and the grid has one energy
-        # cell; their time does not fit, so it stays. A 2**-16 s time unit
-        # keeps it large.
-        (Budgets(2.0, 240.0), Discretization(2**-16, 0.25), (1 + 1 + 2 * 1) * 131073 * 1),
+        (crossed_scenario, Budgets(2.0, 200.0), Discretization(2**-13, 25.0),
+         (1 + 1 + 2 * 1) * 16385 * 9),
+        # The three-device fleet's energy units 400/240/320 of 800: all
+        # three survive and their total passes 800, but no three fit the
+        # time budget and the two largest energies (720) fit, so the energy
+        # axis is dropped and the grid has one energy cell. A 2**-16 s time
+        # unit keeps it large.
+        (three_device_scenario, Budgets(2.0, 200.0), Discretization(2**-16, 0.25),
+         (1 + 1 + 2 * 1) * 131073 * 1),
     ]
-    for budgets, disc, needed in cases:
+    for scenario, budgets, disc, needed in cases:
         monkeypatch.setattr(scheduler, "MAX_DP_BYTES", needed)
-        assert select_devices_dp(three_device_scenario, budgets, disc).device_ids == (0, 2)
+        assert select_devices_dp(scenario, budgets, disc).device_ids == (0, 2)
 
         monkeypatch.setattr(scheduler, "MAX_DP_BYTES", needed - 1)
         tracemalloc.start()
         try:
             with pytest.raises(ConfigurationError, match=f"allocate {needed} bytes"):
-                select_devices_dp(three_device_scenario, budgets, disc)
+                select_devices_dp(scenario, budgets, disc)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < needed // 10
     assert table_calls.fills == [
-        ("_value_dp", 16384, 200), ("_grid_dp", 16384, 7), ("_grid_dp", 131072, 0)
+        ("_value_dp", 16384, 200), ("_grid_dp", 16384, 8), ("_grid_dp", 131072, 0)
     ]
 
     # With both axes the last instance would run the value table: three
     # layers, the empty one and a scratch one, each of 131073 time by 8
     # value cells of uint16 energies. One byte less still plans it.
     monkeypatch.setattr(scheduler, "MAX_DP_BYTES", (3 + 2) * 131073 * 8 * 2 - 1)
-    assert select_devices_dp(three_device_scenario, *cases[-1][:2]).device_ids == (0, 2)
+    assert select_devices_dp(three_device_scenario, *cases[-1][1:3]).device_ids == (0, 2)
 
 
 def test_dp_falls_back_to_the_grid_when_the_value_table_is_too_big(
-    three_device_scenario, monkeypatch, table_calls
+    crossed_scenario, monkeypatch, table_calls
 ):
-    # 30 J units put the energy costs at 4, 2 and 3 of 8 units. No device is
-    # reduced away: device 1 is in no optimal set, but its upper bound, 2 plus
-    # the time axis's Dantzig bound of 5 for the room it leaves, reaches the
-    # optimum 7. 9 energy cells > 8 value cells, so the value table runs by
-    # default; but its (3 + 2) * 8 bytes per time cell exceed the grid's 4 * 9.
-    budgets = Budgets(2.0, 240.0)
-    disc = Discretization(2**-7, 30.0)
-    free = select_devices_dp(three_device_scenario, budgets, disc)
-    assert table_calls == {"_value_dp": 1}
+    # 20 J units put the energy costs at 2, 2, 7 and 6 of 10 units; all four
+    # devices survive the reductions, both budgets still bind and the value
+    # bound is still 8. 11 energy cells > 9 value cells, so the value table
+    # runs by default; but its (4 + 2) * 9 bytes per time cell exceed the
+    # grid's 4 * 11.
+    budgets = Budgets(2.0, 200.0)
+    disc = Discretization(2**-7, 20.0)
+    free = select_devices_dp(crossed_scenario, budgets, disc)
+    assert table_calls.fills == [("_value_dp", 256, 10)]
 
-    monkeypatch.setattr(scheduler, "MAX_DP_BYTES", (1 + 1 + 2 * 1) * 257 * 9)
-    assert (3 + 2) * 257 * 8 > scheduler.MAX_DP_BYTES
-    assert select_devices_dp(three_device_scenario, budgets, disc) == free
+    monkeypatch.setattr(scheduler, "MAX_DP_BYTES", (1 + 1 + 2 * 1) * 257 * 11)
+    assert (4 + 2) * 257 * 9 > scheduler.MAX_DP_BYTES
+    assert select_devices_dp(crossed_scenario, budgets, disc) == free
     assert table_calls == {"_value_dp": 1, "_grid_dp": 1}
-    assert free.device_ids == (0, 2)
+    assert free.device_ids == select_devices_oracle(crossed_scenario, budgets).device_ids == (0, 2)
+
+
+def test_dp_drops_the_energy_axis_the_time_budget_implies(three_device_scenario, table_calls):
+    # On the default grid the three devices' energy units (100/60/80) sum
+    # past the 200-unit cap, so every device survives with both axes in
+    # play; but their time units (100/63/91 of 200) fit two at a time at
+    # most, and the two largest energies, 180, fit. No subset that fits the
+    # time budget misses the energy one, so that axis is dropped.
+    budgets = Budgets(2.0, 200.0)
+    fleet = fleet_costs(three_device_scenario)
+    disc = default_discretization(budgets)
+    cap_t, cap_e = capacity_units(2.0, disc.dt_s), capacity_units(200.0, disc.de_j)
+    unit_e = cost_units(fleet.e_total_j, disc.de_j, cap_e)
+    facts = scheduler.reduce_knapsack(
+        cost_units(fleet.t_total_s, disc.dt_s, cap_t), unit_e, fleet.size_bytes, cap_t, cap_e
+    )
+    assert facts.survivors == [0, 1, 2] and sum(unit_e) > cap_e
+    assert facts.caps == (cap_t, 0) and facts.table == "grid"
+
+    plan = select_devices_dp(three_device_scenario, budgets)
+    assert table_calls.fills == [("_grid_dp", cap_t, 0)]
+    assert plan.device_ids == select_devices_oracle(three_device_scenario, budgets).device_ids
 
 
 def test_dp_peak_memory_on_a_fine_grid():
