@@ -27,11 +27,12 @@ The two sides' worlds (``scenario_to_dict`` and the values of the device
 columns), plans (``plan_to_dict``), run outcomes and traces
 (``trace_to_dict``) must be identical, input by input.
 
-Last, ``import relaydiff, relaydiff.cli`` is timed in ``--imports`` fresh
-child interpreters per side, from each checkout's own ``src``, the sides
-alternating, as relaybench times the import part of ``setup_s``. The
-children inherit the environment, ``PYTHONDONTWRITEBYTECODE`` included, so
-where that is set every import compiles the package.
+Last, ``import relaydiff, relaydiff.cli`` is timed in 20 fresh child
+interpreters per side (``--plans`` of them when that is below 20), from
+each checkout's own ``src``, the sides alternating, as relaybench times the
+import part of ``setup_s``. The children inherit the environment,
+``PYTHONDONTWRITEBYTECODE`` included, so where that is set every import
+compiles the package.
 
 Prints the ratio of plans per second, then one line per piece and one for
 the import with each side's median and 90th percentile and on how many
@@ -59,6 +60,7 @@ SIDES = ("this", "base")
 PIECES = ("select_devices_dp", "generate_scenario", "load_scenario", "load_plan",
           "simulate_pipeline", "save_trace", "load_trace")
 FAIL_PROB = 0.3
+IMPORTS = 20  # fresh-interpreter imports per side
 
 
 def load_sides(base: Path, tmp: Path) -> dict:
@@ -199,8 +201,6 @@ def main():
                         help="root of the checkout to compare against")
     parser.add_argument("--plans", type=int, default=1000)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--imports", type=int, default=20,
-                        help="fresh-interpreter imports per side")
     args = parser.parse_args()
 
     times = {side: {piece: [] for piece in PIECES} for side in SIDES}
@@ -216,7 +216,7 @@ def main():
                     sys.exit(f"error: input {i}: the {name} differ")
             infeasible += not results["this"]["outcomes"]
     imports = {side: [] for side in SIDES}
-    for i in range(args.imports):
+    for i in range(min(IMPORTS, args.plans)):
         for side in SIDES[::-1] if i % 2 else SIDES:
             imports[side].append(import_seconds(ROOT if side == "this" else args.base.resolve()))
 

@@ -24,7 +24,8 @@ than its energy capacity, so that axis is dropped; the eighth shape's costs
 fit both capacities, so both axes are, and the table has one cell. The
 ninth is modelled on a two-budget plan-cold plan: its survivors' energy
 costs sum past the energy capacity, but no set that fits the time capacity
-can pass it, so the energy axis is dropped as well. Run from the
+can pass it (at most 10 devices fit that, and any 18 fit the energy
+capacity), so the energy axis is dropped as well. Run from the
 repository root:
 
     PYTHONPATH=src python3 benchmarks/bench_dp.py
@@ -67,13 +68,10 @@ def traced_peak(args):
         tracemalloc.stop()
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args()
+def shapes(seed):
+    """The nine (unit_t, unit_e, sizes, cap_t, cap_e) kernel inputs, drawn from ``seed``."""
 
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(seed)
     cases = []
     for n, cap_t, cap_e in [(10, 100, 100), (20, 200, 200), (25, 400, 400), (40, 800, 800)]:
         cases.append((*random_instance(rng, n, cap_t, cap_e), cap_t, cap_e))
@@ -87,19 +85,29 @@ def main():
     # The same devices under capacities their total costs fit: both axes slack.
     cases.append((unit_t, unit_e, sizes, int(unit_t.sum()), int(unit_e.sum())))
     # A two-budget plan-cold plan: 40 devices, most of the largest size, of
-    # 20-45 time and 7-11 energy units under 200x200. No 10 fit the time
-    # budget together and no 9 pass the energy budget, though the
-    # survivors' total energy does: only the implied-axis test drops it.
+    # 20-45 time and 7-11 energy units under 200x200. At 20 time units or
+    # more, at most 10 devices fit the time budget together, and any 18
+    # energy costs of at most 11 units fit 200, so the energy axis is
+    # dropped at every seed. The survivors' total energy passes 200 (218
+    # over 25 survivors at seed 0), so the old total-fits rule kept it.
     unit_t = rng.integers(20, 46, size=40, dtype=np.int64)
     unit_e = rng.integers(7, 12, size=40, dtype=np.int64)
     sizes = np.where(rng.random(40) < 0.8, SIZES[-1], rng.choice(SIZES, size=40))
     cases.append((unit_t, unit_e, sizes, 200, 200))
+    return cases
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repeats", type=int, default=3)
+    parser.add_argument("--seed", type=int, default=0)
+    args = parser.parse_args()
 
     print(
         f"{'n':>4} {'kept':>5} {'surv':>5} {'cap_t':>6} {'cap_e':>6} {'lb':>5} {'kbound':>7} "
         f"{'bound':>6} {'axes':>5} {'table':>6} {'time':>10} {'peak':>10}"
     )
-    for kernel_args in cases:
+    for kernel_args in shapes(args.seed):
         unit_t, _, _, cap_t, cap_e = kernel_args
         facts = reduce_knapsack(*kernel_args)
         axes = "×".join(name for name, cap, left in zip("te", (cap_t, cap_e), facts.caps)

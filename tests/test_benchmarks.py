@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import relaydiff
+from relaydiff.scheduler import reduce_knapsack
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -19,8 +20,7 @@ def run_script(*argv):
 
 
 def test_bench_ab_against_its_own_sources_plans_alike():
-    done = run_script("benchmarks/bench_ab.py", "--base", str(ROOT), "--plans", "8",
-                      "--imports", "3")
+    done = run_script("benchmarks/bench_ab.py", "--base", str(ROOT), "--plans", "8")
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert lines[0].startswith("identical worlds, plans, outcomes and traces on 8 inputs ")
@@ -30,14 +30,18 @@ def test_bench_ab_against_its_own_sources_plans_alike():
     ]
     assert all(" median this " in line and " ms, p90 " in line and " base median " in line
                for line in lines[1:])
-    assert all(line.endswith(" of 8") for line in lines[1:-1])
-    assert lines[-1].endswith(" of 3")
+    assert all(line.endswith(" of 8") for line in lines[1:])
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "benchmarks" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_bench_ab_runs_each_side_first_half_the_time_within_each_input_kind():
-    spec = importlib.util.spec_from_file_location("bench_ab", ROOT / "benchmarks" / "bench_ab.py")
-    bench_ab = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench_ab)
+    bench_ab = load_script("bench_ab")
     inputs, this_first = collections.Counter(), collections.Counter()
     for i in range(1000):
         kind = bench_ab.plan_input(relaydiff, 0, i)[0]
@@ -56,5 +60,11 @@ def test_bench_dp_runs_every_shape():
     assert (rows[4][4], rows[4][9]) == ("96", "grid")
     assert (rows[5][4], rows[5][9]) == ("104", "value")
     assert rows[7][8] == "–"  # the both-slack shape keeps no capacity axis
-    # The plan-cold-like shape keeps only the time axis, in a grid.
+    # The plan-cold-like shape keeps only the time axis, in a grid, though
+    # its survivors' energy passes the energy capacity: the implied-axis
+    # rule dropped that axis, where the total-fits rule would have kept it.
     assert rows[8][8:10] == ["t", "grid"]
+    unit_t, unit_e, sizes, cap_t, cap_e = load_script("bench_dp").shapes(0)[8]
+    facts = reduce_knapsack(unit_t, unit_e, sizes, cap_t, cap_e)
+    assert unit_e[facts.survivors].sum() > cap_e
+    assert facts.caps == (cap_t, 0) and facts.table == "grid"

@@ -240,11 +240,15 @@ def test_dp_byte_guard_refuses_before_allocating(
         # layers per cell.
         (crossed_scenario, Budgets(2.0, 200.0), Discretization(2**-13, 25.0),
          (1 + 1 + 2 * 1) * 16385 * 9),
-        # The three-device fleet's energy units 400/240/320 of 800: all
-        # three survive and their total passes 800, but no three fit the
-        # time budget and the two largest energies (720) fit, so the energy
-        # axis is dropped and the grid has one energy cell. A 2**-16 s time
-        # unit keeps it large.
+        # The three-device fleet's energy units 400/240/320 of 960: all
+        # three survive, and their energy fits, so that axis is dropped and
+        # the grid has one energy cell; their time does not fit, so it
+        # stays. A 2**-16 s time unit keeps it large.
+        (three_device_scenario, Budgets(2.0, 240.0), Discretization(2**-16, 0.25),
+         (1 + 1 + 2 * 1) * 131073 * 1),
+        # The same units of 800: their total passes 800, but no three fit
+        # the time budget and the two largest energies (720) fit, so the
+        # energy axis is dropped all the same.
         (three_device_scenario, Budgets(2.0, 200.0), Discretization(2**-16, 0.25),
          (1 + 1 + 2 * 1) * 131073 * 1),
     ]
@@ -262,14 +266,16 @@ def test_dp_byte_guard_refuses_before_allocating(
             tracemalloc.stop()
         assert peak < needed // 10
     assert table_calls.fills == [
-        ("_value_dp", 16384, 200), ("_grid_dp", 16384, 8), ("_grid_dp", 131072, 0)
+        ("_value_dp", 16384, 200), ("_grid_dp", 16384, 8),
+        ("_grid_dp", 131072, 0), ("_grid_dp", 131072, 0),
     ]
 
-    # With both axes the last instance would run the value table: three
+    # With both axes the last two instances would run the value table: three
     # layers, the empty one and a scratch one, each of 131073 time by 8
-    # value cells of uint16 energies. One byte less still plans it.
+    # value cells of uint16 energies. One byte less still plans them.
     monkeypatch.setattr(scheduler, "MAX_DP_BYTES", (3 + 2) * 131073 * 8 * 2 - 1)
-    assert select_devices_dp(three_device_scenario, *cases[-1][1:3]).device_ids == (0, 2)
+    for case in cases[-2:]:
+        assert select_devices_dp(three_device_scenario, *case[1:3]).device_ids == (0, 2)
 
 
 def test_dp_falls_back_to_the_grid_when_the_value_table_is_too_big(
