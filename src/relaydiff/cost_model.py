@@ -6,12 +6,13 @@ times come from a Shannon-rate link with power-law path loss (or per-device
 rate overrides); energies are the matching power draw times phase duration.
 The edge server's own consumption is out of scope and never charged.
 
-Aggregation convention: totals over many cost terms use ``math.fsum`` and
-``t_total`` is defined as ``t_tran + t_cmp``. Both choices make the accounting
-identities exact in floating point (order-independent, no drift), so a plan's
+Aggregation convention: totals over many cost terms use ``math.fsum``, so
+they are exact in floating point (order-independent, no drift) and a plan's
 predicted totals match a failure-free execution trace bit for bit. One body,
 ``_fsum_totals``, adds them up for :func:`aggregate_costs` and
-:meth:`FleetCosts.totals` alike.
+:meth:`FleetCosts.totals` alike. :class:`CostTotals` is the one place every
+other total is derived from those sums: ``t_total_s``, ``tran_fraction`` and
+whether the totals fit a pair of budgets, for plans, traces and trace files.
 
 :class:`FleetCosts` holds the same six phase costs for a whole fleet as numpy
 arrays, plus each device's id and exact model size (no ``Device`` objects:
@@ -73,7 +74,7 @@ class StageCost(NamedTuple):
 
 @dataclass(frozen=True)
 class CostTotals:
-    """fsum-aggregated totals over a collection of stage costs."""
+    """fsum-aggregated totals over a collection of stage costs, and what follows from them."""
 
     t_tran_s: float
     t_cmp_s: float
@@ -82,6 +83,18 @@ class CostTotals:
     @property
     def t_total_s(self) -> float:
         return self.t_tran_s + self.t_cmp_s
+
+    @property
+    def tran_fraction(self) -> float:
+        """The transfer share of ``t_total_s``; 0.0 for a run that takes no time."""
+
+        t_total = self.t_total_s
+        return self.t_tran_s / t_total if t_total > 0 else 0.0
+
+    def fits(self, budgets) -> bool:
+        """Whether both totals are within ``budgets`` (a ``Budgets``), boundaries included."""
+
+        return self.t_total_s <= budgets.t_max_s and self.e_total_j <= budgets.e_max_j
 
 
 def _fsum_totals(t_down, t_cmp, t_up, e_down, e_cmp, e_up) -> CostTotals:

@@ -16,7 +16,7 @@ import math
 from pathlib import Path
 from typing import NamedTuple
 
-from .cost_model import StageCost, aggregate_costs
+from .cost_model import CostTotals, StageCost, aggregate_costs
 from .errors import ValidationError
 from .pipeline import MARKER_KINDS, Event, SimTrace
 from .scenario import _POSITIVE_FIELDS, TRANSFER_PHASES, LinkParams, ModelVariant, Scenario, _built
@@ -305,11 +305,10 @@ def trace_from_dict(data: dict) -> SimTrace:
     # The simulator sums the phase durations it was given, and each can
     # differ by an ulp from t_end_s - t_start_s, so the stored sums are kept;
     # the other two totals follow from them as in Timeline.trace.
-    t_total = fields["t_tran_s"] + fields["t_cmp_s"]
-    tran_fraction = fields["t_tran_s"] / t_total if t_total > 0 else 0.0
-    check_totals(data, (("t_total_s", t_total), ("tran_fraction", tran_fraction)),
+    totals = CostTotals(fields["t_tran_s"], fields["t_cmp_s"], fields["e_total_j"])
+    check_totals(data, (("t_total_s", totals.t_total_s), ("tran_fraction", totals.tran_fraction)),
                  "t_tran_s + t_cmp_s", "trace")
-    fields["t_total_s"], fields["tran_fraction"] = t_total, tran_fraction
+    fields["t_total_s"], fields["tran_fraction"] = totals.t_total_s, totals.tran_fraction
 
     kinds = [e.kind for e in events]
     # A split step computes once on each device and writes no checkpoint.

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cost_model import StageCost, fleet_costs
+from .cost_model import CostTotals, StageCost, fleet_costs
 from .errors import ConfigurationError, LineageError, RecoveryInfeasible, ValidationError
 from .scenario import STAGE_PHASES, TRANSFER_PHASES, Scenario, _is_device_id
 from .scheduler import Budgets, SchedulePlan, _select_dp
@@ -158,28 +158,26 @@ class Timeline:
             if energy:
                 self._energy.append(energy)
 
-    def spent(self) -> tuple[float, float]:
-        """(time, energy) charged so far."""
+    def totals(self) -> CostTotals:
+        """The time and energy charged so far."""
 
-        return math.fsum(self._transfer) + math.fsum(self._compute), math.fsum(self._energy)
+        return CostTotals(math.fsum(self._transfer), math.fsum(self._compute),
+                          math.fsum(self._energy))
 
     def trace(self, stages_completed: int, replans: int, completed: bool, budgets: Budgets,
               method: str) -> SimTrace:
-        t_tran = math.fsum(self._transfer)
-        t_cmp = math.fsum(self._compute)
-        t_total = t_tran + t_cmp
-        e_total = math.fsum(self._energy)
+        totals = self.totals()
         return SimTrace(
             events=tuple(self._events),
-            t_total_s=t_total,
-            e_total_j=e_total,
-            t_tran_s=t_tran,
-            t_cmp_s=t_cmp,
-            tran_fraction=t_tran / t_total if t_total > 0 else 0.0,
+            t_total_s=totals.t_total_s,
+            e_total_j=totals.e_total_j,
+            t_tran_s=totals.t_tran_s,
+            t_cmp_s=totals.t_cmp_s,
+            tran_fraction=totals.tran_fraction,
             stages_completed=stages_completed,
             replans=replans,
             completed=completed,
-            feasible=t_total <= budgets.t_max_s and e_total <= budgets.e_max_j,
+            feasible=totals.fits(budgets),
             method=method,
         )
 
@@ -283,10 +281,10 @@ def simulate_pipeline(
         # Failure: full phase cost is already charged; re-plan the remaining
         # work from the last checkpoint.
         timeline.emit("failure", dev_id, 0.0, 0)
-        t_spent, e_spent = timeline.spent()
+        spent = timeline.totals()
         residual = Budgets(
-            t_max_s=max(budgets.t_max_s - t_spent, 0.0),
-            e_max_j=max(budgets.e_max_j - e_spent, 0.0),
+            t_max_s=max(budgets.t_max_s - spent.t_total_s, 0.0),
+            e_max_j=max(budgets.e_max_j - spent.e_total_j, 0.0),
         )
         pool = fleet.subset(np.array([dev_id not in retired for dev_id in fleet.ids.tolist()]))
         new_plan = _select_dp(pool, residual)

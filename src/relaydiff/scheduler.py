@@ -182,17 +182,12 @@ def _build_plan(
         method=method,
         discretization=discretization,
     )
-    if plan.t_total_s > budgets.t_max_s or plan.e_total_j > budgets.e_max_j:
+    if not totals.fits(budgets):
         raise RuntimeError(
             f"internal error: {method} produced an infeasible plan "
             f"(t={plan.t_total_s}, e={plan.e_total_j}, budgets={budgets})"
         )
     return plan
-
-
-def _fits(fleet: FleetCosts, index, budgets: Budgets) -> bool:
-    totals = fleet.totals(index)
-    return totals.t_total_s <= budgets.t_max_s and totals.e_total_j <= budgets.e_max_j
 
 
 def _greedy_count(fleet: FleetCosts, budgets: Budgets) -> int:
@@ -204,12 +199,12 @@ def _greedy_count(fleet: FleetCosts, budgets: Budgets) -> int:
 
     n = len(fleet.ids)
     step = 1
-    while step <= n and _fits(fleet, slice(0, step), budgets):
+    while step <= n and fleet.totals(slice(0, step)).fits(budgets):
         step *= 2
     good, bad = step // 2, min(step, n + 1)
     while bad - good > 1:
         mid = (good + bad) // 2
-        if _fits(fleet, slice(0, mid), budgets):
+        if fleet.totals(slice(0, mid)).fits(budgets):
             good = mid
         else:
             bad = mid
@@ -605,7 +600,7 @@ def _select_dp(fleet: FleetCosts, budgets: Budgets, disc: Discretization | None 
     # device's unit cost rounds its left-to-right phase sum while plan totals
     # are fsums; the baseline, which fits exactly, replaces such a pick too.
     greedy = _greedy_count(fleet, budgets)
-    if sum(sizes[:greedy]) > sum(sizes[i] for i in picked) or not _fits(fleet, picked, budgets):
+    if sum(sizes[:greedy]) > sum(sizes[i] for i in picked) or not fleet.totals(picked).fits(budgets):
         picked = range(greedy)
 
     return _build_plan(fleet, picked, budgets, "dp", disc)
@@ -654,9 +649,9 @@ def select_devices_oracle(scenario: Scenario, budgets: Budgets) -> SchedulePlan:
         # near one, the fsum predicate that plans are checked with decides.
         if t_sum[mask] > t_high or e_sum[mask] > e_high:
             continue
-        if (t_sum[mask] > t_low or e_sum[mask] > e_low) and not _fits(
-            fleet, [i for i in range(n) if mask >> i & 1], budgets
-        ):
+        if (t_sum[mask] > t_low or e_sum[mask] > e_low) and not fleet.totals(
+            [i for i in range(n) if mask >> i & 1]
+        ).fits(budgets):
             continue
         if objective[mask] > objective[best]:
             best = mask

@@ -1,9 +1,12 @@
 """Budget sweeps comparing selection methods, emitted as flat CSV rows.
 
-One row per (t_max, e_max, method, scenario seed). Pipeline methods are
-scheduled and then simulated failure-free; the split baseline runs a fair
-step count (the scenario's K times the stage count the DP method achieved in
-the same cell, so both execute the same number of denoising steps). Rows are
+One row per (t_max, e_max, method, scenario seed). Rows are failure-free,
+so ``replans`` is always 0. A pipeline method's row carries its plan's own
+fsum totals, :func:`~relaydiff.cost_model.aggregate_costs` of its stages,
+which a failure-free simulation of the plan reproduces bit for bit; so the
+plan is not simulated. The split baseline is simulated, with a fair step
+count (the scenario's K times the stage count the DP method achieved in the
+same cell, so both execute the same number of denoising steps). Rows are
 sorted and floats formatted to 6 significant digits, which makes repeated
 sweeps with the same seeds byte-identical.
 """
@@ -14,10 +17,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .baseline_split import SplitConfig, pick_split_pair, simulate_split
-from .cost_model import fleet_costs
+from .cost_model import CostTotals, aggregate_costs, fleet_costs
 from .errors import ConfigurationError, RelaydiffError, ValidationError
-from .formats import trace_summary
-from .pipeline import NO_FAILURES, Timeline, simulate_pipeline
 from .quality import quality
 from .scenario import Scenario, generate_scenario
 from .scheduler import (
@@ -87,42 +88,31 @@ class SweepSpec:
             )
 
 
-def _trace_columns(trace) -> dict:
-    """The :func:`trace_summary` fields that are CSV columns; the row names its own method."""
+def _metrics(objective: int, quality_norm: float, n_stages: int, totals, feasible: bool) -> dict:
+    """The columns of a row after ``seed``; ``totals`` is a :class:`CostTotals` or a split trace."""
 
     return {
-        name: value for name, value in trace_summary(trace).items()
-        if name in CSV_COLUMNS and name != "method"
+        "objective_bytes": objective,
+        "quality_norm": quality_norm,
+        "n_stages": n_stages,
+        "replans": 0,
+        "t_total_s": totals.t_total_s,
+        "e_total_j": totals.e_total_j,
+        "t_tran_s": totals.t_tran_s,
+        "t_cmp_s": totals.t_cmp_s,
+        "tran_fraction": totals.tran_fraction,
+        "feasible": feasible,
     }
 
 
-def _empty_metrics() -> dict:
-    """The row of a run that does nothing: no cost, which fits any budgets."""
-
-    idle = Timeline().trace(0, 0, True, Budgets(0.0, 0.0), "idle")
-    return {"objective_bytes": 0, "quality_norm": 0.0, "n_stages": 0, **_trace_columns(idle)}
+# The row of a run that does nothing: no cost, which fits any budgets.
+_IDLE = _metrics(0, 0.0, 0, CostTotals(0.0, 0.0, 0.0), True)
 
 
 def _pipeline_row(scenario: Scenario, plan, budgets: Budgets) -> dict:
-    trace = simulate_pipeline(scenario, plan, NO_FAILURES, budgets)
-    return {
-        "objective_bytes": plan.objective_bytes,
-        "quality_norm": quality(plan, scenario).normalized,
-        "n_stages": plan.n_stages,
-        **_trace_columns(trace),
-    }
-
-
-def _split_pair(scenario: Scenario) -> SplitConfig | None:
-    """The world's split pair, or None with fewer than two available devices.
-
-    The pick scores per-step latency only, so one pick serves every budget
-    cell; each cell sets its own step count.
-    """
-
-    if sum(1 for dev in scenario.devices if dev.available) < 2:
-        return None
-    return pick_split_pair(scenario)
+    totals = aggregate_costs(cost for _, cost in plan.stages)
+    return _metrics(plan.objective_bytes, quality(plan, scenario).normalized, plan.n_stages,
+                    totals, totals.fits(budgets))
 
 
 def _split_row(
@@ -133,8 +123,7 @@ def _split_row(
 
     n_steps = scenario.steps_per_stage * dp_stages
     if n_steps < 1 or pair is None:
-        # Nothing comparable to run; an idle run trivially fits the budgets.
-        return _empty_metrics()
+        return _IDLE  # nothing comparable to run
     if isinstance(pair, RelaydiffError):
         raise pair
     config = replace(pair, n_steps=n_steps)
@@ -147,12 +136,7 @@ def _split_row(
         phi * device_a.variant.size_bytes + (1.0 - phi) * device_b.variant.size_bytes
     ))
     total = scenario.total_model_bytes()
-    return {
-        "objective_bytes": objective,
-        "quality_norm": objective / total if total > 0 else 0.0,
-        "n_stages": 2,
-        **_trace_columns(trace),
-    }
+    return _metrics(objective, objective / total if total > 0 else 0.0, 2, trace, trace.feasible)
 
 
 def run_sweep(
@@ -185,10 +169,12 @@ def run_sweep(
     rows = []
     for world in scenarios:
         # A world whose stages cannot be costed (a link rate that underflows)
-        # aborts the sweep with that error, whatever the methods.
-        fleet_costs(world)
+        # aborts the sweep with that error, whatever the methods. The split
+        # pick scores per-step latency only, so one pick serves every cell;
+        # without two available devices there is no pair.
+        candidates = len(fleet_costs(world).ids)
         try:
-            pair = _split_pair(world) if "split" in spec.methods else None
+            pair = pick_split_pair(world) if "split" in spec.methods and candidates > 1 else None
         except RelaydiffError as exc:
             pair = exc  # only the split cells that would run a pair fail
         for t_max in spec.t_max_grid:
@@ -210,7 +196,7 @@ def run_sweep(
                             metrics = _pipeline_row(world, _SELECTORS[method](world, budgets), budgets)
                     except RelaydiffError:
                         # A failing cell becomes an infeasible row, never an abort.
-                        metrics = {**_empty_metrics(), "feasible": False}
+                        metrics = {**_IDLE, "feasible": False}
                     rows.append(
                         {
                             "t_max_s": t_max,

@@ -28,6 +28,7 @@ from relaydiff import (
     select_devices_no_ds,
 )
 from relaydiff.cost_model import (
+    CostTotals,
     aggregate_costs,
     fleet_costs,
     link_rate,
@@ -135,6 +136,17 @@ def test_aggregate_costs_sums_exactly(three_device_scenario):
     assert totals.e_total_j == 239.9765625
     empty = aggregate_costs([])
     assert (empty.t_tran_s, empty.t_cmp_s, empty.e_total_j, empty.t_total_s) == (0.0, 0.0, 0.0, 0.0)
+
+
+def test_cost_totals_derive_the_fraction_and_fit_at_the_boundary():
+    empty = CostTotals(0.0, 0.0, 0.0)
+    assert empty.tran_fraction == 0.0
+    assert empty.fits(Budgets(0.0, 0.0))
+    totals = CostTotals(t_tran_s=0.75, t_cmp_s=0.25, e_total_j=3.0)
+    assert (totals.t_total_s, totals.tran_fraction) == (1.0, 0.75)
+    assert totals.fits(Budgets(1.0, 3.0))  # exactly at both budgets
+    assert not totals.fits(Budgets(math.nextafter(1.0, 0.0), 3.0))
+    assert not totals.fits(Budgets(1.0, math.nextafter(3.0, 0.0)))
 
 
 def test_split_step_frozen_transfer_latency():

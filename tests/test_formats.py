@@ -139,12 +139,23 @@ def test_each_module_imports_on_its_own(module):
     assert done.returncode == 0, done.stderr
 
 
-@pytest.mark.parametrize("module", ["scenario", "scheduler", "pipeline"])
-def test_model_modules_know_no_file_format(module):
-    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+def _imported(module: str) -> set:
+    """The modules and names that ``module`` of the package imports."""
+
     imported = set()
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text())):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             imported.update(alias.name for alias in node.names)
             imported.add(getattr(node, "module", None))
-    assert not imported & {"json", "formats"}
+    return imported
+
+
+@pytest.mark.parametrize("module", ["scenario", "scheduler", "pipeline", "sweep"])
+def test_model_modules_know_no_file_format(module):
+    assert not _imported(module) & {"json", "formats"}
+
+
+def test_sweep_simulates_no_pipeline_plan():
+    # Pipeline rows carry their plans' own totals (tests/test_sweep.py checks
+    # them against the simulator), so the sweep needs nothing from pipeline.
+    assert "pipeline" not in _imported("sweep")

@@ -365,7 +365,8 @@ def test_timeline_accounts_by_kind_and_keeps_nonzero_energy():
     timeline.emit("compute", 0, 0.25, 1, 2.0)
     timeline.emit("checkpoint", 0, 0.0, 8)
     timeline.emit("upload", 0, 0.125, 8, 0.0, 0.125)
-    assert timeline.spent() == (0.875, 2.375)
+    spent = timeline.totals()
+    assert (spent.t_total_s, spent.e_total_j) == (0.875, 2.375)
     trace = timeline.trace(1, 0, True, Budgets(0.875, 2.375), "dp")
     assert [e.t_start_s for e in trace.events] == [0.0, 0.5, 0.75, 0.75]
     assert (trace.t_tran_s, trace.t_cmp_s, trace.t_total_s) == (0.625, 0.25, 0.875)
@@ -403,9 +404,9 @@ def _reference_run(scenario, plan, failures):
             stages_completed += 1
             continue
         timeline.emit("failure", dev_id, 0.0, 0)
-        t_spent, e_spent = timeline.spent()
-        residual = Budgets(max(plan.budgets.t_max_s - t_spent, 0.0),
-                           max(plan.budgets.e_max_j - e_spent, 0.0))
+        spent = timeline.totals()
+        residual = Budgets(max(plan.budgets.t_max_s - spent.t_total_s, 0.0),
+                           max(plan.budgets.e_max_j - spent.e_total_j, 0.0))
         queue = list(select_devices_dp(mark_unavailable(scenario, retired), residual).stages)
         replans += 1
         timeline.emit("replan", None, 0.0, 0)

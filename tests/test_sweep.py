@@ -7,6 +7,8 @@ import io
 import pytest
 
 from relaydiff import (
+    NO_FAILURES,
+    Budgets,
     ConfigurationError,
     SweepSpec,
     ValidationError,
@@ -14,6 +16,11 @@ from relaydiff import (
     mark_unavailable,
     pick_split_pair,
     run_sweep,
+    select_devices_dp,
+    select_devices_no_ds,
+    select_devices_oracle,
+    simulate_pipeline,
+    trace_summary,
 )
 from relaydiff import sweep
 from relaydiff.sweep import CSV_COLUMNS, rows_to_csv
@@ -71,6 +78,26 @@ def test_dp_quality_non_decreasing_along_t_max(small_scenario):
     qualities = [row["quality_norm"] for row in rows]
     assert qualities == sorted(qualities)
     assert qualities[-1] > 0.0
+
+
+@pytest.mark.parametrize("world", [
+    generate_scenario(8, seed=3),
+    mark_unavailable(generate_scenario(10, seed=5), {1, 4, 6}),
+    generate_scenario(12, seed=11),
+], ids=["8-devices", "3-of-10-unavailable", "12-devices"])
+def test_pipeline_rows_equal_a_failure_free_simulation(world):
+    selectors = {"dp": select_devices_dp, "no_ds": select_devices_no_ds,
+                 "oracle": select_devices_oracle}
+    rows = run_sweep(SweepSpec(methods=tuple(selectors)), scenario=world)
+    assert len(rows) == 36 * 3
+    for row in rows:
+        budgets = Budgets(row["t_max_s"], row["e_max_j"])
+        plan = selectors[row["method"]](world, budgets)
+        summary = trace_summary(simulate_pipeline(world, plan, NO_FAILURES, budgets))
+        columns = [name for name in summary if name in CSV_COLUMNS and name != "method"]
+        assert [row[name] for name in columns] == [summary[name] for name in columns], row
+    assert {row["feasible"] for row in rows} == {True}
+    assert {row["n_stages"] for row in rows} != {0}
 
 
 def test_split_rows_have_two_stages(small_scenario):
