@@ -36,7 +36,9 @@ compiles the package.
 
 Prints the ratio of plans per second, then one line per piece and one for
 the import with each side's median and 90th percentile and on how many
-inputs (or import pairs) this checkout was faster. Run from the repository
+inputs (or import pairs) this checkout was faster. ``select_devices_dp``
+has a line for all inputs and one for each kind (``n=500`` and ``n=40``),
+so a planning change shows which kind of plan it moves. Run from the repository
 root:
 
     python3 benchmarks/bench_ab.py --base ../parent-checkout --plans 1000
@@ -57,8 +59,9 @@ ROOT = Path(__file__).resolve().parent.parent
 AREA_M = (500.0, 500.0)
 BUDGET_GRID = [(t_max, e_max) for t_max in (1.0, 2.0, 3.0) for e_max in (100.0, 200.0, 300.0)]
 SIDES = ("this", "base")
-PIECES = ("select_devices_dp", "generate_scenario", "load_scenario", "load_plan",
-          "simulate_pipeline", "save_trace", "load_trace")
+PIECES = ("select_devices_dp", "select_devices_dp n=500", "select_devices_dp n=40",
+          "generate_scenario", "load_scenario", "load_plan", "simulate_pipeline", "save_trace",
+          "load_trace")
 FAIL_PROB = 0.3
 IMPORTS = 20  # fresh-interpreter imports per side
 
@@ -151,6 +154,7 @@ def run_input(rd, files, seed: int, i: int, times: dict) -> dict:
     world = timed(times["generate_scenario"],
                   lambda: rd.generate_scenario(n_devices, AREA_M, seed=world_seed))
     plan = timed(times["select_devices_dp"], lambda: rd.select_devices_dp(world, budgets, disc))
+    times[f"select_devices_dp n={n_devices}"].append(times["select_devices_dp"][-1])
     churn = timed(times["load_scenario"], lambda: rd.load_scenario(world_path))
     churn_plan = timed(times["load_plan"], lambda: rd.load_plan(plan_path))
     failures = rd.FailureSpec(per_stage_prob=FAIL_PROB, rng_seed=seed * 1_000_003 + i)

@@ -22,11 +22,11 @@ choice: the same devices and time axis, with the energy axis just below or
 just above the value bound. The seventh shape's energy costs sum to less
 than its energy capacity, so that axis is dropped; the eighth shape's costs
 fit both capacities, so both axes are, and the table has one cell. The
-ninth is modelled on a two-budget plan-cold plan: its survivors' energy
-costs sum past the energy capacity, but no set that fits the time capacity
-can pass it (at most 10 devices fit that, and any 18 fit the energy
-capacity), so the energy axis is dropped as well. Run from the
-repository root:
+ninth is modelled on a two-budget plan-cold plan: its fitting devices'
+energy costs sum past the energy capacity, but no set that fits the time
+capacity can pass it (at most 10 devices fit that, and any 18 fit the
+energy capacity), so the energy axis is dropped before pruning. Run from
+the repository root:
 
     PYTHONPATH=src python3 benchmarks/bench_dp.py
 """
@@ -88,8 +88,9 @@ def shapes(seed):
     # 20-45 time and 7-11 energy units under 200x200. At 20 time units or
     # more, at most 10 devices fit the time budget together, and any 18
     # energy costs of at most 11 units fit 200, so the energy axis is
-    # dropped at every seed. The survivors' total energy passes 200 (218
-    # over 25 survivors at seed 0), so the old total-fits rule kept it.
+    # dropped at every seed. The fitting devices' total energy passes 200
+    # (362 at seed 0), so a rule that drops an axis only when the devices'
+    # total fits it would keep it.
     unit_t = rng.integers(20, 46, size=40, dtype=np.int64)
     unit_e = rng.integers(7, 12, size=40, dtype=np.int64)
     sizes = np.where(rng.random(40) < 0.8, SIZES[-1], rng.choice(SIZES, size=40))

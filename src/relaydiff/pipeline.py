@@ -96,6 +96,10 @@ class FailureSpec:
             raise ValidationError(
                 f"failures.per_stage_prob: must be in [0, 1), got {self.per_stage_prob!r}"
             )
+        if not _is_device_id(self.rng_seed):  # the same rule: an int, not a bool, >= 0
+            raise ValidationError(
+                f"failures.rng_seed: must be a non-negative integer, got {self.rng_seed!r}"
+            )
 
 
 NO_FAILURES = FailureSpec()

@@ -372,6 +372,8 @@ def generate_scenario(
 
     if n_devices < 1:
         raise ConfigurationError(f"n_devices must be >= 1, got {n_devices}")
+    if seed < 0:
+        raise ConfigurationError(f"seed must be >= 0, got {seed}")
     if profile not in PROFILES:
         raise ConfigurationError(f"unknown profile {profile!r}, expected one of {sorted(PROFILES)}")
     prof = PROFILES[profile]

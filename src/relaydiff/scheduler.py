@@ -9,9 +9,11 @@ variants' byte sizes. Three methods share one plan type:
   and discretized (ceiling for costs, floor for capacities, so a plan that
   fits in units also fits exactly, up to float rounding) and a 0/1 knapsack
   over (time units, energy units) is solved one device at a time with numpy
-  (:func:`knapsack_2d`). Devices no optimal plan holds and each budget the
-  other one implies are dropped first, and the value bound picks
-  one of two tables (:func:`reduce_knapsack`). The DP result is finally
+  (:func:`knapsack_2d`). A budget the other one implies over the fitting
+  devices is dropped first, then the devices no optimal plan holds (one
+  pass over one live axis, or blocks compared on two), then a budget the
+  survivors alone imply; the value bound picks one of two tables
+  (:func:`reduce_knapsack`). The DP result is finally
   compared against the greedy baseline, which it must beat and which
   replaces a DP pick that misses the exact budgets by float rounding, so
   the method never loses to no-selection through rounding alone.
@@ -233,28 +235,45 @@ def prune_dominated(unit_t, unit_e, sizes, cap_t: int, cap_e: int) -> tuple[np.n
     every device over capacity are dropped; the canonical optimum of the
     remaining devices is the same subset.
 
-    Devices are decided in descending rank order, a block at a time. Each
-    block is compared once, in one vectorized comparison, with itself and
-    with every undecided device after it, all of which rank below it. A
-    device's count is then its replacers among the earlier devices of its
-    own block and of every block before it that were still undecided. The
-    block's devices are decided by that count, and every undecided device
-    whose count already reaches ``k_max`` is dropped at once. That decides
-    exactly as the count over all devices would: replacing is transitive,
-    so every replacer of j that was dropped brings ``k_max`` kept replacers
-    of its own, all of which replace j. A device with ``k_max`` replacers
-    therefore has ``k_max`` kept ones, and any count between the two gives
-    the same keep/drop answer. Every count here is between the two: all it
-    counts replace the device, and a kept replacer ranks before it and was
-    never dropped early, so it is counted.
+    An axis on which every fitting device costs 0 is dead: it orders no
+    pair, and with one live axis the devices are decided in one pass
+    (:func:`_scan_one_axis`). :func:`reduce_knapsack` makes an axis dead,
+    for the fitting devices only, when the other implies it; a swap that
+    costs no more on the live axis then still fits the dead one, since every
+    set of fitting devices that fits the live capacity fits it.
+
+    With two live axes, devices are decided in descending rank order, a
+    block at a time. Each block is compared once, in one vectorized
+    comparison, with itself and with every undecided device after it, all of
+    which rank below it. A device's count is then its replacers among the
+    earlier devices of its own block and of every block before it that were
+    still undecided. The block's devices are decided by that count, and
+    every undecided device whose count already reaches ``k_max`` is dropped
+    at once. That decides exactly as the count over all devices would:
+    replacing is transitive, so every replacer of j that was dropped brings
+    ``k_max`` kept replacers of its own, all of which replace j. A device
+    with ``k_max`` replacers therefore has ``k_max`` kept ones, and any
+    count between the two gives the same keep/drop answer. Every count here
+    is between the two: all it counts replace the device, and a kept
+    replacer ranks before it and was never dropped early, so it is counted.
     """
 
     unit_t = np.asarray(unit_t, dtype=np.int64)
     unit_e = np.asarray(unit_e, dtype=np.int64)
+    fit, _, _, k_max = _fitting(unit_t, unit_e, cap_t, cap_e)
+    return _prune(unit_t, unit_e, sizes, fit, k_max), k_max
+
+
+def _fitting(unit_t, unit_e, cap_t: int, cap_e: int):
+    """The fitting devices' indices, their unit costs on each axis sorted ascending, and k_max."""
+
     fit = np.flatnonzero((unit_t <= cap_t) & (unit_e <= cap_e))
-    k_max = int(np.count_nonzero(
-        (np.cumsum(np.sort(unit_t[fit])) <= cap_t) & (np.cumsum(np.sort(unit_e[fit])) <= cap_e)
-    ))
+    sorted_t, sorted_e = np.sort(unit_t[fit]), np.sort(unit_e[fit])
+    return fit, sorted_t, sorted_e, min(_fit_count(sorted_t, cap_t), _fit_count(sorted_e, cap_e))
+
+
+def _prune(unit_t, unit_e, sizes, fit, k_max: int) -> np.ndarray:
+    """:func:`prune_dominated`'s kept devices, from its fitting devices ``fit`` and ``k_max``."""
 
     # Descending rank: bigger first, equally big by ascending index (a stable
     # sort of the negated sizes). The dtype is never inferred: a size of
@@ -262,10 +281,15 @@ def prune_dominated(unit_t, unit_e, sizes, cap_t: int, cap_e: int) -> tuple[np.n
     big = max(sizes, default=0) >> 63
     fit_sizes = np.array(sizes, dtype=object if big else np.int64)[fit]
     order = fit[np.argsort(-fit_sizes, kind="stable")]
+    axes = [costs for costs in (unit_t, unit_e) if costs[fit].any()]
+    if len(axes) < 2:
+        return _scan_one_axis(order, (axes[0] if axes else unit_t)[order].tolist(), k_max)
+
     # The undecided devices' unit costs, in rank order and the narrowest
     # dtype that holds a fitting one, and how many replacers each has among
     # the devices of the blocks before it.
-    costs = np.stack((unit_t[order], unit_e[order])).astype(np.min_scalar_type(max(cap_t, cap_e)))
+    costs = np.stack((unit_t[order], unit_e[order]))
+    costs = costs.astype(np.min_scalar_type(costs.max(initial=0)))
     count = np.zeros(len(order), dtype=np.int64)
     kept = [order[:0]]
     while len(order):
@@ -278,7 +302,27 @@ def prune_dominated(unit_t, unit_e, sizes, cap_t: int, cap_e: int) -> tuple[np.n
         kept.append(order[:size][live[:size]])
         live[:size] = False
         order, costs, count = order[live], costs[:, live], count[live]
-    return np.sort(np.concatenate(kept)), k_max
+    return np.sort(np.concatenate(kept))
+
+
+def _scan_one_axis(order, costs, k_max: int) -> np.ndarray:
+    """Ascending indices of the devices in ``order`` with fewer than ``k_max`` replacers.
+
+    ``order`` lists devices in descending rank and ``costs`` their one live
+    axis's costs: device j has ``k_max`` replacers iff the ``k_max``-th
+    smallest cost before it is no larger than its own. One pass keeps the
+    ``k_max`` smallest costs seen so far; a device is kept iff it enters them.
+    """
+
+    # The first k_max devices have fewer than k_max devices before them.
+    smallest = sorted(costs[:k_max])
+    kept = order[:k_max].tolist()
+    for i, cost in zip(order[k_max:].tolist(), costs[k_max:]):
+        if cost < smallest[-1]:
+            smallest.pop()
+            bisect.insort(smallest, cost)
+            kept.append(i)
+    return np.sort(np.array(kept, dtype=order.dtype))
 
 
 def _dantzig(costs, sizes):
@@ -355,32 +399,56 @@ def reduce_by_bounds(ct, ce, scaled, cap_t: int, cap_e: int) -> tuple[list[int],
     is no smaller. Device j is dropped iff UB_j < LB: every set holding it is
     worth less than a set that fits, so no optimal subset holds it. A device
     over either capacity fits in no set and is dropped as well.
+
+    An axis on which every device costs 0 is dead: its Dantzig bound is
+    every device's size and the combined order is the other axis's ratio
+    order, so those and its own ratio order are skipped.
     """
 
-    order_t, lp_t = _dantzig(ct, scaled)
-    order_e, lp_e = _dantzig(ce, scaled)
+    axes = [(costs, cap, *_dantzig(costs, scaled)) for costs, cap in ((ct, cap_t), (ce, cap_e))
+            if any(costs)]
     n = len(scaled)
-    by_size = sorted(range(n), key=scaled.__getitem__, reverse=True)
-    weight_t, weight_e = max(cap_e, 1), max(cap_t, 1)
-    combined = [(t * weight_t + e * weight_e) / size if size else math.inf
-                for t, e, size in zip(ct, ce, scaled)]
-    by_cost = sorted(range(n), key=combined.__getitem__)
-    lb = max(
-        _greedy_value(order, ct, ce, scaled, cap_t, cap_e)
-        for order in (by_size, order_t, order_e, by_cost)
-    )
-    survivors = [
-        j for j, (t, e, size) in enumerate(zip(ct, ce, scaled))
-        if t <= cap_t and e <= cap_e and size + lp_t(cap_t - t) >= lb and size + lp_e(cap_e - e) >= lb
-    ]
+    orders = [sorted(range(n), key=scaled.__getitem__, reverse=True)]
+    orders += [order for _, _, order, _ in axes]
+    if len(axes) == 2:
+        weight_t, weight_e = max(cap_e, 1), max(cap_t, 1)
+        combined = [(t * weight_t + e * weight_e) / size if size else math.inf
+                    for t, e, size in zip(ct, ce, scaled)]
+        orders.append(sorted(range(n), key=combined.__getitem__))
+    lb = max(_greedy_value(order, ct, ce, scaled, cap_t, cap_e) for order in orders)
+    survivors = [j for j, (t, e) in enumerate(zip(ct, ce)) if t <= cap_t and e <= cap_e]
+    for costs, cap, _, lp in axes:
+        survivors = [j for j in survivors if scaled[j] + lp(cap - costs[j]) >= lb]
     return survivors, lb
 
 
-def _implied(costs, cap: int, other, other_cap: int) -> bool:
-    """Whether the k largest ``other`` costs fit, k being the most ``costs`` that fit ``cap``."""
+def _fit_count(costs, cap: int) -> int:
+    """How many of ``costs``, ascending and each at most ``cap``, fit ``cap`` together.
 
-    k = bisect.bisect_right(list(itertools.accumulate(sorted(costs))), cap)
-    return sum(sorted(other, reverse=True)[:k]) <= other_cap
+    No prefix sum before the first one over ``cap`` passes 2**63, nor that
+    one 2**64, so the unsigned sums are exact as far as they are read.
+    """
+
+    over = np.cumsum(costs, dtype=np.uint64) > cap
+    return int(over.argmax()) if over.any() else len(over)
+
+
+def _implied(ct, ce, cap_t: int, cap_e: int) -> tuple[int, int]:
+    """(cap_t, cap_e), with 0 for each axis the other implies over these devices.
+
+    ``ct`` and ``ce`` are their unit costs, sorted ascending. The time axis
+    implies the energy axis if the k largest energy costs sum to at most
+    cap_e, k being the most devices whose time costs fit cap_t together. The
+    energy axis is tested first, then the time axis the same way against the
+    energy axis as it then stands, so of two axes that imply each other only
+    the energy one is dropped. Sums are taken in Python ints.
+    """
+
+    if sum(ce[len(ce) - _fit_count(ct, cap_t):].tolist()) <= cap_e:
+        ce, cap_e = ce * 0, 0
+    if sum(ct[len(ct) - _fit_count(ce, cap_e):].tolist()) <= cap_t:
+        cap_t = 0
+    return cap_t, cap_e
 
 
 class Reduction(NamedTuple):
@@ -426,31 +494,37 @@ def knapsack_2d(unit_t, unit_e, sizes, cap_t: int, cap_e: int) -> list[int]:
 def reduce_knapsack(unit_t, unit_e, sizes, cap_t: int, cap_e: int) -> Reduction:
     """The survivors, bounds, capacities and table of :func:`knapsack_2d`.
 
-    :func:`prune_dominated` drops devices never in the canonical optimum,
-    and sizes are divided by their gcd. :func:`reduce_by_bounds` then drops
-    each device j whose upper bound UB_j is below LB, the value of a fitting
-    set found greedily: the optimum is at least LB, so no optimal subset
-    holds j, and without j the optimal subsets are the same.
+    First, each axis the other implies over the fitting devices is dropped
+    (:func:`_implied`): if no set of them that fits cap_t can miss cap_e,
+    their energy costs and cap_e become 0, and likewise for time. A device
+    over either capacity keeps its costs, so it stays out. The feasible
+    subsets, and so the canonical optimum, stay the same, and so does
+    ``k_max``: the k smallest energy units sum to no more than the k largest.
 
-    If no subset of the survivors that fits cap_t can miss cap_e, their
-    energy costs and cap_e become 0: with k the most survivors whose time
-    units fit cap_t together, the k largest energy units sum to at most
-    cap_e (:func:`_implied`; k is all survivors when their total fits). The
-    time axis is then tested the same way against the energy axis as it now
-    stands, so two axes that imply each other are never both dropped. The
-    feasible subsets, and so the canonical optimum, stay the same. So does
-    the plan: at each backtrack state, a subset of the undecided devices
-    that fits the time left fits the energy left too, since with the
-    devices already taken it fits cap_t; every value a take-bit compares is
-    therefore the 1-D one (time likewise, after a time drop).
+    :func:`prune_dominated` then drops devices never in the canonical
+    optimum. With an axis dropped it compares the live axis alone, and its
+    swap still holds: a swap that costs no more on the live axis still fits
+    the dead one, since the dead axis is implied over the fitting set. Sizes
+    are divided by their gcd, and :func:`reduce_by_bounds`, skipping a dead
+    axis, drops each device j whose upper bound UB_j is below LB, the value
+    of a fitting set found greedily: the optimum is at least LB, so no
+    optimal subset holds j, and without j the optimal subsets are the same.
 
     ``bound`` is the most any fitting subset of the survivors is worth: the
     least of the sum of the ``k_max`` largest scaled sizes and each axis's
-    Dantzig bound (:func:`lp_bound`), each a relaxation. It is taken before
-    the drops: a dropped axis's bound still holds, as the feasible subsets
-    did not change, and without it the bound could pass 64 bits. Among the
-    tables whose buffers fit ``MAX_DP_BYTES``, the one with fewer cells per
-    device runs: the value table iff ``bound < cap_e``.
+    Dantzig bound (:func:`lp_bound`) over the survivors' real costs and
+    capacities, each a relaxation. A dropped axis's bound still holds, as
+    the feasible subsets did not change, and without it the bound could
+    pass 64 bits.
+
+    Last, the same test runs on the survivors, which can imply an axis the
+    fitting devices did not. The plan stays the same through every drop: at
+    each backtrack state, a subset of the undecided devices that fits the
+    time left fits the energy left too, since with the devices already taken
+    it fits cap_t; every value a take-bit compares is therefore the 1-D one
+    (time likewise, after a time drop). Among the tables whose buffers fit
+    ``MAX_DP_BYTES``, the one with fewer cells per device runs: the value
+    table iff ``bound < cap_e``.
 
     Raises ConfigurationError if the value bound does not fit 64 bits or
     neither table fits ``MAX_DP_BYTES``, before any DP buffer is allocated.
@@ -459,20 +533,26 @@ def reduce_knapsack(unit_t, unit_e, sizes, cap_t: int, cap_e: int) -> Reduction:
     without these reductions is refused.
     """
 
-    kept, k_max = prune_dominated(unit_t, unit_e, sizes, cap_t, cap_e)
-    ct, ce = np.asarray(unit_t)[kept].tolist(), np.asarray(unit_e)[kept].tolist()
-    kept = kept.tolist()
+    unit_t, unit_e = np.asarray(unit_t, dtype=np.int64), np.asarray(unit_e, dtype=np.int64)
+    fit, sorted_t, sorted_e, k_max = _fitting(unit_t, unit_e, cap_t, cap_e)
+    live_t, live_e = _implied(sorted_t, sorted_e, cap_t, cap_e)
+    live = [unit_t.copy(), unit_e.copy()]
+    for costs, cap in zip(live, (live_t, live_e)):
+        if not cap:
+            costs[fit] = 0  # a device over either capacity keeps its costs, so it stays out
+    kept = _prune(*live, sizes, fit, k_max)
+    ct, ce = (costs[kept].tolist() for costs in live)
+    kept, n_kept = kept.tolist(), len(kept)
     scaled = [int(sizes[i]) for i in kept]
     gcd = math.gcd(*scaled) or 1
     scaled = [size // gcd for size in scaled]
-    survivors, lb = reduce_by_bounds(ct, ce, scaled, cap_t, cap_e)
-    scaled, ct, ce = ([values[j] for j in survivors] for values in (scaled, ct, ce))
+    survivors, lb = reduce_by_bounds(ct, ce, scaled, live_t, live_e)
+    scaled, ct, ce, kept = ([values[j] for j in survivors] for values in (scaled, ct, ce, kept))
     k_max_bound = sum(sorted(scaled, reverse=True)[:k_max])
-    bound = min(k_max_bound, lp_bound(ct, scaled, cap_t), lp_bound(ce, scaled, cap_e))
-    if _implied(ct, cap_t, ce, cap_e):
-        ce, cap_e = [0] * len(ce), 0
-    if _implied(ce, cap_e, ct, cap_t):
-        ct, cap_t = [0] * len(ct), 0
+    bound = min(k_max_bound, lp_bound(unit_t[kept].tolist(), scaled, cap_t),
+                lp_bound(unit_e[kept].tolist(), scaled, cap_e))
+    cap_t, cap_e = _implied(np.sort(ct), np.sort(ce), live_t, live_e)
+    ct, ce = ([0] * len(costs) if not cap else costs for costs, cap in ((ct, cap_t), (ce, cap_e)))
     if bound >> 64:
         raise ConfigurationError(
             f"DP values reach {bound} (sizes divided by their gcd {gcd}); "
@@ -495,8 +575,7 @@ def reduce_knapsack(unit_t, unit_e, sizes, cap_t: int, cap_e: int) -> Reduction:
     for nbytes, _, table, fill, extra in tables:
         if nbytes <= MAX_DP_BYTES:
             fill = functools.partial(fill, ct, ce, scaled, cap_t, cap_e, *extra)
-            return Reduction(len(kept), [kept[j] for j in survivors], lb, k_max_bound, bound,
-                             (cap_t, cap_e), table, fill)
+            return Reduction(n_kept, kept, lb, k_max_bound, bound, (cap_t, cap_e), table, fill)
     nbytes, cols, *_ = tables[0]
     raise ConfigurationError(
         f"DP would allocate {nbytes} bytes (limit {MAX_DP_BYTES}) for a "

@@ -24,13 +24,17 @@ def test_bench_ab_against_its_own_sources_plans_alike():
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert lines[0].startswith("identical worlds, plans, outcomes and traces on 8 inputs ")
-    assert [line.split(":")[0] for line in lines[1:]] == [
-        "select_devices_dp", "generate_scenario", "load_scenario", "load_plan",
-        "simulate_pipeline", "save_trace", "load_trace", "import",
+    names = [line.split(":")[0] for line in lines[1:]]
+    assert names == [
+        "select_devices_dp", "select_devices_dp n=500", "select_devices_dp n=40",
+        "generate_scenario", "load_scenario", "load_plan", "simulate_pipeline", "save_trace",
+        "load_trace", "import",
     ]
     assert all(" median this " in line and " ms, p90 " in line and " base median " in line
                for line in lines[1:])
-    assert all(line.endswith(" of 8") for line in lines[1:])
+    # Every fourth input is an n=40 one.
+    inputs = {"select_devices_dp n=500": 6, "select_devices_dp n=40": 2}
+    assert all(line.endswith(f" of {inputs.get(name, 8)}") for name, line in zip(names, lines[1:]))
 
 
 def load_script(name):
@@ -61,10 +65,10 @@ def test_bench_dp_runs_every_shape():
     assert (rows[5][4], rows[5][9]) == ("104", "value")
     assert rows[7][8] == "–"  # the both-slack shape keeps no capacity axis
     # The plan-cold-like shape keeps only the time axis, in a grid, though
-    # its survivors' energy passes the energy capacity: the implied-axis
+    # its fitting devices' energy passes the energy capacity: the implied-axis
     # rule dropped that axis, where the total-fits rule would have kept it.
     assert rows[8][8:10] == ["t", "grid"]
     unit_t, unit_e, sizes, cap_t, cap_e = load_script("bench_dp").shapes(0)[8]
     facts = reduce_knapsack(unit_t, unit_e, sizes, cap_t, cap_e)
-    assert unit_e[facts.survivors].sum() > cap_e
+    assert unit_e[(unit_t <= cap_t) & (unit_e <= cap_e)].sum() > cap_e
     assert facts.caps == (cap_t, 0) and facts.table == "grid"

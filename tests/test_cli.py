@@ -227,6 +227,36 @@ def test_sweep_zero_devices_is_a_usage_error(tmp_path):
     assert excinfo.value.code == EXIT_USAGE
 
 
+def test_gen_scenario_negative_seed_is_a_validation_error(tmp_path, capsys):
+    out = tmp_path / "s.json"
+    assert main(["gen-scenario", "--seed", "-1", "-o", str(out)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+    assert not out.exists()
+
+
+def test_sweep_negative_seed_is_a_validation_error(tmp_path, capsys):
+    out = tmp_path / "rows.csv"
+    code = main(["sweep", "--devices", "5", "--seed", "-1", "--t-grid", "2",
+                 "--e-grid", "200", "-o", str(out)])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fail_prob", [[], ["--fail-prob", "0.3"]], ids=["no-prob", "prob"])
+def test_simulate_negative_fail_seed_is_a_validation_error(workdir, tmp_path, capsys, fail_prob):
+    out = tmp_path / "trace.json"
+    code = main([
+        "simulate", "-s", str(workdir / "s.json"), "-p", str(workdir / "plan.json"),
+        "--fail-seed", "-1", *fail_prob, "-o", str(out),
+    ])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        "error: failures.rng_seed: must be a non-negative integer, got -1\n"
+    )
+    assert not out.exists()
+
+
 def test_missing_scenario_file_is_a_validation_error(tmp_path):
     code = main([
         "schedule", "-s", str(tmp_path / "missing.json"), "--t-max", "2", "--e-max", "200",

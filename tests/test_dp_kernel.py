@@ -239,10 +239,27 @@ def reference_prune(unit_t, unit_e, sizes, cap_t, cap_e):
     return [int(fit[b]) for b in range(len(fit)) if replacers[b] < k_max], k_max
 
 
-def test_rank_order_prune_matches_all_pairs_counting():
+@pytest.fixture
+def scans(monkeypatch):
+    """Counts the calls to prune_dominated's one-axis pass."""
+
+    calls = []
+    scan = scheduler._scan_one_axis
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return scan(*args)
+
+    monkeypatch.setattr(scheduler, "_scan_one_axis", counted)
+    return calls
+
+
+def test_rank_order_prune_matches_all_pairs_counting(scans):
     # Up to 600 devices span up to ten 64-device blocks; few distinct costs
     # and sizes make many ties and long replacer chains. Every third
-    # instance has sizes of 2**63 and more, which rank as Python ints.
+    # instance has sizes of 2**63 and more, which rank as Python ints. Each
+    # instance runs again with every energy cost 0, which leaves one live
+    # axis, decided in one pass.
     rng = np.random.default_rng(77)
     pruned = most_kept = 0
     for trial in range(40):
@@ -253,13 +270,17 @@ def test_rank_order_prune_matches_all_pairs_counting():
         sizes = [int(s) * 10**9 for s in rng.choice([0, 1, 2, 4, 8], size=n)]
         if trial % 3 == 0:
             sizes = [2**63 + s for s in sizes]
-        kept, k_max = prune_dominated(unit_t, unit_e, sizes, cap_t, cap_e)
-        expected, expected_k_max = reference_prune(unit_t, unit_e, sizes, cap_t, cap_e)
-        assert (kept.tolist(), k_max) == (expected, expected_k_max)
-        pruned += n - len(expected)
-        most_kept = max(most_kept, len(expected))
+        kept_counts = []
+        for energy in (unit_e, 0 * unit_e):
+            kept, k_max = prune_dominated(unit_t, energy, sizes, cap_t, cap_e)
+            expected, expected_k_max = reference_prune(unit_t, energy, sizes, cap_t, cap_e)
+            assert (kept.tolist(), k_max) == (expected, expected_k_max)
+            kept_counts.append(len(expected))
+        pruned += n - kept_counts[0]
+        most_kept = max(most_kept, kept_counts[0])
     assert pruned > 0
     assert most_kept > 2 * scheduler._PRUNE_BLOCK  # three or more blocks decide keeps
+    assert len(scans) >= 40 and max(scans) > 2 * scheduler._PRUNE_BLOCK
 
 
 def reference_lp_bound(costs, sizes, cap):
@@ -544,6 +565,74 @@ def test_kernel_matches_the_canonical_optimum_where_an_implied_axis_is_dropped()
         )
 
     check()
-    # 103 of these 250 instances drop an axis their survivors' total cost
+    # 90 of these 250 instances drop an axis their survivors' total cost
     # does not fit; the rest keep both axes or drop one the old way.
     assert sum(map(bool, drops)) >= len(drops) // 4
+
+
+@st.composite
+def implied_instances(draw, implied):
+    """Devices whose costs on the ``implied`` axis ("t" or "e") the other
+    axis implies over the fitting devices, plus up to two trap devices.
+
+    6-10 devices have live-axis costs of 1-12 and implied-axis costs of 1-4,
+    and sizes equal to their live cost or one more. The live capacity holds
+    a few of them; the implied capacity is at or just above the k largest
+    implied costs, k being the most devices whose live costs fit together.
+    Each trap is over the implied capacity, yet the biggest device and the
+    cheapest on the live axis: zeroing its implied cost too would let it in.
+    """
+
+    n = draw(st.integers(6, 10))
+    live = draw(st.lists(st.integers(1, 12), min_size=n, max_size=n))
+    other = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    sizes = [cost + draw(st.integers(0, 1)) for cost in live]
+    cap_live = draw(st.integers(6, 30))
+    k = bisect.bisect_right(list(itertools.accumulate(sorted(live))), cap_live)
+    cap_other = sum(sorted(other, reverse=True)[:k]) + draw(st.integers(0, 2))
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(live)))
+        live.insert(at, draw(st.integers(0, 1)))
+        other.insert(at, cap_other + draw(st.integers(1, 3)))
+        sizes.insert(at, 20)
+    if implied == "t":
+        live, other, cap_live, cap_other = other, live, cap_other, cap_live
+    return np.array(live), np.array(other), sizes, cap_live, cap_other
+
+
+@pytest.mark.parametrize("implied", ["e", "t"])
+def test_kernel_matches_the_canonical_optimum_where_the_fitting_devices_imply_an_axis(
+    scans, implied
+):
+    examples = []
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(implied_instances(implied))
+    def check(instance):
+        before = len(scans)
+        facts = reduce_knapsack(*instance)
+        examples.append((len(scans) > before, facts.caps))
+        assert knapsack_2d(*instance) == canonical_subset(*instance)
+
+    check()
+    scanned = [caps for ran, caps in examples if ran]
+    assert len(scanned) >= len(examples) // 4
+    # The implied axis, not the other one, is dropped in some of them.
+    dropped = 1 if implied == "e" else 0
+    assert any(caps[dropped] == 0 < caps[1 - dropped] for caps in scanned)
+
+
+def test_a_device_over_the_dropped_axis_stays_out():
+    # Devices 1 and 2 fit both capacities, and no two fit the 6 time units
+    # together, so any set of them that fits the time fits the 5 energy
+    # units: the energy axis is dropped, the time axis stays. Device 0 is the
+    # biggest and the cheapest in time, but over the energy capacity: its
+    # energy cost must stay, or {0, 1} (worth 110) would fit.
+    unit_t, unit_e, sizes = np.array([1, 4, 3]), np.array([11, 5, 5]), [100, 10, 9]
+    kept, k_max = prune_dominated(unit_t, unit_e * [1, 0, 0], sizes, 6, 0)
+    assert kept.tolist() == [1, 2] and k_max == 1
+    facts = reduce_knapsack(unit_t, unit_e, sizes, 6, 5)
+    assert facts.survivors == [1, 2] and facts.caps == (6, 0)
+    assert knapsack_2d(unit_t, unit_e, sizes, 6, 5) == canonical_subset(
+        unit_t, unit_e, sizes, 6, 5
+    ) == [1]

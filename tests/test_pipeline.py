@@ -178,6 +178,9 @@ def test_failure_spec_validation():
         FailureSpec(injected=((1, "compute"), (1, "upload")))
     with pytest.raises(ValidationError, match="per_stage_prob"):
         FailureSpec(per_stage_prob=1.0)
+    for seed in (-1, True, 1.0):
+        with pytest.raises(ValidationError, match=r"failures\.rng_seed: must be a non-negative"):
+            FailureSpec(rng_seed=seed)
 
 
 def test_injected_failure_must_target_plan_device(recovery_scenario, recovery_budgets):

@@ -60,6 +60,8 @@ def test_generate_rejects_bad_inputs():
         generate_scenario(5, profile="nope")
     with pytest.raises(ConfigurationError):
         generate_scenario(5, class_a_fraction=1.5)
+    with pytest.raises(ConfigurationError, match="seed must be >= 0, got -1"):
+        generate_scenario(5, seed=-1)
 
 
 def test_class_mix_extremes():
