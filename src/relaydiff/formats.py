@@ -1,8 +1,10 @@
 """The scenario, plan and trace files, each record's fields listed once.
 
 Each record of the three JSON formats is a :class:`Record`, a table from
-field name to kind, which its reader walks and its writer is compiled from;
-``docs/file_formats.md`` shows the same tables, and a test compares them.
+field name to kind, which its writer is compiled from and one reader,
+:func:`read_fields`, walks for every record, nested records and array
+elements included; ``docs/file_formats.md`` shows the same tables, and a
+test compares them.
 Kinds: ``int``, ``float`` (an integer is read as a float), ``bool``,
 ``str``; :data:`PAIR`, an (x, y) pair of numbers; :data:`RATES`, such
 pairs by device id; a :class:`Record` or ``[record]``; :class:`Omittable`
@@ -42,13 +44,16 @@ class Nullable(NamedTuple):
 def _exact_type(kind):
     """The type json gives a well-formed value of ``kind``, which a reader takes as it is.
 
-    Pairs and rates have none (no value's type is their kind): they are parsed.
+    A pair is taken as a list and checked after the other fields; rates have
+    none (no value's type is their kind): they are parsed.
     """
 
     if isinstance(kind, (Omittable, Nullable)):
         return _exact_type(kind.kind)
-    if isinstance(kind, (list, tuple)):
-        return list if isinstance(kind, list) else str
+    if isinstance(kind, tuple):
+        return str
+    if isinstance(kind, list) or kind is PAIR:
+        return list
     return dict if isinstance(kind, dict) else kind
 
 
@@ -56,9 +61,12 @@ class Record(dict):
     """One record's fields, name -> kind, in the order its reader checks them;
     ``reads`` gives each as ``(name, kind, exact type)``."""
 
+    __slots__ = ("reads", "_pairs")  # slots read faster than a dict subclass's attributes
+
     def __init__(self, **fields):
         super().__init__(fields)
         self.reads = tuple((name, kind, _exact_type(kind)) for name, kind in fields.items())
+        self._pairs = tuple(name for name, kind in fields.items() if kind is PAIR)
 
 
 # -- records --
@@ -129,19 +137,35 @@ def require_field(obj: dict, key: str, kind, path: str):
     return _rates_value(value, f"{path}.{key}") if kind is RATES else value
 
 
-def read_fields(obj: dict, record: Record, path: str) -> dict:
-    """The fields of ``record`` in ``obj``, by name, read in order.
+def read_fields(obj, record: Record, path: str, index: int | None = None) -> dict:
+    """The fields of ``record`` in the object ``obj``, by name, read in order;
+    ``obj`` is element ``index`` of the array at ``path`` if an index is given.
 
     A value whose type is exactly its field's is taken as it is; any other
     goes through :func:`require_field`, which converts it or names what is
-    wrong. The dict starts as a copy of the record, so it never grows.
+    wrong. Then each pair is taken as a tuple if it is a list of two floats,
+    else checked by :func:`_pair_value`. The element's path is formatted only
+    for a message. The dict starts as a copy of the record, so it never grows.
     """
 
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{_element(path, index)}: expected an object, got {type(obj).__name__}")
     fields = dict.copy(record)
     for name, kind, exact in record.reads:
         value = obj.get(name)
-        fields[name] = value if type(value) is exact else require_field(obj, name, kind, path)
+        fields[name] = (value if type(value) is exact
+                        else require_field(obj, name, kind, _element(path, index)))
+    if record._pairs:  # most records have none
+        for name in record._pairs:
+            pair = fields[name]
+            fields[name] = ((pair[0], pair[1]) if len(pair) == 2 and type(pair[0]) is float
+                            and type(pair[1]) is float
+                            else _pair_value(pair, f"{_element(path, index)}.{name}"))
     return fields
+
+
+def _element(path: str, index: int | None) -> str:
+    return path if index is None else f"{path}[{index}]"
 
 
 def check_totals(obj: dict, totals, parts: str, path: str) -> None:
@@ -173,70 +197,43 @@ def _rates_value(raw: dict, path: str) -> dict[int, tuple[float, float]]:
     return rates
 
 
-def _object(data, path: str) -> dict:
-    if not isinstance(data, dict):
-        raise ValidationError(f"{path}: expected an object, got {type(data).__name__}")
-    return data
-
-
-def _variant_from_dict(raw: dict, path: str, known: dict) -> ModelVariant:
-    """The variant of a record; ``known`` maps each well-formed (bit_width,
-    param_count, size_bytes) already read to its variant, so each is checked once."""
+def _variant_from_dict(raw: dict, index: int, known: dict) -> ModelVariant:
+    """The variant of device record ``index``; ``known`` maps each well-formed
+    (bit_width, param_count, size_bytes) already read to its variant, so each
+    is checked once."""
 
     key = bit_width, param_count, size_bytes = (
         raw.get("bit_width"), raw.get("param_count"), raw.get("size_bytes"))
     if type(bit_width) is not int or type(param_count) is not int or type(size_bytes) is not int:
-        bit_width, param_count, size_bytes = read_fields(raw, VARIANT, path).values()
+        bit_width, param_count, size_bytes = read_fields(raw, VARIANT, f"devices[{index}].variant").values()
     elif key in known:
         return known[key]
     variant = ModelVariant(bit_width, param_count)
     if size_bytes is not None and size_bytes != variant.size_bytes:
         raise ValidationError(
-            f"{path}.size_bytes: {size_bytes} inconsistent with "
+            f"devices[{index}].variant.size_bytes: {size_bytes} inconsistent with "
             f"param_count * bit_width / 8 = {variant.size_bytes}"
         )
     known[bit_width, param_count, size_bytes] = variant
     return variant
 
 
-# A device's reads after its variant: as read_fields's, but the position is
-# taken as a list, then checked as a pair.
-_DEVICE_READS = tuple((name, kind, list if kind is PAIR else exact)
-                      for name, kind, exact in DEVICE.reads if kind is not VARIANT)
-
-
-def _device_from_dict(raw, path: str, variants: dict):
-    """The unchecked :class:`~relaydiff.scenario.Device` of a record whose field
-    types and variant are checked: a :class:`~relaydiff.scenario.Scenario`
-    applies the other device rules to all its devices at once."""
-
-    if not isinstance(raw, dict):
-        raise ValidationError(f"{path}: expected an object")
-    variant = raw.get("variant")
-    if type(variant) is not dict:
-        variant = require_field(raw, "variant", VARIANT, path)
-    fields = {"variant": _variant_from_dict(variant, f"{path}.variant", variants)}
-    for name, kind, exact in _DEVICE_READS:
-        value = raw.get(name)
-        fields[name] = value if type(value) is exact else require_field(raw, name, kind, path)
-    pos_m = fields["pos_m"]
-    if len(pos_m) != 2 or type(pos_m[0]) is not float or type(pos_m[1]) is not float:
-        pos_m = _pair_value(pos_m, f"{path}.pos_m")
-    fields["pos_m"] = tuple(pos_m)
-    return _built(fields)
-
-
 def scenario_from_dict(data: dict) -> Scenario:
-    fields = read_fields(_object(data, "scenario"), SCENARIO, "scenario")
-    variants: dict = {}
-    fields["devices"] = tuple(_device_from_dict(raw, f"devices[{i}]", variants)
-                              for i, raw in enumerate(fields["devices"]))
+    fields = read_fields(data, SCENARIO, "scenario")
+    # Each device is built unchecked once its field types and variant are:
+    # the Scenario applies the other device rules to all its devices at once.
+    devices, variants = [], {}
+    for i, raw in enumerate(fields["devices"]):
+        device = read_fields(raw, DEVICE, "devices", i)
+        device["variant"] = _variant_from_dict(device["variant"], i, variants)
+        devices.append(_built(device))
+    fields["devices"] = tuple(devices)
     fields["link"] = LinkParams(**read_fields(fields["link"], LINK, "link"))
     return Scenario(**fields)
 
 
 def plan_from_dict(data: dict) -> SchedulePlan:
-    fields = read_fields(_object(data, "plan"), PLAN, "plan")
+    fields = read_fields(data, PLAN, "plan")
     fields["budgets"] = Budgets(**read_fields(fields["budgets"], BUDGETS, "plan.budgets"))
     if fields["discretization"] is not None:
         fields["discretization"] = Discretization(
@@ -244,17 +241,11 @@ def plan_from_dict(data: dict) -> SchedulePlan:
 
     stages = []
     for i, raw in enumerate(fields["stages"]):
-        if not isinstance(raw, dict):
-            raise ValidationError(f"plan.stages[{i}]: expected an object")
-        values = []
-        for name, kind, exact in STAGE.reads:  # as in read_fields, formatting the path only if used
-            value = raw.get(name)
-            values.append(value if type(value) is exact
-                          else require_field(raw, name, kind, f"plan.stages[{i}]"))
-        dev_id, *costs = values
-        for name, value in zip(StageCost._fields, costs):
-            if value < 0:
-                raise ValidationError(f"plan.stages[{i}].{name}: expected a number >= 0, got {value!r}")
+        dev_id, *costs = read_fields(raw, STAGE, "plan.stages", i).values()
+        if not min(costs) >= 0.0:  # a negative cost, or a NaN, which the totals check refuses
+            for name, value in zip(StageCost._fields, costs):
+                if value < 0:
+                    raise ValidationError(f"plan.stages[{i}].{name}: expected a number >= 0, got {value!r}")
         stages.append((dev_id, StageCost(*costs)))
     fields["stages"] = tuple(stages)
 
@@ -268,19 +259,16 @@ def plan_from_dict(data: dict) -> SchedulePlan:
     return SchedulePlan(**fields)
 
 
+# The methods a trace may name: a plan's, or the split baseline's.
+_TRACE_METHODS = METHODS + ("split",)
+
+
 def trace_from_dict(data: dict) -> SimTrace:
-    fields = read_fields(_object(data, "trace"), TRACE, "trace")
-    events = []
-    for i, raw in enumerate(fields["events"]):
-        if not isinstance(raw, dict):
-            raise ValidationError(f"trace.events[{i}]: expected an object")
-        record = {}
-        for name, kind, exact in EVENT.reads:  # as in read_fields, formatting the path only if used
-            value = raw.get(name)
-            record[name] = (value if type(value) is exact
-                            else require_field(raw, name, kind, f"trace.events[{i}]"))
-        events.append(Event(**record))
-    fields["events"] = tuple(events)
+    fields = read_fields(data, TRACE, "trace")
+    if fields["method"] not in _TRACE_METHODS:
+        raise ValidationError(f"trace.method: must be one of {_TRACE_METHODS}, got {fields['method']!r}")
+    events = fields["events"] = tuple(Event(**read_fields(raw, EVENT, "trace.events", i))
+                                      for i, raw in enumerate(fields["events"]))
 
     # The simulator's clock starts at 0.0, each event starts exactly where the
     # previous one ended, and markers take no time.
@@ -299,8 +287,8 @@ def trace_from_dict(data: dict) -> SimTrace:
         clock = event.t_end_s
 
     check_totals(data, (
-        ("t_tran_s", math.fsum([e.duration_s for e in events if e.kind in TRANSFER_PHASES])),
-        ("t_cmp_s", math.fsum([e.duration_s for e in events if e.kind == "compute"])),
+        ("t_tran_s", math.fsum([e.t_end_s - e.t_start_s for e in events if e.kind in TRANSFER_PHASES])),
+        ("t_cmp_s", math.fsum([e.t_end_s - e.t_start_s for e in events if e.kind == "compute"])),
     ), "events", "trace")
     # The simulator sums the phase durations it was given, and each can
     # differ by an ulp from t_end_s - t_start_s, so the stored sums are kept;
@@ -311,9 +299,11 @@ def trace_from_dict(data: dict) -> SimTrace:
     fields["t_total_s"], fields["tran_fraction"] = totals.t_total_s, totals.tran_fraction
 
     kinds = [e.kind for e in events]
-    # A split step computes once on each device and writes no checkpoint.
+    # A split step computes once on each device and writes no checkpoint; a
+    # run stops short only where a re-plan finds no continuation.
     stages = kinds.count("compute") / 2 if fields["method"] == "split" else kinds.count("checkpoint")
-    for name, recounted in (("stages_completed", stages), ("replans", kinds.count("replan"))):
+    for name, recounted in (("stages_completed", stages), ("replans", kinds.count("replan")),
+                            ("completed", kinds[-1:] != ["replan"])):
         if fields[name] != recounted:
             raise ValidationError(f"trace.{name}: {fields[name]} inconsistent with events ({recounted})")
     return SimTrace(**fields)

@@ -195,7 +195,8 @@ def check_stages(scenario: Scenario, plan: SchedulePlan) -> None:
     :func:`~relaydiff.cost_model.fleet_costs`, built now if no earlier call
     built it, so a world with any available device that cannot be costed
     raises its ConfigurationError; a stored cost that disagrees beyond a
-    1e-12 relative tolerance raises ValidationError.
+    1e-12 relative tolerance raises ValidationError, and so does an
+    ``objective_bytes`` other than the sum of the devices' sizes.
     """
 
     ids = plan.device_ids
@@ -215,6 +216,12 @@ def check_stages(scenario: Scenario, plan: SchedulePlan) -> None:
                     f"plan stage of device {dev_id}: {name} {stored} disagrees with "
                     f"the scenario ({expected}); was the plan made for another scenario?"
                 )
+    size_bytes = sum(map(fleet.size_bytes.__getitem__, rows.tolist()))
+    if plan.objective_bytes != size_bytes:
+        raise ValidationError(
+            f"plan.objective_bytes: {plan.objective_bytes} disagrees with the scenario's sizes of "
+            f"its devices ({size_bytes}); was the plan made for another scenario?"
+        )
 
 
 def simulate_pipeline(

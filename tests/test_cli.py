@@ -326,6 +326,20 @@ def test_simulate_a_plan_on_a_device_marked_unavailable_exits_3(workdir, tmp_pat
     )
 
 
+def test_simulate_a_plan_with_a_changed_objective_exits_3(workdir, tmp_path, capsys):
+    data = json.loads((workdir / "plan.json").read_text())
+    data["objective_bytes"] += 1
+    (tmp_path / "p.json").write_text(json.dumps(data))
+    out = tmp_path / "trace.json"
+    code = main(["simulate", "-s", str(workdir / "s.json"), "-p", str(tmp_path / "p.json"),
+                 "-o", str(out)])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: plan.objective_bytes: {data['objective_bytes']} disagrees")
+    assert err.endswith("was the plan made for another scenario?\n")
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def silent_world(tmp_path_factory):
     """A world so wide that every device's link rate underflows to 0 bit/s."""

@@ -1,6 +1,7 @@
 """The file formats module: its field tables, the docs that show them, and the import order."""
 
 import ast
+import collections
 import os
 import re
 import subprocess
@@ -13,6 +14,7 @@ from relaydiff import (
     Budgets,
     FailureSpec,
     SweepSpec,
+    ValidationError,
     formats,
     generate_scenario,
     run_sweep,
@@ -128,6 +130,92 @@ def test_each_writer_writes_exactly_its_table(default_scenario):
         "method", "stages_completed", "replans", "t_total_s", "e_total_j", "t_tran_s", "t_cmp_s",
         "tran_fraction", "completed", "feasible",
     ]
+
+
+@pytest.fixture(scope="module")
+def saved(default_scenario):
+    """``saved(name)`` gives the loader of a format and a fresh dict of its
+    file: the default world, its dp plan, and a run of the plan that re-plans once."""
+
+    plan = select_devices_dp(default_scenario, Budgets(3.0, 300.0))
+    trace = simulate_pipeline(default_scenario, plan, FailureSpec(injected=((plan.device_ids[0], "compute"),)))
+    files = {"scenario": (formats.scenario_from_dict, formats.scenario_to_dict, default_scenario),
+             "plan": (formats.plan_from_dict, formats.plan_to_dict, plan),
+             "trace": (formats.trace_from_dict, formats.trace_to_dict, trace)}
+    return lambda name: (files[name][0], files[name][1](files[name][2]))
+
+
+def refusal(load, data) -> str:
+    with pytest.raises(ValidationError) as info:
+        load(data)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("name, array, path", [
+    ("scenario", "devices", "devices[1]"),
+    ("plan", "stages", "plan.stages[1]"),
+    ("trace", "events", "trace.events[1]"),
+])
+def test_a_non_object_array_element_is_named_by_its_path(saved, name, array, path):
+    load, data = saved(name)
+    data[array][1] = [data[array][1]]
+    assert refusal(load, data) == f"{path}: expected an object, got list"
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("t_cmp_s", "x", "expected a number, got 'x'"),
+    ("device_id", 1.0, "expected an integer, got 1.0"),
+    ("e_up_j", None, "expected a number, got None"),
+])
+def test_a_wrong_typed_stage_field_is_named_by_its_path(saved, field, value, message):
+    load, data = saved("plan")
+    data["stages"][1][field] = value
+    assert refusal(load, data) == f"plan.stages[1].{field}: {message}"
+
+
+def test_every_record_is_read_through_read_fields(saved, monkeypatch):
+    reads = collections.Counter()
+    read_fields = formats.read_fields
+
+    def counted(obj, record, *path):
+        reads[next(name for name, table in RECORDS.items() if table is record)] += 1
+        return read_fields(obj, record, *path)
+
+    monkeypatch.setattr(formats, "read_fields", counted)
+    loaded = {}
+    for name in ("scenario", "plan", "trace"):
+        load, data = saved(name)
+        loaded[name] = load(data)
+    # Every variant of the world is written with its size, so each after the
+    # first of its kind is the memo's; no variant is read field by field.
+    assert reads == {"scenario": 1, "device": len(loaded["scenario"].devices), "link": 1,
+                     "plan": 1, "budgets": 1, "grid": 1, "stage": len(loaded["plan"].stages),
+                     "trace": 1, "event": len(loaded["trace"].events)}
+
+
+def docs_quotes(text: str) -> list:
+    """The loader messages quoted in the docs before their first section."""
+
+    return re.findall(r"`(\w+(?:\.\w+|\[\d+\])*: [^`]+)`", text.split("\n## ", 1)[0])
+
+
+def test_the_docs_quote_what_the_loaders_raise(saved):
+    faults = [
+        ("plan", lambda data: data["budgets"].pop("t_max_s")),
+        ("trace", lambda data: data.update(method=5)),
+        ("plan", lambda data: data.pop("method")),
+        ("trace", lambda data: data.update(method="xyz")),
+        ("plan", lambda data: data["stages"].__setitem__(1, [])),
+    ]
+    raised = []
+    for name, tamper in faults:
+        load, data = saved(name)
+        tamper(data)
+        raised.append(refusal(load, data))
+    text = DOCS.read_text()
+    assert docs_quotes(text) == raised
+    stale = text.replace("expected a string, got int", "expected a string, got str", 1)
+    assert stale != text and docs_quotes(stale) != raised
 
 
 @pytest.mark.parametrize("module", sorted(path.stem for path in PACKAGE.glob("*.py")))

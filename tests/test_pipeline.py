@@ -226,10 +226,16 @@ def test_trace_load_validation(recovery_scenario, recovery_budgets):
         (lambda d: d.update(method=None), r"^trace\.method: expected a string, got NoneType$"),
         (lambda d: d.update(method=["dp"]), r"^trace\.method: expected a string, got list$"),
         (lambda d: d.pop("method"), r"^trace\.method: missing required field$"),
+        (lambda d: d.update(method="xyz"), r"^trace\.method: must be one of "
+                                           r"\('dp', 'oracle', 'no_ds', 'split'\), got 'xyz'$"),
+        (lambda d: d.update(method=""), r"^trace\.method: must be one of .*, got ''$"),
     ]
     for mutate, pattern in cases:
         with pytest.raises(ValidationError, match=pattern):
             trace_from_dict(corrupted(mutate))
+    # Every plan method loads; the CLI's split test loads a split trace.
+    for method in ("oracle", "no_ds"):
+        assert trace_from_dict(corrupted(lambda d: d.update(method=method))).method == method
 
 
 def test_trace_summary_is_flat(two_stage_scenario):
@@ -323,6 +329,19 @@ def test_trace_loader_recounts_stages_and_replans(recovery_scenario, recovery_bu
         data[name] += 1
         with pytest.raises(ValidationError, match=f"trace.{name}"):
             trace_from_dict(data)
+
+    # A run is complete unless its last event is a re-plan that found no continuation.
+    plan = select_devices_dp(recovery_scenario, recovery_budgets)
+    with pytest.raises(RecoveryInfeasible) as info:
+        simulate_pipeline(recovery_scenario, plan, FailureSpec(injected=((1, "upload"),)))
+    partial = info.value.trace
+    assert trace_from_dict(trace_to_dict(partial)) == partial
+    for saved, completed in ((trace, False), (partial, True)):
+        data = trace_to_dict(saved)
+        data["completed"] = completed
+        with pytest.raises(ValidationError) as info:
+            trace_from_dict(data)
+        assert str(info.value) == f"trace.completed: {completed} inconsistent with events ({not completed})"
 
 
 budget_ulps = st.sampled_from([0, 1, 2, 64])
