@@ -38,13 +38,16 @@ Prints the ratio of plans per second, then one line per piece and one for
 the import with each side's median and 90th percentile and on how many
 inputs (or import pairs) this checkout was faster. ``select_devices_dp``
 has a line for all inputs and one for each kind (``n=500`` and ``n=40``),
-so a planning change shows which kind of plan it moves. Run from the repository
-root:
+so a planning change shows which kind of plan it moves. A last ``tables``
+line counts, per side and kind, the plan-cold plans whose DP filled each
+table (``grid``, ``value`` or ``bits``), as ``reduce_knapsack`` reported
+it. Run from the repository root:
 
     python3 benchmarks/bench_ab.py --base ../parent-checkout --plans 1000
 """
 
 import argparse
+import collections
 import importlib
 import random
 import shutil
@@ -62,6 +65,7 @@ SIDES = ("this", "base")
 PIECES = ("select_devices_dp", "select_devices_dp n=500", "select_devices_dp n=40",
           "generate_scenario", "load_scenario", "load_plan", "simulate_pipeline", "save_trace",
           "load_trace")
+TABLES = ("grid", "value", "bits")
 FAIL_PROB = 0.3
 IMPORTS = 20  # fresh-interpreter imports per side
 
@@ -80,6 +84,21 @@ def load_sides(base: Path, tmp: Path) -> dict:
         finally:
             sys.path.remove(str(tmp))
     return packages
+
+
+def record_tables(rd) -> list:
+    """A list to which ``rd``'s ``reduce_knapsack``, wrapped, appends the table of each reduction."""
+
+    scheduler, seen = rd.scheduler, []
+    reduce_knapsack = scheduler.reduce_knapsack
+
+    def recorded(*args):
+        facts = reduce_knapsack(*args)
+        seen.append(facts.table)
+        return facts
+
+    scheduler.reduce_knapsack = recorded
+    return seen
 
 
 def sides_in_order(i: int) -> tuple[str, str]:
@@ -199,6 +218,17 @@ def summary(name: str, this: list, base: list) -> str:
             f"this faster on {won} of {len(this)}")
 
 
+def tables_line(tables: dict) -> str:
+    """The ``tables`` line: per side and kind, how many plans filled each table."""
+
+    sides = []
+    for side in SIDES:
+        kinds = [f"n={n} " + " ".join(f"{table} {tables[side][n, table]}" for table in TABLES)
+                 for n in (500, 40)]
+        sides.append(f"{side} " + ", ".join(kinds))
+    return "tables: " + "; ".join(sides)
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", type=Path, required=True,
@@ -208,13 +238,20 @@ def main():
     args = parser.parse_args()
 
     times = {side: {piece: [] for piece in PIECES} for side in SIDES}
+    tables = {side: collections.Counter() for side in SIDES}
     infeasible = 0
     with tempfile.TemporaryDirectory() as tmp:
         packages = load_sides(args.base.resolve(), Path(tmp))
         files = {side: churn_files(rd, Path(tmp) / side) for side, rd in packages.items()}
+        seen = {side: record_tables(rd) for side, rd in packages.items()}
         for i in range(args.plans):
-            results = {side: run_input(packages[side], files[side], args.seed, i, times[side])
-                       for side in sides_in_order(i)}
+            results = {}
+            n_devices = plan_input(packages["this"], args.seed, i)[0]
+            for side in sides_in_order(i):
+                seen[side].clear()
+                results[side] = run_input(packages[side], files[side], args.seed, i, times[side])
+                # The plan's reduction comes first; the run's re-plans follow it.
+                tables[side][n_devices, seen[side][0]] += 1
             for name, value in results["this"].items():
                 if value != results["base"][name]:
                     sys.exit(f"error: input {i}: the {name} differ")
@@ -231,6 +268,7 @@ def main():
     for piece in PIECES:
         print(summary(piece, times["this"][piece], times["base"][piece]))
     print(summary("import", imports["this"], imports["base"]))
+    print(tables_line(tables))
 
 
 if __name__ == "__main__":

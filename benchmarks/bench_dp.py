@@ -1,8 +1,10 @@
 """Time the scheduler's DP kernel and report its peak traced memory.
 
-``knapsack_2d`` first drops devices that can never be in the returned plan,
-drops each capacity axis that every subset fitting the other axis fits,
-then fills one of two tables: the grid (narrow unsigned value
+``knapsack_2d`` first drops each capacity axis that every subset fitting
+the other axis fits and the devices that can never be in the returned plan,
+then fills one of three tables: with one live axis and a small enough
+capacity and value range, the bit table (one Python int per kept device,
+one bit per (cost, value) state); otherwise the grid (narrow unsigned value
 layers and one take-bit per surviving device and (t, e) cell, packed 8
 devices per byte) or, when the value bound is below the energy capacity,
 the value table (the fewest energy units per (t, v) cell, one layer per
@@ -11,22 +13,25 @@ costs and four-valued model sizes (one parameter count at 4, 8, 16 and 32
 bits), then run once more under ``tracemalloc`` for the peak of the numpy
 buffers it allocates. The other columns are the facts of the kernel's
 reduction step (``reduce_knapsack``): ``kept`` counts the devices left after
-pruning, ``surv`` those left after the bound reduction, ``lb`` is the
-reduction's lower bound (the best greedy fill, in scaled sizes), ``kbound``
-the sum of the ``k_max`` largest scaled sizes among the survivors,
-``bound`` the value bound (the least of ``kbound`` and the two axes'
-Dantzig bounds over the survivors), ``axes`` the capacity axes the table
+pruning, ``surv`` those left after the bound reduction (all kept ones for
+the bit table, which skips it), ``lb`` is the reduction's lower bound (the
+best greedy fill, in scaled sizes; 0 for the bit table), ``kbound`` the sum
+of the ``k_max`` largest scaled sizes among the survivors, ``bound`` the
+value bound (the least of ``kbound`` and the two axes' Dantzig bounds over
+the survivors; ``kbound`` alone for the bit table), ``axes`` the capacity axes the table
 kept (``t×e``, ``t``, ``e``, or ``–`` for none) and ``table`` the table
 that ran. The fifth and sixth shapes sit on either side of the table
 choice: the same devices and time axis, with the energy axis just below or
 just above the value bound. The seventh shape's energy costs sum to less
 than its energy capacity, so that axis is dropped; the eighth shape's costs
 fit both capacities, so both axes are, and the table has one cell. The
-ninth is modelled on a two-budget plan-cold plan: its fitting devices'
-energy costs sum past the energy capacity, but no set that fits the time
-capacity can pass it (at most 10 devices fit that, and any 18 fit the
-energy capacity), so the energy axis is dropped before pruning. Run from
-the repository root:
+ninth and tenth are modelled on a two-budget plan-cold plan: its fitting
+devices' energy costs sum past the energy capacity, but no set that fits
+the time capacity can pass it (at most 10 devices fit that, and any 18 fit
+the energy capacity), so the energy axis is dropped before pruning. The
+tenth is that plan on its 200x200 grid, where it fills the bit table; the
+ninth is the same plan at ten times the grid, whose 2001 time rows make a
+bit layer too wide, so it fills the grid. Run from the repository root:
 
     PYTHONPATH=src python3 benchmarks/bench_dp.py
 """
@@ -69,7 +74,7 @@ def traced_peak(args):
 
 
 def shapes(seed):
-    """The nine (unit_t, unit_e, sizes, cap_t, cap_e) kernel inputs, drawn from ``seed``."""
+    """The ten (unit_t, unit_e, sizes, cap_t, cap_e) kernel inputs, drawn from ``seed``."""
 
     rng = np.random.default_rng(seed)
     cases = []
@@ -90,10 +95,11 @@ def shapes(seed):
     # energy costs of at most 11 units fit 200, so the energy axis is
     # dropped at every seed. The fitting devices' total energy passes 200
     # (362 at seed 0), so a rule that drops an axis only when the devices'
-    # total fits it would keep it.
+    # total fits it would keep it. The first copy is on ten times the grid.
     unit_t = rng.integers(20, 46, size=40, dtype=np.int64)
     unit_e = rng.integers(7, 12, size=40, dtype=np.int64)
     sizes = np.where(rng.random(40) < 0.8, SIZES[-1], rng.choice(SIZES, size=40))
+    cases.append((10 * unit_t, 10 * unit_e, sizes, 2000, 2000))
     cases.append((unit_t, unit_e, sizes, 200, 200))
     return cases
 

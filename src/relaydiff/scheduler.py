@@ -8,11 +8,15 @@ variants' byte sizes. Three methods share one plan type:
   are computed once, as arrays (:class:`~relaydiff.cost_model.FleetCosts`),
   and discretized (ceiling for costs, floor for capacities, so a plan that
   fits in units also fits exactly, up to float rounding) and a 0/1 knapsack
-  over (time units, energy units) is solved one device at a time with numpy
-  (:func:`knapsack_2d`). A budget the other one implies over the fitting
-  devices is dropped first, then the devices no optimal plan holds (one
-  pass over one live axis, or blocks compared on two), then a budget the
-  survivors alone imply; the value bound picks one of two tables
+  over (time units, energy units) is solved one device at a time, in numpy
+  or in Python-int bits (:func:`knapsack_2d`). A budget the other one
+  implies over the fitting devices is dropped first, then the devices no
+  optimal plan holds (one pass over one live axis, or blocks compared on
+  two). With one live
+  budget and a small capacity and value range, the kept devices fill a
+  table of Python-int bits, one shift-or per device; otherwise a bound
+  reduction drops more devices, then a budget the survivors alone imply,
+  and the value bound picks one of two numpy tables
   (:func:`reduce_knapsack`). The DP result is finally
   compared against the greedy baseline, which it must beat and which
   replaces a DP pick that misses the exact budgets by float rounding, so
@@ -38,7 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cost_model import FleetCosts, StageCost, fleet_costs
+from .cost_model import CostTotals, FleetCosts, StageCost, fleet_costs
 from .errors import ConfigurationError, ValidationError
 from .scenario import Scenario
 
@@ -49,6 +53,11 @@ DEFAULT_GRID_UNITS = 200
 
 # Refuse to allocate absurd DP buffers instead of swapping the machine.
 MAX_DP_BYTES = 1 << 30
+
+# The bit table runs only if a layer has at most this many bits: fed the same
+# one-axis plans, it was faster than the numpy tables below about 56k bits
+# per layer and slower above (crossover table in the README).
+_BITS_MAX = 48 << 10
 
 # Devices are pruned this many at a time, in descending rank order.
 _PRUNE_BLOCK = 64
@@ -169,12 +178,14 @@ class SchedulePlan:
 def _build_plan(
     fleet: FleetCosts,
     picked,
+    totals: CostTotals,
     budgets: Budgets,
     method: str,
     discretization: Discretization | None,
 ) -> SchedulePlan:
+    """The plan of the devices at positions ``picked``, whose ``fleet.totals`` are ``totals``."""
+
     picked = sorted(picked)
-    totals = fleet.totals(picked)
     plan = SchedulePlan(
         stages=tuple(zip(fleet.ids[picked].tolist(), map(fleet.stage_cost, picked))),
         objective_bytes=sum(fleet.size_bytes[i] for i in picked),
@@ -217,7 +228,8 @@ def select_devices_no_ds(scenario: Scenario, budgets: Budgets) -> SchedulePlan:
     """Baseline without device selection: first devices that happen to fit."""
 
     fleet = fleet_costs(scenario)
-    return _build_plan(fleet, range(_greedy_count(fleet, budgets)), budgets, "no_ds", None)
+    picked = range(_greedy_count(fleet, budgets))
+    return _build_plan(fleet, picked, fleet.totals(picked), budgets, "no_ds", None)
 
 
 def prune_dominated(unit_t, unit_e, sizes, cap_t: int, cap_e: int) -> tuple[np.ndarray, int]:
@@ -455,12 +467,14 @@ class Reduction(NamedTuple):
     """What :func:`reduce_knapsack` found, and the table fill it leaves to run."""
 
     kept: int  # devices left by prune_dominated
-    survivors: list[int]  # ascending input indices of those left by reduce_by_bounds
-    lb: int  # reduce_by_bounds's lower bound, in sizes divided by their gcd
+    survivors: list[int]  # ascending input indices the table fills: those left by
+    # reduce_by_bounds, or for the bit table, which skips it, every kept device
+    lb: int  # reduce_by_bounds's lower bound, in sizes divided by their gcd; 0 for the bit table
     k_max_bound: int  # the sum of the k_max largest of those sizes among the survivors
-    bound: int  # the value bound: the least of k_max_bound and both Dantzig bounds
+    bound: int  # the value bound: the least of k_max_bound and both Dantzig bounds,
+    # or for the bit table k_max_bound alone
     caps: tuple[int, int]  # (cap_t, cap_e) after the axis drops, 0 for a dropped axis
-    table: str  # "grid" or "value"
+    table: str  # "grid", "value" or "bits"
     fill: functools.partial  # fill(): the ascending survivor positions the table picks
 
 
@@ -471,8 +485,16 @@ def knapsack_2d(unit_t, unit_e, sizes, cap_t: int, cap_e: int) -> list[int]:
     the highest index down, is lexicographically smallest: a device is left
     out whenever taking it only ties. :func:`reduce_knapsack` drops devices
     and axes without changing it and picks the table that is then filled,
-    one 2-D layer per survivor:
+    one layer per survivor:
 
+    * the bit table (:func:`_bits_dp`), when one axis is live: each layer is
+      a Python int whose bit ``c·W + v``, ``W = bound + 1``, is set iff some
+      subset of the devices before costs c units on that axis and is worth
+      v. Device j adds one shift-or, ``layer | (layer << c_j·W + size[j])``
+      masked to the capacity's rows. The optimum is the largest v reached
+      within the capacity; from the top down, device j is skipped iff the
+      layer before it holds a state within the cost left worth at least
+      the target, as in the value table below.
     * the grid (:func:`_grid_dp`): ``value[t, e]``, the largest value within
       (t, e) units, in the narrowest unsigned dtype that holds ``bound``.
       Device j is taken at (t, e) iff ``value[t - ct[j], e - ce[j]] +
@@ -484,7 +506,7 @@ def knapsack_2d(unit_t, unit_e, sizes, cap_t: int, cap_e: int) -> list[int]:
       ``g[cap_t, v] <= cap_e``; from the top down, device j is skipped iff
       ``g_j[t, V] <= e`` (the devices before it reach V within (t, e)), else
       taken (t, e and V drop by its costs and size). That is the grid's
-      rule, so both tables return the same subset.
+      rule, so all three tables return the same subset.
     """
 
     reduction = reduce_knapsack(unit_t, unit_e, sizes, cap_t, cap_e)
@@ -505,7 +527,20 @@ def reduce_knapsack(unit_t, unit_e, sizes, cap_t: int, cap_e: int) -> Reduction:
     optimum. With an axis dropped it compares the live axis alone, and its
     swap still holds: a swap that costs no more on the live axis still fits
     the dead one, since the dead axis is implied over the fitting set. Sizes
-    are divided by their gcd, and :func:`reduce_by_bounds`, skipping a dead
+    are divided by their gcd.
+
+    Let V be the sum of the ``k_max`` largest scaled sizes of the kept
+    devices; a fitting set holds at most ``k_max`` devices, so it is worth
+    at most V. If exactly one axis is live now, a layer of (cap + 1)·(V + 1)
+    bits, cap being the live capacity, has at most ``_BITS_MAX`` bits, and
+    the kept devices' layers, the empty one and a shifted temporary, (kept
+    + 2)·⌈bits / 8⌉ bytes, fit ``MAX_DP_BYTES``, the kept devices go
+    straight to the bit table with ``bound`` V. The steps below exist to
+    cut the numpy tables' layers, and a bit layer costs less than they
+    spend on each device, so they are skipped; every other input takes
+    them.
+
+    :func:`reduce_by_bounds`, skipping a dead
     axis, drops each device j whose upper bound UB_j is below LB, the value
     of a fitting set found greedily: the optimum is at least LB, so no
     optimal subset holds j, and without j the optimal subsets are the same.
@@ -522,15 +557,15 @@ def reduce_knapsack(unit_t, unit_e, sizes, cap_t: int, cap_e: int) -> Reduction:
     each backtrack state, a subset of the undecided devices that fits the
     time left fits the energy left too, since with the devices already taken
     it fits cap_t; every value a take-bit compares is therefore the 1-D one
-    (time likewise, after a time drop). Among the tables whose buffers fit
-    ``MAX_DP_BYTES``, the one with fewer cells per device runs: the value
-    table iff ``bound < cap_e``.
+    (time likewise, after a time drop). Among the numpy tables whose
+    buffers fit ``MAX_DP_BYTES``, the one with fewer cells per device runs:
+    the value table iff ``bound < cap_e``.
 
     Raises ConfigurationError if the value bound does not fit 64 bits or
-    neither table fits ``MAX_DP_BYTES``, before any DP buffer is allocated.
-    Both checks count the survivors only, with a dropped axis at one cell;
-    a smaller pool or capacity needs no more bytes, so no input planned
-    without these reductions is refused.
+    neither numpy table fits ``MAX_DP_BYTES``, before any DP buffer is
+    allocated. Both checks count the survivors only, with a dropped axis at
+    one cell; a smaller pool or capacity needs no more bytes, so no input
+    planned without these reductions is refused.
     """
 
     unit_t, unit_e = np.asarray(unit_t, dtype=np.int64), np.asarray(unit_e, dtype=np.int64)
@@ -546,6 +581,12 @@ def reduce_knapsack(unit_t, unit_e, sizes, cap_t: int, cap_e: int) -> Reduction:
     scaled = [int(sizes[i]) for i in kept]
     gcd = math.gcd(*scaled) or 1
     scaled = [size // gcd for size in scaled]
+    if (live_t == 0) != (live_e == 0):
+        top = sum(sorted(scaled, reverse=True)[:k_max])
+        bits = ((live_t or live_e) + 1) * (top + 1)
+        if bits <= _BITS_MAX and (n_kept + 2) * -(-bits // 8) <= MAX_DP_BYTES:
+            fill = functools.partial(_bits_dp, ct, ce, scaled, live_t, live_e, top)
+            return Reduction(n_kept, kept, 0, top, top, (live_t, live_e), "bits", fill)
     survivors, lb = reduce_by_bounds(ct, ce, scaled, live_t, live_e)
     scaled, ct, ce, kept = ([values[j] for j in survivors] for values in (scaled, ct, ce, kept))
     k_max_bound = sum(sorted(scaled, reverse=True)[:k_max])
@@ -652,6 +693,54 @@ def _value_dp(ct, ce, scaled, cap_t, cap_e, bound, dtype) -> list[int]:
     return picked
 
 
+def _bits_dp(ct, ce, scaled, cap_t, cap_e, bound) -> list[int]:
+    """Ascending survivor positions of the canonical optimum, from the bit table.
+
+    One axis is live; the other's capacity and costs are all 0. With
+    ``W = bound + 1``, bit ``c·W + v`` of layer j is set iff some subset of
+    the first j devices costs c units on the live axis and is worth v. A
+    subset whose cost fits is worth at most ``bound``, so its value never
+    carries into the next cost row, and a cost past the capacity is masked
+    off. ``rows`` has bit ``c·W`` set for every cost row c, so
+    ``rows · (2^W − 2^v)`` covers every state worth at least v.
+    """
+
+    costs, cap = (ct, cap_t) if cap_t else (ce, cap_e)
+    width = bound + 1
+    mask = (1 << (cap + 1) * width) - 1
+    rows = mask // ((1 << width) - 1)
+    layers = [1]
+    for cost, size in zip(costs, scaled):
+        layer = layers[-1]
+        layers.append(layer | ((layer << cost * width + size) & mask))
+
+    def worth_at_least(v: int) -> int:
+        return (rows << width) - (rows << v)
+
+    # The largest v that some state within the capacity reaches; the empty
+    # set reaches 0.
+    low, high = 0, bound
+    while low < high:
+        mid = (low + high + 1) // 2
+        if layers[-1] & worth_at_least(mid):
+            low = mid
+        else:
+            high = mid - 1
+
+    # From the top down, device j is skipped iff the devices before it reach
+    # the target within the cost left: _value_dp's rule.
+    picked: list[int] = []
+    t, target, region = cap, low, worth_at_least(low)
+    for j in range(len(scaled) - 1, -1, -1):
+        if not layers[j] & region:
+            picked.append(j)
+            t -= costs[j]
+            target = max(target - scaled[j], 0)
+            region = worth_at_least(target) & ((1 << (t + 1) * width) - 1)
+    picked.reverse()
+    return picked
+
+
 def select_devices_dp(
     scenario: Scenario,
     budgets: Budgets,
@@ -679,10 +768,12 @@ def _select_dp(fleet: FleetCosts, budgets: Budgets, disc: Discretization | None 
     # device's unit cost rounds its left-to-right phase sum while plan totals
     # are fsums; the baseline, which fits exactly, replaces such a pick too.
     greedy = _greedy_count(fleet, budgets)
-    if sum(sizes[:greedy]) > sum(sizes[i] for i in picked) or not fleet.totals(picked).fits(budgets):
+    totals = fleet.totals(picked)
+    if sum(sizes[:greedy]) > sum(sizes[i] for i in picked) or not totals.fits(budgets):
         picked = range(greedy)
+        totals = fleet.totals(picked)
 
-    return _build_plan(fleet, picked, budgets, "dp", disc)
+    return _build_plan(fleet, picked, totals, budgets, "dp", disc)
 
 
 def select_devices_oracle(scenario: Scenario, budgets: Budgets) -> SchedulePlan:
@@ -741,4 +832,4 @@ def select_devices_oracle(scenario: Scenario, budgets: Budgets) -> SchedulePlan:
                 best = mask
 
     picked = [i for i in range(n) if best >> i & 1]
-    return _build_plan(fleet, picked, budgets, "oracle", None)
+    return _build_plan(fleet, picked, fleet.totals(picked), budgets, "oracle", None)

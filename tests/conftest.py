@@ -221,7 +221,7 @@ def table_calls(monkeypatch):
     """Calls of each DP table fill, counted by a wrapper around its helper."""
 
     calls = TableCalls()
-    for name in ("_grid_dp", "_value_dp"):
+    for name in ("_grid_dp", "_value_dp", "_bits_dp"):
         fill = getattr(scheduler, name)
 
         def counted(*args, _fill=fill, _name=name):

@@ -28,13 +28,20 @@ def test_bench_ab_against_its_own_sources_plans_alike():
     assert names == [
         "select_devices_dp", "select_devices_dp n=500", "select_devices_dp n=40",
         "generate_scenario", "load_scenario", "load_plan", "simulate_pipeline", "save_trace",
-        "load_trace", "import",
+        "load_trace", "import", "tables",
     ]
     assert all(" median this " in line and " ms, p90 " in line and " base median " in line
-               for line in lines[1:])
+               for line in lines[1:-1])
     # Every fourth input is an n=40 one.
     inputs = {"select_devices_dp n=500": 6, "select_devices_dp n=40": 2}
-    assert all(line.endswith(f" of {inputs.get(name, 8)}") for name, line in zip(names, lines[1:]))
+    assert all(line.endswith(f" of {inputs.get(name, 8)}") for name, line in zip(names, lines[1:-1]))
+    # Both sides are this checkout, so they fill the same tables; each kind's
+    # plans are counted once per side.
+    this, base = lines[-1].removeprefix("tables: ").split("; ")
+    assert this.removeprefix("this ") == base.removeprefix("base ")
+    for kind, count in zip(this.removeprefix("this ").split(", "), (6, 2)):
+        words = kind.split()
+        assert words[1::2] == ["grid", "value", "bits"] and sum(map(int, words[2::2])) == count
 
 
 def load_script(name):
@@ -59,16 +66,20 @@ def test_bench_dp_runs_every_shape():
     done = run_script("benchmarks/bench_dp.py", "--repeats", "1")
     assert done.returncode == 0, done.stderr
     rows = [row.split() for row in done.stdout.splitlines()[1:]]
-    assert len(rows) == 9
+    assert len(rows) == 10
     # The fifth and sixth shapes sit on either side of the table choice.
     assert (rows[4][4], rows[4][9]) == ("96", "grid")
     assert (rows[5][4], rows[5][9]) == ("104", "value")
     assert rows[7][8] == "–"  # the both-slack shape keeps no capacity axis
-    # The plan-cold-like shape keeps only the time axis, in a grid, though
-    # its fitting devices' energy passes the energy capacity: the implied-axis
-    # rule dropped that axis, where the total-fits rule would have kept it.
+    # The plan-cold-like shape keeps only the time axis, in a grid on its
+    # 2000x2000 copy, though its fitting devices' energy passes the energy
+    # capacity: the implied-axis rule dropped that axis, where the
+    # total-fits rule would have kept it. On its 200x200 copy the one live
+    # axis fills the bit table.
     assert rows[8][8:10] == ["t", "grid"]
-    unit_t, unit_e, sizes, cap_t, cap_e = load_script("bench_dp").shapes(0)[8]
-    facts = reduce_knapsack(unit_t, unit_e, sizes, cap_t, cap_e)
-    assert unit_e[(unit_t <= cap_t) & (unit_e <= cap_e)].sum() > cap_e
-    assert facts.caps == (cap_t, 0) and facts.table == "grid"
+    assert rows[9][8:10] == ["t", "bits"]
+    shapes = load_script("bench_dp").shapes(0)
+    for (unit_t, unit_e, sizes, cap_t, cap_e), table in zip(shapes[8:], ("grid", "bits")):
+        facts = reduce_knapsack(unit_t, unit_e, sizes, cap_t, cap_e)
+        assert unit_e[(unit_t <= cap_t) & (unit_e <= cap_e)].sum() > cap_e
+        assert facts.caps == (cap_t, 0) and facts.table == table

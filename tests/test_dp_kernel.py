@@ -1,9 +1,9 @@
-"""The pruned DP kernel must pick what the full 3-D table picks, by either table.
+"""The pruned DP kernel must pick what the full 3-D table picks, by any of its tables.
 
 A naive triple-loop fill and the backtrack over its (n+1, cap_t+1, cap_e+1)
 table, both implemented here, serve as a reference that shares no code with
 the production kernel: no dominance pruning, no gcd scaling, no value bound,
-no value table, one int64 value per cell. The rank-order prune and the LP
+no value table or bit table, one int64 value per cell. The rank-order prune and the LP
 value bound are each held to a direct reference as well: an all-pairs
 replacer count and a fractional knapsack sorted by exact ratios. The bound
 reduction is held to brute force over every subset, in Python ints.
@@ -92,7 +92,11 @@ def assert_matches_reference(unit_t, unit_e, sizes, cap_t, cap_e):
     return picked
 
 
-def test_kernel_matches_reference(table_calls):
+def test_kernel_matches_reference(table_calls, monkeypatch):
+    # The bit table would take the one-axis instances below whose kept
+    # devices have a small value range; with it off they run the numpy
+    # tables, whose late test over the survivors this test pins.
+    monkeypatch.setattr(scheduler, "_BITS_MAX", 0)
     rng = np.random.default_rng(1234)
     for _ in range(25):
         assert_matches_reference(*random_instance(rng))
@@ -211,13 +215,16 @@ def test_both_tables_match_reference(table_calls):
 
 def test_value_table_saturates_instead_of_wrapping(table_calls):
     # cap_e = 254 makes the value table's energies uint8 with 255 for
-    # "unreachable". Devices 1 and 2 together need 10 + 250 = 260 units; a
-    # wrapping add would store 4 and claim a value of 3 within the budget.
-    unit_t = np.array([1, 1, 1], dtype=np.int64)
+    # "unreachable". Device 0 alone cannot reach a value of 2; a wrapping
+    # add of its 200 units to an unreachable 255 would store 199 and claim
+    # it within the budget, and the backtrack would return device 0 alone.
+    # Both axes bind: devices 0 and 1 fill the 2 time units together, device
+    # 2 alone, and the two largest energies (450) pass cap_e.
+    unit_t = np.array([1, 1, 2], dtype=np.int64)
     unit_e = np.array([200, 10, 250], dtype=np.int64)
     sizes = np.array([1, 1, 2], dtype=np.int64)
-    assert assert_matches_reference(unit_t, unit_e, sizes, 3, 254) == [0, 1]
-    assert table_calls == {"_value_dp": 1}
+    assert assert_matches_reference(unit_t, unit_e, sizes, 2, 254) == [0, 1]
+    assert table_calls.fills == [("_value_dp", 2, 254)]
 
 
 def reference_prune(unit_t, unit_e, sizes, cap_t, cap_e):
@@ -377,15 +384,17 @@ def test_zero_cost_zero_size_device_does_not_break_the_value_bound():
 
 def test_energy_axis_bound_alone_picks_the_value_table(table_calls):
     # Six devices fit the energy capacity, so the k_max bound is 5*4 + 3 =
-    # 23, above cap_e = 20, and so is the time axis's bound (35); only the
-    # energy axis's Dantzig bound, 19, is below it.
-    unit_t = np.ones(10, dtype=np.int64)
+    # 23, above cap_e = 20, and so is the time axis's bound (25); only the
+    # energy axis's Dantzig bound, 19, is below it. Both axes bind: seven
+    # devices fit the 10 time units and their energies pass 20, and the six
+    # largest time costs (11) pass 10.
+    unit_t = np.array([1] * 5 + [2] * 5, dtype=np.int64)
     unit_e = np.array([3] * 5 + [5] * 5, dtype=np.int64)
     sizes = np.array([3] * 5 + [4] * 5, dtype=np.int64)
-    assert lp_bound(unit_t.tolist(), sizes.tolist(), 100) == 35
+    assert lp_bound(unit_t.tolist(), sizes.tolist(), 10) == 25
     assert lp_bound(unit_e.tolist(), sizes.tolist(), 20) == 19
-    assert assert_matches_reference(unit_t, unit_e, sizes, 100, 20) == [0, 1, 2, 3, 4, 5]
-    assert table_calls == {"_value_dp": 1}
+    assert assert_matches_reference(unit_t, unit_e, sizes, 10, 20) == [0, 1, 2, 3, 4, 5]
+    assert table_calls.fills == [("_value_dp", 10, 20)]
 
 
 def optimal_subsets(unit_t, unit_e, sizes, cap_t, cap_e):
@@ -500,8 +509,11 @@ def test_one_of_two_mutually_implied_axes_is_dropped(table_calls):
     # Unit costs (6, 5) and (5, 6) under (10, 10): each device fits alone,
     # neither replaces the other, and no two fit together on either axis, so
     # each axis implies the other. Only the energy axis, tested first, is
-    # dropped; dropping both would admit both devices.
-    unit_t, unit_e, sizes = np.array([6, 5]), np.array([5, 6]), np.array([3, 3])
+    # dropped; dropping both would admit both devices. The sizes are
+    # coprime, so a bit layer of 11 cost rows of 30002 values is over
+    # _BITS_MAX and the grid runs.
+    unit_t, unit_e, sizes = np.array([6, 5]), np.array([5, 6]), np.array([30001, 30000])
+    assert 11 * 30002 > scheduler._BITS_MAX
     facts = reduce_knapsack(unit_t, unit_e, sizes, 10, 10)
     assert facts.survivors == [0, 1] and facts.caps == (10, 0)
     assert implied_drops(unit_t, unit_e, 10, 10, facts) == 1
@@ -636,3 +648,104 @@ def test_a_device_over_the_dropped_axis_stays_out():
     assert knapsack_2d(unit_t, unit_e, sizes, 6, 5) == canonical_subset(
         unit_t, unit_e, sizes, 6, 5
     ) == [1]
+
+
+@st.composite
+def one_axis_instances(draw):
+    """0-10 devices of which one axis is dead, by zero costs or by implication.
+
+    Live-axis costs are 0-12 and sizes 0-8 times a common factor; the live
+    capacity holds a few of them. On the dead axis either every cost is 0,
+    under any capacity, or costs are 1-4 under a capacity at or just above
+    the k largest, k being the most devices whose live costs fit together,
+    plus up to two trap devices over that capacity, the biggest and cheap
+    on the live axis. Either axis may be the live one.
+    """
+
+    n = draw(st.integers(0, 10))
+    live = draw(st.lists(st.integers(0, 12), min_size=n, max_size=n))
+    factor = draw(st.sampled_from([1, 10**9, 2**50]))
+    sizes = [factor * size for size in draw(st.lists(st.integers(0, 8), min_size=n, max_size=n))]
+    cap_live = draw(st.integers(0, 30))
+    zero = draw(st.booleans())
+    if zero:
+        dead, cap_dead = [0] * n, draw(st.integers(0, 30))
+    else:
+        dead = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+        k = bisect.bisect_right(list(itertools.accumulate(sorted(live))), cap_live)
+        cap_dead = sum(sorted(dead, reverse=True)[:k]) + draw(st.integers(0, 2))
+        for _ in range(draw(st.integers(0, 2))):
+            at = draw(st.integers(0, len(live)))
+            live.insert(at, draw(st.integers(0, 1)))
+            dead.insert(at, cap_dead + draw(st.integers(1, 3)))
+            sizes.insert(at, 9 * factor)
+    instance = [np.array(live), np.array(dead), sizes, cap_live, cap_dead]
+    if draw(st.booleans()):
+        instance = [instance[1], instance[0], sizes, cap_dead, cap_live]
+    return zero, instance
+
+
+def test_bit_table_matches_reference_on_one_axis_instances(table_calls):
+    filled = []
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(one_axis_instances())
+    def check(example):
+        zero, instance = example
+        before = table_calls["_bits_dp"]
+        assert_matches_reference(*instance)
+        filled.append((zero, table_calls["_bits_dp"] > before))
+
+    check()
+    assert sum(bits for _, bits in filled) >= len(filled) // 4
+    assert {zero for zero, bits in filled if bits} == {False, True}
+
+
+def test_bit_table_holds_a_set_worth_the_whole_value_bound(table_calls):
+    # k_max = 2 (costs 2 + 3 fit the 8 units, 2 + 3 + 4 do not), so the
+    # bound V is 7 + 6 = 13 and each cost row is 14 bits wide. Devices 1
+    # and 2 cost 7 units and are worth exactly 13: their state is the top
+    # bit of row 7, and rows one bit narrower would read it as row 8 worth 0.
+    unit_t, unit_e, sizes = np.array([2, 3, 4]), np.zeros(3, dtype=np.int64), [5, 6, 7]
+    facts = reduce_knapsack(unit_t, unit_e, sizes, 8, 0)
+    assert (facts.table, facts.survivors, facts.lb, facts.bound) == ("bits", [0, 1, 2], 0, 13)
+    assert assert_matches_reference(unit_t, unit_e, sizes, 8, 0) == [1, 2]
+    assert table_calls.fills == [("_bits_dp", 8, 0)]
+
+
+def test_bit_table_takes_zero_cost_devices_and_leaves_zero_size_ones(table_calls):
+    # Devices 0 and 3 cost nothing and devices 1 and 3 are worth nothing:
+    # device 0 shifts within its cost row, device 3 shifts by 0 bits.
+    unit_t, unit_e = np.array([0, 2, 3, 0, 4, 2]), np.zeros(6, dtype=np.int64)
+    sizes = [4, 0, 3, 0, 5, 2]
+    assert assert_matches_reference(unit_t, unit_e, sizes, 5, 0) == [0, 4]
+    assert table_calls.fills == [("_bits_dp", 5, 0)]
+
+
+def test_one_axis_plan_on_a_5000_unit_grid_fills_the_grid(table_calls):
+    # Seven devices fit the 5000 units, so the bound V is 8 + 8 + 4 + 4 + 2
+    # + 2 + 1 = 29 and a bit layer would have 5001 * 30 bits, over _BITS_MAX.
+    unit_t = np.array([2594, 1473, 1351, 781, 891, 518, 489, 463, 467, 2680])
+    unit_e = np.zeros(10, dtype=np.int64)
+    sizes = np.array([8, 4, 4, 2, 2, 1, 1, 1, 1, 8]) * 500_000_000
+    assert 5001 * 30 > scheduler._BITS_MAX
+    facts = reduce_knapsack(unit_t, unit_e, sizes, 5000, 0)
+    assert facts.table == "grid" and facts.caps == (5000, 0)
+    assert_matches_reference(unit_t, unit_e, sizes, 5000, 0)
+    assert table_calls.fills == [("_grid_dp", 5000, 0)]
+
+
+def test_bit_table_over_the_byte_limit_falls_back_to_the_grid(monkeypatch, table_calls):
+    # Five kept devices and V = 6 + 7 = 18 over 11 cost rows make layers of
+    # 11 * 19 = 209 bits, 27 bytes: the five layers, the empty one and a
+    # shifted temporary need 7 * 27 = 189 bytes. One byte less takes the
+    # numpy path: the bound reduction leaves devices 0, 1 and 2, which fit
+    # the 10 units together, so the grid has one cell, and it picks them.
+    unit_t, unit_e, sizes = np.array([3, 5, 2, 4, 6]), np.zeros(5, dtype=np.int64), [4, 7, 3, 5, 6]
+    picks = {}
+    for limit, table in ((189, "bits"), (188, "grid")):
+        monkeypatch.setattr(scheduler, "MAX_DP_BYTES", limit)
+        assert reduce_knapsack(unit_t, unit_e, sizes, 10, 0).table == table
+        picks[table] = assert_matches_reference(unit_t, unit_e, sizes, 10, 0)
+    assert picks["bits"] == picks["grid"] == [0, 1, 2]
+    assert table_calls.fills == [("_bits_dp", 10, 0), ("_grid_dp", 0, 0)]

@@ -299,14 +299,16 @@ def test_dp_falls_back_to_the_grid_when_the_value_table_is_too_big(
 
 
 def test_dp_drops_the_energy_axis_the_time_budget_implies(three_device_scenario, table_calls):
-    # On the default grid the three devices' energy units (100/60/80) sum
-    # past the 200-unit cap, so every device survives with both axes in
-    # play; but their time units (100/63/91 of 200) fit two at a time at
-    # most, and the two largest energies, 180, fit. No subset that fits the
-    # time budget misses the energy one, so that axis is dropped.
+    # On a 2**-12 s by 1 J grid the three devices' energy units (100/60/80)
+    # sum past the 200-unit cap, so every device survives with both axes in
+    # play; but their time units (4096/2560/3712 of 8192) fit two at a time
+    # at most, and the two largest energies, 180, fit. No subset that fits
+    # the time budget misses the energy one, so that axis is dropped. The
+    # scaled sizes are 4, 2 and 3, so a bit layer of 8193 time rows of 8
+    # values is over _BITS_MAX and the grid runs.
     budgets = Budgets(2.0, 200.0)
     fleet = fleet_costs(three_device_scenario)
-    disc = default_discretization(budgets)
+    disc = Discretization(2**-12, 1.0)
     cap_t, cap_e = capacity_units(2.0, disc.dt_s), capacity_units(200.0, disc.de_j)
     unit_e = cost_units(fleet.e_total_j, disc.de_j, cap_e)
     facts = scheduler.reduce_knapsack(
@@ -314,8 +316,9 @@ def test_dp_drops_the_energy_axis_the_time_budget_implies(three_device_scenario,
     )
     assert facts.survivors == [0, 1, 2] and sum(unit_e) > cap_e
     assert facts.caps == (cap_t, 0) and facts.table == "grid"
+    assert (cap_t + 1) * (4 + 3 + 1) > scheduler._BITS_MAX
 
-    plan = select_devices_dp(three_device_scenario, budgets)
+    plan = select_devices_dp(three_device_scenario, budgets, disc)
     assert table_calls.fills == [("_grid_dp", cap_t, 0)]
     assert plan.device_ids == select_devices_oracle(three_device_scenario, budgets).device_ids
 
