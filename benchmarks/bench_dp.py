@@ -24,7 +24,8 @@ that ran. The fifth and sixth shapes sit on either side of the table
 choice: the same devices and time axis, with the energy axis just below or
 just above the value bound. The seventh shape's energy costs sum to less
 than its energy capacity, so that axis is dropped; the eighth shape's costs
-fit both capacities, so both axes are, and the table has one cell. The
+fit both capacities, so both axes are, and it fills the bit table, one cost
+row per layer. The
 ninth and tenth are modelled on a two-budget plan-cold plan: its fitting
 devices' energy costs sum past the energy capacity, but no set that fits
 the time capacity can pass it (at most 10 devices fit that, and any 18 fit

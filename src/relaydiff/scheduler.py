@@ -12,20 +12,21 @@ variants' byte sizes. Three methods share one plan type:
   or in Python-int bits (:func:`knapsack_2d`). A budget the other one
   implies over the fitting devices is dropped first, then the devices no
   optimal plan holds (one pass over one live axis, or blocks compared on
-  two). With one live
-  budget and a small capacity and value range, the kept devices fill a
-  table of Python-int bits, one shift-or per device; otherwise a bound
-  reduction drops more devices, then a budget the survivors alone imply,
-  and the value bound picks one of two numpy tables
-  (:func:`reduce_knapsack`). The DP result is finally
+  two). With at most one live budget and a small capacity and value
+  range, the kept devices fill a table of Python-int bits, one shift-or
+  per device; otherwise a bound reduction drops more devices, then a
+  budget the survivors alone imply, and the value bound picks one of two
+  numpy tables (:func:`reduce_knapsack`). The DP result is finally
   compared against the greedy baseline, which it must beat and which
   replaces a DP pick that misses the exact budgets by float rounding, so
   the method never loses to no-selection through rounding alone.
-* :func:`select_devices_oracle`: exhaustive subset enumeration, feasibility
-  judged by the same fsum totals as every plan (left-to-right sums filter,
-  and any subset near a budget is summed again exactly). Exponential;
-  guarded to small fleets. Ties prefer fewer devices, then the
-  lexicographically smallest id set.
+* :func:`select_devices_oracle`: exact optimum by a depth-first walk over
+  the subsets that fit, in O(n) memory, feasibility judged by the same fsum
+  totals as every plan (left-to-right sums filter, and any subset near a
+  budget is summed again exactly). A branch is cut where its subset misses
+  a budget or cannot reach the best size found. Exponential; guarded to
+  small fleets. Ties prefer fewer devices, then the lexicographically
+  smallest id set.
 * :func:`select_devices_no_ds`: no device selection. Admits devices in
   ascending id order while the running exact totals fit, stops at the first
   misfit.
@@ -487,14 +488,15 @@ def knapsack_2d(unit_t, unit_e, sizes, cap_t: int, cap_e: int) -> list[int]:
     and axes without changing it and picks the table that is then filled,
     one layer per survivor:
 
-    * the bit table (:func:`_bits_dp`), when one axis is live: each layer is
-      a Python int whose bit ``c·W + v``, ``W = bound + 1``, is set iff some
-      subset of the devices before costs c units on that axis and is worth
-      v. Device j adds one shift-or, ``layer | (layer << c_j·W + size[j])``
-      masked to the capacity's rows. The optimum is the largest v reached
-      within the capacity; from the top down, device j is skipped iff the
-      layer before it holds a state within the cost left worth at least
-      the target, as in the value table below.
+    * the bit table (:func:`_bits_dp`), when at most one axis is live: each
+      layer is a Python int whose bit ``c·W + v``, ``W = bound + 1``, is set
+      iff some subset of the devices before costs c units on that axis (0
+      with no live axis) and is worth v. Device j adds one shift-or,
+      ``layer | (layer << c_j·W + size[j])`` masked to the capacity's rows.
+      The optimum is the largest v reached within the capacity; from the
+      top down, device j is skipped iff the layer before it holds a state
+      within the cost left worth at least the target, as in the value
+      table below.
     * the grid (:func:`_grid_dp`): ``value[t, e]``, the largest value within
       (t, e) units, in the narrowest unsigned dtype that holds ``bound``.
       Device j is taken at (t, e) iff ``value[t - ct[j], e - ce[j]] +
@@ -531,14 +533,14 @@ def reduce_knapsack(unit_t, unit_e, sizes, cap_t: int, cap_e: int) -> Reduction:
 
     Let V be the sum of the ``k_max`` largest scaled sizes of the kept
     devices; a fitting set holds at most ``k_max`` devices, so it is worth
-    at most V. If exactly one axis is live now, a layer of (cap + 1)·(V + 1)
-    bits, cap being the live capacity, has at most ``_BITS_MAX`` bits, and
-    the kept devices' layers, the empty one and a shifted temporary, (kept
-    + 2)·⌈bits / 8⌉ bytes, fit ``MAX_DP_BYTES``, the kept devices go
-    straight to the bit table with ``bound`` V. The steps below exist to
-    cut the numpy tables' layers, and a bit layer costs less than they
-    spend on each device, so they are skipped; every other input takes
-    them.
+    at most V. If at most one axis is live now, a layer of (cap + 1)·(V + 1)
+    bits, cap being the live capacity or 0 with none, has at most
+    ``_BITS_MAX`` bits, and the kept devices' layers, the empty one and a
+    shifted temporary, (kept + 2)·⌈bits / 8⌉ bytes, fit ``MAX_DP_BYTES``,
+    the kept devices go straight to the bit table with ``bound`` V. The
+    steps below exist to cut the numpy tables' layers, and a bit layer
+    costs less than they spend on each device, so they are skipped; every
+    other input takes them.
 
     :func:`reduce_by_bounds`, skipping a dead
     axis, drops each device j whose upper bound UB_j is below LB, the value
@@ -581,7 +583,7 @@ def reduce_knapsack(unit_t, unit_e, sizes, cap_t: int, cap_e: int) -> Reduction:
     scaled = [int(sizes[i]) for i in kept]
     gcd = math.gcd(*scaled) or 1
     scaled = [size // gcd for size in scaled]
-    if (live_t == 0) != (live_e == 0):
+    if not (live_t and live_e):
         top = sum(sorted(scaled, reverse=True)[:k_max])
         bits = ((live_t or live_e) + 1) * (top + 1)
         if bits <= _BITS_MAX and (n_kept + 2) * -(-bits // 8) <= MAX_DP_BYTES:
@@ -696,7 +698,8 @@ def _value_dp(ct, ce, scaled, cap_t, cap_e, bound, dtype) -> list[int]:
 def _bits_dp(ct, ce, scaled, cap_t, cap_e, bound) -> list[int]:
     """Ascending survivor positions of the canonical optimum, from the bit table.
 
-    One axis is live; the other's capacity and costs are all 0. With
+    At most one axis is live; a dead axis's capacity and costs are all 0,
+    and with neither live the layers hold one cost row. With
     ``W = bound + 1``, bit ``c·W + v`` of layer j is set iff some subset of
     the first j devices costs c units on the live axis and is worth v. A
     subset whose cost fits is worth at most ``bound``, so its value never
@@ -777,11 +780,17 @@ def _select_dp(fleet: FleetCosts, budgets: Budgets, disc: Discretization | None 
 
 
 def select_devices_oracle(scenario: Scenario, budgets: Budgets) -> SchedulePlan:
-    """Exhaustive optimum over all subsets, judged by the plans' fsum totals.
+    """Exact optimum over all subsets, judged by the plans' fsum totals.
 
-    Intended as ground truth for small fleets; cost grows as 2^n. Among
-    maximum-objective subsets the oracle returns the one with fewest devices,
-    breaking remaining ties by lexicographically smallest id tuple.
+    Intended as ground truth for small fleets. The subsets are walked depth
+    first, each one extended only by devices after its last, so memory is
+    O(n) and the walk is lexicographic in positions. Costs are >= 0 and both
+    the left-to-right sums and the fsum totals are monotone in the subset,
+    so a branch is cut where its subset misses a budget, and also where its
+    size plus every later device's cannot reach the best size found; the
+    worst case is still 2^n subsets. Among maximum-objective subsets the
+    oracle returns the one with fewest devices, breaking remaining ties by
+    lexicographically smallest id tuple (positions ascend with ids).
     """
 
     fleet = fleet_costs(scenario)
@@ -794,42 +803,30 @@ def select_devices_oracle(scenario: Scenario, budgets: Budgets) -> SchedulePlan:
     t_one = fleet.t_total_s.tolist()
     e_one = fleet.e_total_j.tolist()
     size_one = fleet.size_bytes
-    ids = fleet.ids.tolist()
-
-    n_masks = 1 << n
-    t_sum = [0.0] * n_masks
-    e_sum = [0.0] * n_masks
-    objective = [0] * n_masks
-
-    def id_tuple(mask: int) -> tuple[int, ...]:
-        return tuple(ids[i] for i in range(n) if mask >> i & 1)
-
+    later = list(itertools.accumulate(reversed(size_one), initial=0))[::-1]  # later[i]: sizes from i on
     t_low, t_high = budgets.t_max_s * (1 - _ORACLE_MARGIN), budgets.t_max_s * (1 + _ORACLE_MARGIN)
     e_low, e_high = budgets.e_max_j * (1 - _ORACLE_MARGIN), budgets.e_max_j * (1 + _ORACLE_MARGIN)
 
-    best = 0  # the empty subset is always feasible
-    for mask in range(1, n_masks):
-        low = mask & -mask
-        i = low.bit_length() - 1
-        rest = mask ^ low
-        t_sum[mask] = t_sum[rest] + t_one[i]
-        e_sum[mask] = e_sum[rest] + e_one[i]
-        objective[mask] = objective[rest] + size_one[i]
-        # Left-to-right sums decide a subset only away from the budgets;
-        # near one, the fsum predicate that plans are checked with decides.
-        if t_sum[mask] > t_high or e_sum[mask] > e_high:
-            continue
-        if (t_sum[mask] > t_low or e_sum[mask] > e_low) and not fleet.totals(
-            [i for i in range(n) if mask >> i & 1]
-        ).fits(budgets):
-            continue
-        if objective[mask] > objective[best]:
-            best = mask
-        elif objective[mask] == objective[best]:
-            if mask.bit_count() < best.bit_count() or (
-                mask.bit_count() == best.bit_count() and id_tuple(mask) < id_tuple(best)
-            ):
-                best = mask
+    subset: list[int] = []
+    best, best_size = [], 0  # the empty subset is always feasible
 
-    picked = [i for i in range(n) if best >> i & 1]
-    return _build_plan(fleet, picked, fleet.totals(picked), budgets, "oracle", None)
+    def extend(start: int, t: float, e: float, size: int) -> None:
+        nonlocal best, best_size
+        for i in range(start, n):
+            if size + later[i] < best_size:
+                return  # nor can a later device's branch, which adds less
+            t_i, e_i = t + t_one[i], e + e_one[i]
+            # Left-to-right sums decide a subset only away from the budgets;
+            # near one, the fsum predicate that plans are checked with decides.
+            if t_i > t_high or e_i > e_high:
+                continue
+            subset.append(i)
+            if (t_i <= t_low and e_i <= e_low) or fleet.totals(subset).fits(budgets):
+                size_i = size + size_one[i]
+                if (-size_i, len(subset), subset) < (-best_size, len(best), best):
+                    best, best_size = subset.copy(), size_i
+                extend(i + 1, t_i, e_i, size_i)
+            subset.pop()
+
+    extend(0, 0.0, 0.0, 0)
+    return _build_plan(fleet, best, fleet.totals(best), budgets, "oracle", None)

@@ -70,7 +70,7 @@ def test_bench_dp_runs_every_shape():
     # The fifth and sixth shapes sit on either side of the table choice.
     assert (rows[4][4], rows[4][9]) == ("96", "grid")
     assert (rows[5][4], rows[5][9]) == ("104", "value")
-    assert rows[7][8] == "–"  # the both-slack shape keeps no capacity axis
+    assert rows[7][8:10] == ["–", "bits"]  # the both-slack shape keeps no capacity axis
     # The plan-cold-like shape keeps only the time axis, in a grid on its
     # 2000x2000 copy, though its fitting devices' energy passes the energy
     # capacity: the implied-axis rule dropped that axis, where the

@@ -89,7 +89,7 @@ def test_schedule_dt_requires_de(workdir, tmp_path):
 
 
 def test_oracle_bounded_on_twenty_devices(workdir, tmp_path):
-    # 2^20 subsets; documented as seconds-scale
+    # Up to 2^20 subsets, walked depth first; documented as well under a second
     started = time.perf_counter()
     code = main([
         "oracle", "-s", str(workdir / "s.json"), "--t-max", "2.0", "--e-max", "200",
@@ -403,8 +403,8 @@ def test_a_capacity_past_the_float_range_exits_3(workdir, tmp_path, capsys):
 ], ids=["fine-grid", "huge-time-budget"])
 def test_a_fleet_that_fits_both_budgets_plans_every_device(tmp_path, capsys, budgets):
     # Every device fits both budgets, so both capacity axes are dropped and
-    # the DP table has one cell; with the time axis kept it would have
-    # 10**12 + 1 or about 10**300 cells and be refused.
+    # the DP fills bit layers of one cost row; with the time axis kept its
+    # table would have 10**12 + 1 or about 10**300 cells and be refused.
     world, plan_path = tmp_path / "w.json", tmp_path / "p.json"
     assert main(["gen-scenario", "-n", "40", "--seed", "1", "-o", str(world)]) == EXIT_OK
     assert main(["schedule", "-s", str(world), *budgets, "-o", str(plan_path)]) == EXIT_OK

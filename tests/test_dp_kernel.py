@@ -12,6 +12,7 @@ reduction is held to brute force over every subset, in Python ints.
 import bisect
 import functools
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -126,12 +127,15 @@ def test_kernel_matches_reference_on_larger_instances():
         assert_matches_reference(*random_instance(rng, n_max=20, cap_max=120))
 
 
-def test_zero_cost_items_are_always_taken():
-    # 20 devices spread their take-bits over three byte planes.
+def test_zero_cost_items_are_always_taken(table_calls, monkeypatch):
+    # 20 devices spread their take-bits over three byte planes. Both axes
+    # are slack, so with the bit table on they would fill one row of bits.
+    monkeypatch.setattr(scheduler, "_BITS_MAX", 0)
     unit_t = np.zeros(20, dtype=np.int64)
     unit_e = np.zeros(20, dtype=np.int64)
     sizes = np.arange(5, 25, dtype=np.int64)
     assert assert_matches_reference(unit_t, unit_e, sizes, 0, 0) == list(range(20))
+    assert table_calls.fills == [("_grid_dp", 0, 0)]
 
 
 def test_unit_cost_above_capacity_is_never_taken():
@@ -749,3 +753,40 @@ def test_bit_table_over_the_byte_limit_falls_back_to_the_grid(monkeypatch, table
         picks[table] = assert_matches_reference(unit_t, unit_e, sizes, 10, 0)
     assert picks["bits"] == picks["grid"] == [0, 1, 2]
     assert table_calls.fills == [("_bits_dp", 10, 0), ("_grid_dp", 0, 0)]
+
+
+def test_both_slack_instances_fill_the_bit_table(table_calls):
+    # Every fitting set of devices fits both capacities, so the first implied
+    # test drops both axes; the kept devices fill bit layers of one cost row
+    # and skip the bound pass, the Dantzig bounds and the one-cell grid.
+    rng = np.random.default_rng(4321)
+    for _ in range(30):
+        unit_t, unit_e, _, cap_t, cap_e = with_slack(rng, random_instance(rng, n_max=12), "te")
+        sizes = rng.integers(1, 9, size=len(unit_t)) * 10**9
+        assert reduce_knapsack(unit_t, unit_e, sizes, cap_t, cap_e).table == "bits"
+        assert assert_matches_reference(unit_t, unit_e, sizes, cap_t, cap_e) == list(
+            range(len(sizes))
+        )
+    assert table_calls.fills == [("_bits_dp", 0, 0)] * 30
+
+
+def test_bit_table_peak_stays_within_its_byte_budget():
+    # The 30 devices cost 20-49 units under 100 and the bigger ones cost
+    # more, so every device is kept; at most 4 fit, so V = 30 + 29 + 28 + 27
+    # = 114 and a layer has 101 * 115 bits. reduce_knapsack budgets the 30
+    # layers, the empty one and a shifted temporary. Without the mask each
+    # layer would keep the states past the capacity, and grow with every
+    # device (about 5x the budget here).
+    sizes = np.arange(1, 31)
+    unit_t, unit_e = sizes + 19, np.zeros(30, dtype=np.int64)
+    facts = reduce_knapsack(unit_t, unit_e, sizes, 100, 0)
+    assert (facts.table, facts.kept, facts.bound) == ("bits", 30, 114)
+    budget = (30 + 2) * -(-101 * 115 // 8)
+    tracemalloc.start()
+    try:
+        picked = facts.fill()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * budget
+    assert [facts.survivors[j] for j in picked] == reference_pick(unit_t, unit_e, sizes, 100, 0)[1]

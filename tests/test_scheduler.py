@@ -127,13 +127,26 @@ def test_oracle_prefers_fewer_devices_then_lower_ids():
     assert plan.device_ids == (2,)
 
     # three identical devices, room for two: lexicographically smallest pair
-    devices = [
-        dyadic_device(i, 8, 1_000_000_000, step_latency_s=0.125, compute_power_w=1.0)
-        for i in range(3)
-    ]
-    scenario = dyadic_scenario(devices, {i: (2.0**23, 2.0**23) for i in range(3)})
-    plan = select_devices_oracle(scenario, Budgets(2.0, 1000.0))
+    plan = select_devices_oracle(identical_scenario(3), Budgets(2.0, 1000.0))
     assert plan.device_ids == (0, 1)
+
+    # twelve, room for six: every 6 of them tie, and the lowest ids win
+    scenario = identical_scenario(12)
+    cost = stage_cost_for(scenario, scenario.device(0))
+    budgets = Budgets(6.5 * cost.t_total(), 6.5 * cost.e_total())
+    plan = select_devices_oracle(scenario, budgets)
+    assert plan.device_ids == fsum_oracle(scenario, budgets) == tuple(range(6))
+
+
+def identical_scenario(n):
+    """``n`` identical dyadic devices behind the same link rates."""
+
+    devices = [
+        dyadic_device(i, 8, 1_000_000_000, step_latency_s=0.125, compute_power_w=1.0,
+                      pos_m=(100.0, 100.0))
+        for i in range(n)
+    ]
+    return dyadic_scenario(devices, {i: (2.0**23, 2.0**23) for i in range(n)})
 
 
 def test_oracle_selection_invariant_under_objective_scaling():
@@ -190,24 +203,45 @@ def test_oracle_judges_a_subset_on_the_budget_by_its_fsum():
 def test_oracle_matches_fsum_enumeration_on_budgets_at_subset_totals():
     # Budgets equal to a random subset's totals put the oracle's float filter
     # exactly on a budget: its left-to-right totals (about one fleet in ten
-    # raised before) or its plan's fsum totals, which a left-to-right sum
-    # can pass by an ulp although the subset fits.
+    # raised before), the same costs summed in the other order, or its
+    # plan's fsum totals, which a left-to-right sum can pass by an ulp
+    # although the subset fits.
     rng = np.random.default_rng(2026)
-    for trial in range(300):
+    for trial in range(450):
         n = int(rng.integers(2, 9))
         scenario = generate_scenario(n, seed=int(rng.integers(0, 10**9)))
         costs = [stage_cost_for(scenario, dev) for dev in scenario.devices]
         subset = [i for i in range(n) if rng.random() < 0.5] or [int(rng.integers(0, n))]
-        if trial % 2:
+        if trial % 3 == 0:
             totals = aggregate_costs(costs[i] for i in subset)
             budgets = Budgets(totals.t_total_s, totals.e_total_j)
         else:
-            # The oracle sums a subset from its highest index down.
+            # The oracle sums a subset from its lowest index up, as it
+            # walks it; the other order lands on the other side of the
+            # budget now and then.
+            order = subset if trial % 3 == 1 else subset[::-1]
             budgets = Budgets(
-                sum(costs[i].t_total() for i in reversed(subset)),
-                sum(costs[i].e_total() for i in reversed(subset)),
+                sum(costs[i].t_total() for i in order),
+                sum(costs[i].e_total() for i in order),
             )
         assert select_devices_oracle(scenario, budgets).device_ids == fsum_oracle(scenario, budgets)
+
+
+@pytest.mark.parametrize("n", [22, ORACLE_MAX_DEVICES])
+def test_oracle_stores_nothing_per_subset(n):
+    # The walk keeps one subset and its sums: at 2**22 subsets and more, a
+    # table per subset would take hundreds of megabytes.
+    scenario = generate_scenario(n, seed=n)
+    budgets = Budgets(3.0, 300.0)
+    tracemalloc.start()
+    try:
+        plan = select_devices_oracle(scenario, budgets)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert plan.t_total_s <= budgets.t_max_s and plan.e_total_j <= budgets.e_max_j
+    assert plan.objective_bytes >= select_devices_dp(scenario, budgets).objective_bytes
 
 
 def test_oracle_guard_refuses_large_fleets():
