@@ -18,7 +18,7 @@ import math
 from pathlib import Path
 from typing import NamedTuple
 
-from .cost_model import CostTotals, StageCost, aggregate_costs
+from .cost_model import StageCost, aggregate_costs
 from .errors import ValidationError
 from .pipeline import MARKER_KINDS, Event, SimTrace
 from .scenario import _POSITIVE_FIELDS, TRANSFER_PHASES, LinkParams, ModelVariant, Scenario, _built
@@ -255,8 +255,8 @@ def plan_from_dict(data: dict) -> SchedulePlan:
     totals = aggregate_costs(cost for _, cost in stages)
     check_totals(data, (("t_total_s", totals.t_total_s), ("e_total_j", totals.e_total_j)),
                  "stage costs", "plan")
-    fields["t_total_s"], fields["e_total_j"] = totals.t_total_s, totals.e_total_j
-    return SchedulePlan(**fields)
+    del fields["t_total_s"], fields["e_total_j"]
+    return SchedulePlan(totals.t_tran_s, totals.t_cmp_s, totals.e_total_j, **fields)
 
 
 # The methods a trace may name: a plan's, or the split baseline's.
@@ -292,11 +292,11 @@ def trace_from_dict(data: dict) -> SimTrace:
     ), "events", "trace")
     # The simulator sums the phase durations it was given, and each can
     # differ by an ulp from t_end_s - t_start_s, so the stored sums are kept;
-    # the other two totals follow from them as in Timeline.trace.
-    totals = CostTotals(fields["t_tran_s"], fields["t_cmp_s"], fields["e_total_j"])
-    check_totals(data, (("t_total_s", totals.t_total_s), ("tran_fraction", totals.tran_fraction)),
+    # the other two totals follow from them, as for every trace.
+    del fields["t_total_s"], fields["tran_fraction"]
+    trace = SimTrace(**fields)
+    check_totals(data, (("t_total_s", trace.t_total_s), ("tran_fraction", trace.tran_fraction)),
                  "t_tran_s + t_cmp_s", "trace")
-    fields["t_total_s"], fields["tran_fraction"] = totals.t_total_s, totals.tran_fraction
 
     kinds = [e.kind for e in events]
     # A split step computes once on each device and writes no checkpoint; a
@@ -306,7 +306,7 @@ def trace_from_dict(data: dict) -> SimTrace:
                             ("completed", kinds[-1:] != ["replan"])):
         if fields[name] != recounted:
             raise ValidationError(f"trace.{name}: {fields[name]} inconsistent with events ({recounted})")
-    return SimTrace(**fields)
+    return trace
 
 
 # -- writing --

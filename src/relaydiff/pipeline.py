@@ -106,23 +106,20 @@ NO_FAILURES = FailureSpec()
 
 
 @dataclass(frozen=True)
-class SimTrace:
+class SimTrace(CostTotals):
     """Timeline and aggregate accounting of one simulated run.
 
-    The aggregates follow the shared fsum convention: ``t_tran_s`` and
-    ``t_cmp_s`` are exactly-rounded sums over the relevant event durations and
-    ``t_total_s`` is their sum, so a failure-free run reproduces its plan's
-    predicted totals exactly. ``feasible`` compares against the budgets the
-    run was asked to respect; ``completed`` distinguishes a finished pipeline
-    from a partial trace attached to a RecoveryInfeasible error.
+    The totals follow the shared fsum convention: ``t_tran_s`` and
+    ``t_cmp_s`` are exactly-rounded sums over the relevant event durations
+    and ``e_total_j`` over the energy terms, and ``t_total_s`` and
+    ``tran_fraction`` follow from them as for any :class:`CostTotals`, so a
+    failure-free run reproduces its plan's totals exactly. ``feasible``
+    compares against the budgets the run was asked to respect; ``completed``
+    distinguishes a finished pipeline from a partial trace attached to a
+    RecoveryInfeasible error.
     """
 
     events: tuple[Event, ...]
-    t_total_s: float
-    e_total_j: float
-    t_tran_s: float
-    t_cmp_s: float
-    tran_fraction: float
     stages_completed: int
     replans: int
     completed: bool
@@ -172,12 +169,8 @@ class Timeline:
               method: str) -> SimTrace:
         totals = self.totals()
         return SimTrace(
+            totals.t_tran_s, totals.t_cmp_s, totals.e_total_j,
             events=tuple(self._events),
-            t_total_s=totals.t_total_s,
-            e_total_j=totals.e_total_j,
-            t_tran_s=totals.t_tran_s,
-            t_cmp_s=totals.t_cmp_s,
-            tran_fraction=totals.tran_fraction,
             stages_completed=stages_completed,
             replans=replans,
             completed=completed,
@@ -208,8 +201,7 @@ def check_stages(scenario: Scenario, plan: SchedulePlan) -> None:
             )
     fleet = fleet_costs(scenario)
     rows = np.searchsorted(fleet.ids, ids)
-    columns = (column[rows].tolist() for column in fleet.phases())
-    for (dev_id, cost), recomputed in zip(plan.stages, zip(*columns)):
+    for (dev_id, cost), recomputed in zip(plan.stages, fleet.costs[rows].tolist()):
         for name, stored, expected in zip(StageCost._fields, cost, recomputed):
             if not math.isclose(stored, expected, rel_tol=1e-12, abs_tol=1e-12):
                 raise ValidationError(

@@ -105,11 +105,14 @@ class Discretization:
 
 
 def default_discretization(budgets: Budgets) -> Discretization:
-    """Budget-proportional grid, about DEFAULT_GRID_UNITS units per axis."""
+    """Budget-proportional grid, about DEFAULT_GRID_UNITS units per axis.
 
-    dt = budgets.t_max_s / DEFAULT_GRID_UNITS if budgets.t_max_s > 0 else 1.0
-    de = budgets.e_max_j / DEFAULT_GRID_UNITS if budgets.e_max_j > 0 else 1.0
-    return Discretization(dt_s=dt, de_j=de)
+    A unit that would be 0, for a zero budget or a subnormal one whose
+    quotient underflows, is 1 instead: that budget holds no unit either way.
+    """
+
+    return Discretization(dt_s=budgets.t_max_s / DEFAULT_GRID_UNITS or 1.0,
+                          de_j=budgets.e_max_j / DEFAULT_GRID_UNITS or 1.0)
 
 
 def cost_units(value, unit: float, cap: float = math.inf):
@@ -149,13 +152,11 @@ def capacity_units(budget: float, unit: float) -> int:
 
 
 @dataclass(frozen=True)
-class SchedulePlan:
-    """An ordered stage assignment plus its predicted exact totals."""
+class SchedulePlan(CostTotals):
+    """An ordered stage assignment; its totals are the fsums of its stage costs."""
 
     stages: tuple[tuple[int, StageCost], ...]
     objective_bytes: int
-    t_total_s: float
-    e_total_j: float
     budgets: Budgets
     method: str
     discretization: Discretization | None = None
@@ -188,15 +189,14 @@ def _build_plan(
 
     picked = sorted(picked)
     plan = SchedulePlan(
+        totals.t_tran_s, totals.t_cmp_s, totals.e_total_j,
         stages=tuple(zip(fleet.ids[picked].tolist(), map(fleet.stage_cost, picked))),
         objective_bytes=sum(fleet.size_bytes[i] for i in picked),
-        t_total_s=totals.t_total_s,
-        e_total_j=totals.e_total_j,
         budgets=budgets,
         method=method,
         discretization=discretization,
     )
-    if not totals.fits(budgets):
+    if not plan.fits(budgets):
         raise RuntimeError(
             f"internal error: {method} produced an infeasible plan "
             f"(t={plan.t_total_s}, e={plan.e_total_j}, budgets={budgets})"

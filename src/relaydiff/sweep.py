@@ -2,13 +2,13 @@
 
 One row per (t_max, e_max, method, scenario seed). Rows are failure-free,
 so ``replans`` is always 0. A pipeline method's row carries its plan's own
-fsum totals, :func:`~relaydiff.cost_model.aggregate_costs` of its stages,
-which a failure-free simulation of the plan reproduces bit for bit; so the
-plan is not simulated. The split baseline is simulated, with a fair step
-count (the scenario's K times the stage count the DP method achieved in the
-same cell, so both execute the same number of denoising steps). Rows are
-sorted and floats formatted to 6 significant digits, which makes repeated
-sweeps with the same seeds byte-identical.
+totals (a plan is a :class:`~relaydiff.cost_model.CostTotals`, the fsums of
+its stage costs), which a failure-free simulation of the plan reproduces bit
+for bit; so the plan is not simulated. The split baseline is simulated, with
+a fair step count (the scenario's K times the stage count the DP method
+achieved in the same cell, so both execute the same number of denoising
+steps). Rows are sorted and floats formatted to 6 significant digits, which
+makes repeated sweeps with the same seeds byte-identical.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .baseline_split import SplitConfig, pick_split_pair, simulate_split
-from .cost_model import CostTotals, aggregate_costs, fleet_costs
+from .cost_model import CostTotals, fleet_costs
 from .errors import ConfigurationError, RelaydiffError, ValidationError
 from .quality import quality
 from .scenario import Scenario, generate_scenario
@@ -89,7 +89,8 @@ class SweepSpec:
 
 
 def _metrics(objective: int, quality_norm: float, n_stages: int, totals, feasible: bool) -> dict:
-    """The columns of a row after ``seed``; ``totals`` is a :class:`CostTotals` or a split trace."""
+    """The columns of a row after ``seed``; ``totals``, a :class:`CostTotals`, is a plan,
+    a split trace or no cost at all."""
 
     return {
         "objective_bytes": objective,
@@ -110,9 +111,8 @@ _IDLE = _metrics(0, 0.0, 0, CostTotals(0.0, 0.0, 0.0), True)
 
 
 def _pipeline_row(scenario: Scenario, plan, budgets: Budgets) -> dict:
-    totals = aggregate_costs(cost for _, cost in plan.stages)
     return _metrics(plan.objective_bytes, quality(plan, scenario).normalized, plan.n_stages,
-                    totals, totals.fits(budgets))
+                    plan, plan.fits(budgets))
 
 
 def _split_row(

@@ -80,6 +80,18 @@ def test_schedule_zero_budget_is_an_empty_plan_not_an_error(workdir, tmp_path):
     assert load_plan(out).stages == ()
 
 
+@pytest.mark.parametrize("budgets", [["5e-324", "200"], ["2.0", "5e-324"]], ids=["time", "energy"])
+def test_schedule_subnormal_budget_is_an_empty_plan_not_an_error(workdir, tmp_path, capsys, budgets):
+    # A budget over the default 200 units underflows to a 0.0 unit, which
+    # the default grid replaces with 1.0 as for a zero budget.
+    out = tmp_path / "empty.json"
+    t_max, e_max = budgets
+    code = main(["schedule", "-s", str(workdir / "s.json"), "--t-max", t_max, "--e-max", e_max,
+                 "-o", str(out)])
+    assert code == EXIT_OK, capsys.readouterr().err
+    assert load_plan(out).stages == ()
+
+
 def test_schedule_dt_requires_de(workdir, tmp_path):
     code = main([
         "schedule", "-s", str(workdir / "s.json"), "--t-max", "2.0", "--e-max", "200",

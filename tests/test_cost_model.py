@@ -29,6 +29,7 @@ from relaydiff import (
 )
 from relaydiff.cost_model import (
     CostTotals,
+    StageCost,
     aggregate_costs,
     fleet_costs,
     link_rate,
@@ -366,7 +367,9 @@ def test_fleet_costs_equal_stage_cost_for(scenario):
     available = sorted((dev for dev in scenario.devices if dev.available), key=lambda dev: dev.id)
     assert fleet.ids.tolist() == [dev.id for dev in available]
     costs = [stage_cost_for(scenario, dev) for dev in available]
+    assert fleet.costs.shape == (len(costs), len(StageCost._fields))
     for i, expected in enumerate(costs):
+        assert fleet.costs[i].tolist() == list(expected)
         assert fleet.stage_cost(i) == expected
         assert fleet.t_total_s[i] == expected.t_total()
         assert fleet.e_total_j[i] == expected.e_total()
@@ -377,6 +380,7 @@ def test_fleet_costs_equal_stage_cost_for(scenario):
     every_other = fleet.subset(np.arange(len(available)) % 2 == 0)
     assert every_other.ids.tolist() == [dev.id for dev in available[::2]]
     assert every_other.size_bytes == tuple(dev.variant.size_bytes for dev in available[::2])
+    assert every_other.costs.tolist() == fleet.costs[::2].tolist()
 
 
 # -- the scenario's device columns and its FleetCosts memo ------------------------
@@ -384,16 +388,16 @@ def test_fleet_costs_equal_stage_cost_for(scenario):
 
 def _fleet_fields(fleet):
     return (fleet.ids.tolist(), fleet.size_bytes,
-            [column.tolist() for column in (*fleet.phases(), fleet.t_total_s, fleet.e_total_j)])
+            [array.tolist() for array in (fleet.costs, fleet.t_total_s, fleet.e_total_j)])
 
 
 def test_fleet_costs_are_computed_once_per_scenario():
     scenario = generate_scenario(30, seed=4)
     fleet = fleet_costs(scenario)
     assert fleet_costs(scenario) is fleet
-    for column in (fleet.ids, *fleet.phases(), fleet.t_total_s, fleet.e_total_j):
+    for array in (fleet.ids, fleet.costs, fleet.t_total_s, fleet.e_total_j):
         with pytest.raises(ValueError, match="read-only"):
-            column[0] = 1
+            array[0] = 1
 
 
 def test_every_changed_copy_of_a_scenario_gets_fresh_costs():
@@ -411,7 +415,7 @@ def test_every_changed_copy_of_a_scenario_gets_fresh_costs():
     assert costs is not fleet and fleet_costs(scenario) is fleet
     assert costs.stage_cost(3) == stage_cost_for(overridden, overridden.device(3))
     assert costs.stage_cost(3) != fleet.stage_cost(3)
-    assert costs.t_down_s[3] == transfer_time(scenario.latent_bytes, 2.0**21)
+    assert costs.costs[3, 0] == transfer_time(scenario.latent_bytes, 2.0**21)
 
 
 def test_scenario_columns_cannot_be_written():

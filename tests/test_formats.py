@@ -12,13 +12,19 @@ import pytest
 
 from relaydiff import (
     Budgets,
+    CostTotals,
     FailureSpec,
+    RecoveryInfeasible,
     SweepSpec,
     ValidationError,
+    aggregate_costs,
     formats,
     generate_scenario,
+    pipeline,
     run_sweep,
     select_devices_dp,
+    select_devices_no_ds,
+    select_devices_oracle,
     simulate_pipeline,
 )
 from relaydiff.formats import PAIR, RATES, Nullable, Omittable
@@ -247,3 +253,38 @@ def test_sweep_simulates_no_pipeline_plan():
     # Pipeline rows carry their plans' own totals (tests/test_sweep.py checks
     # them against the simulator), so the sweep needs nothing from pipeline.
     assert "pipeline" not in _imported("sweep")
+
+
+def test_plans_and_traces_hold_their_own_totals_and_read_back_equal(tmp_path, monkeypatch):
+    replans, select_dp = [], pipeline._select_dp
+
+    def replan(*args):  # records every re-plan a recovery makes
+        replans.append(select_dp(*args))
+        return replans[-1]
+
+    monkeypatch.setattr(pipeline, "_select_dp", replan)
+    small = generate_scenario(12, seed=3)
+    plans = [select(small, Budgets(1.5, 150.0))
+             for select in (select_devices_dp, select_devices_no_ds, select_devices_oracle)]
+    world = generate_scenario(40, seed=1)
+    plans.append(select_devices_dp(world, Budgets(3.0, 300.0)))
+    traces = []
+    for seed in range(12):
+        try:
+            traces.append(simulate_pipeline(world, plans[-1], FailureSpec(per_stage_prob=0.3, rng_seed=seed)))
+        except RecoveryInfeasible as exc:
+            traces.append(exc.trace)
+    assert replans and {trace.completed for trace in traces} == {True, False}
+
+    path = tmp_path / "file.json"
+    loaded = []
+    for plan in plans + replans:
+        formats.save_plan(plan, path)
+        loaded.append(formats.load_plan(path))
+        assert loaded[-1] == plan
+    for plan in plans + replans + loaded:
+        assert CostTotals(plan.t_tran_s, plan.t_cmp_s, plan.e_total_j) == aggregate_costs(
+            cost for _, cost in plan.stages)
+    for trace in traces:
+        formats.save_trace(trace, path)
+        assert formats.load_trace(path) == trace

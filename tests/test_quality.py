@@ -46,7 +46,7 @@ def test_dp_beats_no_ds_strictly_on_fixture(three_device_scenario, fixture_budge
 def test_foreign_plan_is_rejected(three_device_scenario, fixture_budgets):
     zero = StageCost(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     foreign = SchedulePlan(
-        stages=((9, zero),), objective_bytes=0, t_total_s=0.0, e_total_j=0.0,
+        t_tran_s=0.0, t_cmp_s=0.0, e_total_j=0.0, stages=((9, zero),), objective_bytes=0,
         budgets=fixture_budgets, method="dp",
     )
     with pytest.raises(ConfigurationError, match=r"\[9\]"):
