@@ -1,8 +1,10 @@
 """Command-line harness.
 
-Subcommands cover the full workflow: generate a scenario, schedule it (DP,
-greedy baseline, or exhaustive oracle), simulate a plan with optional
-failures, run the split baseline, and sweep budget grids into CSV.
+Subcommands cover the full workflow: generate a scenario, schedule it with
+one of the scheduler's methods (DP, the greedy baseline, or the exhaustive
+oracle, taken from :data:`~relaydiff.scheduler.SELECTORS`), simulate a plan
+with optional failures, run the split baseline, and sweep budget grids into
+CSV.
 
 Exit codes: 0 success, 2 usage errors (argparse), 3 validation,
 configuration or file (OSError) errors, 4 infeasible recovery (the partial
@@ -18,22 +20,18 @@ import sys
 from pathlib import Path
 
 from .baseline_split import SplitConfig, pick_split_pair, simulate_split
+from .cost_model import fleet_costs
 from .errors import ConfigurationError, RecoveryInfeasible, ValidationError
 from .formats import load_plan, load_scenario, save_plan, save_scenario, save_trace, trace_summary
 from .pipeline import FailureSpec, simulate_pipeline
 from .quality import quality
 from .scenario import generate_scenario
-from .scheduler import (
-    Budgets,
-    Discretization,
-    select_devices_dp,
-    select_devices_no_ds,
-    select_devices_oracle,
-)
+from .scheduler import METHODS, SELECTORS, Budgets, Discretization
 from .sweep import (
     DEFAULT_E_MAX_GRID,
     DEFAULT_METHODS,
     DEFAULT_T_MAX_GRID,
+    SWEEP_METHODS,
     SweepSpec,
     run_sweep,
     save_rows_csv,
@@ -115,20 +113,17 @@ def cmd_gen_scenario(args) -> int:
     return EXIT_OK
 
 
-def _schedule_with(args, method: str) -> int:
+def cmd_schedule(args) -> int:
     scenario = load_scenario(args.scenario)
     budgets = _budgets_from(args)
-    if method == "dp":
-        disc = None
-        if args.dt is not None or args.de is not None:
-            if args.dt is None or args.de is None:
-                raise ConfigurationError("--dt and --de must be given together")
-            disc = Discretization(dt_s=args.dt, de_j=args.de)
-        plan = select_devices_dp(scenario, budgets, disc)
-    elif method == "oracle":
-        plan = select_devices_oracle(scenario, budgets)
-    else:
-        plan = select_devices_no_ds(scenario, budgets)
+    grid = ()  # DP's grid, the one argument a method takes past the budgets
+    if args.dt is not None or args.de is not None:
+        if args.method != "dp":
+            raise ConfigurationError("--dt and --de apply to --method dp only")
+        if args.dt is None or args.de is None:
+            raise ConfigurationError("--dt and --de must be given together")
+        grid = (Discretization(dt_s=args.dt, de_j=args.de),)
+    plan = SELECTORS[args.method](fleet_costs(scenario), budgets, *grid)
     save_plan(plan, args.out)
     score = quality(plan, scenario)
     print(
@@ -137,14 +132,6 @@ def _schedule_with(args, method: str) -> int:
         f"e_total_j={plan.e_total_j:.6g} out={args.out}"
     )
     return EXIT_OK
-
-
-def cmd_schedule(args) -> int:
-    return _schedule_with(args, args.method)
-
-
-def cmd_oracle(args) -> int:
-    return _schedule_with(args, "oracle")
 
 
 def cmd_simulate(args) -> int:
@@ -245,23 +232,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", "-o", required=True, help="output scenario JSON path")
     p.set_defaults(func=cmd_gen_scenario)
 
-    def add_schedule_args(p, with_method: bool):
-        p.add_argument("--scenario", "-s", required=True, help="scenario JSON path")
-        p.add_argument("--t-max", type=float, default=None, help="latency budget in seconds")
-        p.add_argument("--e-max", type=float, default=None, help="energy budget in joules")
-        if with_method:
-            p.add_argument("--method", choices=("dp", "no_ds", "oracle"), default="dp")
-            p.add_argument("--dt", type=float, default=None, help="DP time unit in seconds")
-            p.add_argument("--de", type=float, default=None, help="DP energy unit in joules")
-        p.add_argument("--out", "-o", required=True, help="output plan JSON path")
-
     p = sub.add_parser("schedule", help="select devices and write a plan")
-    add_schedule_args(p, with_method=True)
+    p.add_argument("--scenario", "-s", required=True, help="scenario JSON path")
+    p.add_argument("--t-max", type=float, default=None, help="latency budget in seconds")
+    p.add_argument("--e-max", type=float, default=None, help="energy budget in joules")
+    p.add_argument("--method", choices=METHODS, default="dp",
+                   help="oracle is exhaustive, for small fleets")
+    p.add_argument("--dt", type=float, default=None, help="DP time unit in seconds")
+    p.add_argument("--de", type=float, default=None, help="DP energy unit in joules")
+    p.add_argument("--out", "-o", required=True, help="output plan JSON path")
     p.set_defaults(func=cmd_schedule)
-
-    p = sub.add_parser("oracle", help="exhaustive optimal plan (small fleets)")
-    add_schedule_args(p, with_method=False)
-    p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("simulate", help="execute a plan, optionally with failures")
     p.add_argument("--scenario", "-s", required=True)
@@ -302,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--e-grid", type=_parse_grid, default=DEFAULT_E_MAX_GRID,
                    help="comma-separated e_max values")
     p.add_argument("--methods", type=_parse_methods, default=DEFAULT_METHODS,
-                   help="comma-separated subset of dp,no_ds,oracle,split")
+                   help=f"comma-separated subset of {','.join(SWEEP_METHODS)}")
     p.add_argument("--reps", type=int, default=1, help="repetitions with distinct seeds")
     p.add_argument("--out", "-o", required=True, help="output CSV path")
     p.add_argument("--format", choices=("csv", "json"), default="csv")

@@ -256,7 +256,15 @@ def plan_from_dict(data: dict) -> SchedulePlan:
     check_totals(data, (("t_total_s", totals.t_total_s), ("e_total_j", totals.e_total_j)),
                  "stage costs", "plan")
     del fields["t_total_s"], fields["e_total_j"]
-    return SchedulePlan(totals.t_tran_s, totals.t_cmp_s, totals.e_total_j, **fields)
+    plan = SchedulePlan(totals.t_tran_s, totals.t_cmp_s, totals.e_total_j, **fields)
+    # Every plan the package writes fits its own budgets; simulate's budget
+    # overrides judge the run, never the plan.
+    if not plan.fits(plan.budgets):
+        raise ValidationError(
+            f"plan.budgets: the stage costs' totals (t_total_s {plan.t_total_s}, e_total_j "
+            f"{plan.e_total_j}) do not fit t_max_s {plan.budgets.t_max_s}, e_max_j {plan.budgets.e_max_j}"
+        )
+    return plan
 
 
 # The methods a trace may name: a plan's, or the split baseline's.

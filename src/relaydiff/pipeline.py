@@ -5,8 +5,10 @@ the stage's device, let it run its K denoising steps, receive the result, and
 checkpoint it. Devices can fail in any single phase, injected or drawn at
 random. A failed phase still costs its full latency and energy (the failure
 surfaces when the phase should have finished); everything after the last
-checkpoint is lost, the device is retired, and the scheduler is re-invoked
-over the surviving pool and the residual budgets to plan the continuation.
+checkpoint is lost, the device is retired, and the plan's own method
+(:data:`~relaydiff.scheduler.SELECTORS`) is run again over the surviving
+pool and the residual budgets to plan the continuation; DP does so on the
+default grid over the residual budgets.
 If re-planning comes back empty while work remains, the run aborts with
 :class:`RecoveryInfeasible` carrying the partial trace.
 
@@ -28,7 +30,7 @@ import numpy as np
 from .cost_model import CostTotals, StageCost, fleet_costs
 from .errors import ConfigurationError, LineageError, RecoveryInfeasible, ValidationError
 from .scenario import STAGE_PHASES, TRANSFER_PHASES, Scenario, _is_device_id
-from .scheduler import Budgets, SchedulePlan, _select_dp
+from .scheduler import SELECTORS, Budgets, SchedulePlan
 
 EVENT_KINDS = ("download", "compute", "upload", "checkpoint", "failure", "replan")
 MARKER_KINDS = ("checkpoint", "failure", "replan")
@@ -231,9 +233,10 @@ def simulate_pipeline(
     scenario marks available (:func:`check_stages`), so a plan made for
     another scenario raises ValidationError, and a world with any available
     device that cannot be costed raises ConfigurationError, as a selector
-    would. Every re-plan of the run selects on a subset of the scenario's
-    :class:`~relaydiff.cost_model.FleetCosts`, without the used and failed
-    devices.
+    would. Every re-plan of the run selects with ``plan.method`` on a
+    subset of the scenario's :class:`~relaydiff.cost_model.FleetCosts`,
+    without the used and failed devices, so an oracle plan on a fleet over
+    the oracle's device guard raises its ConfigurationError there.
     """
 
     budgets = plan.budgets if budgets is None else budgets
@@ -290,7 +293,7 @@ def simulate_pipeline(
             e_max_j=max(budgets.e_max_j - spent.e_total_j, 0.0),
         )
         pool = fleet.subset(np.array([dev_id not in retired for dev_id in fleet.ids.tolist()]))
-        new_plan = _select_dp(pool, residual)
+        new_plan = SELECTORS[plan.method](pool, residual)
         replans += 1
         timeline.emit("replan", None, 0.0, 0)
         if not new_plan.stages:

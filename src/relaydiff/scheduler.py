@@ -30,6 +30,12 @@ variants' byte sizes. Three methods share one plan type:
 * :func:`select_devices_no_ds`: no device selection. Admits devices in
   ascending id order while the running exact totals fit, stops at the first
   misfit.
+
+Each public function is its method's body applied to the scenario's
+:func:`~relaydiff.cost_model.fleet_costs`. :data:`SELECTORS` maps each
+method name to that body, which takes a fleet's costs and the budgets, and
+is the one map from name to method: the CLI, the sweep and recovery all
+select through it, so a run re-plans with the method that planned it.
 """
 
 from __future__ import annotations
@@ -46,8 +52,6 @@ import numpy as np
 from .cost_model import CostTotals, FleetCosts, StageCost, fleet_costs
 from .errors import ConfigurationError, ValidationError
 from .scenario import Scenario
-
-METHODS = ("dp", "oracle", "no_ds")
 
 # Default grid: budgets map to about 200 units per axis.
 DEFAULT_GRID_UNITS = 200
@@ -228,7 +232,12 @@ def _greedy_count(fleet: FleetCosts, budgets: Budgets) -> int:
 def select_devices_no_ds(scenario: Scenario, budgets: Budgets) -> SchedulePlan:
     """Baseline without device selection: first devices that happen to fit."""
 
-    fleet = fleet_costs(scenario)
+    return _select_no_ds(fleet_costs(scenario), budgets)
+
+
+def _select_no_ds(fleet: FleetCosts, budgets: Budgets) -> SchedulePlan:
+    """:func:`select_devices_no_ds` over the devices and stage costs of ``fleet``."""
+
     picked = range(_greedy_count(fleet, budgets))
     return _build_plan(fleet, picked, fleet.totals(picked), budgets, "no_ds", None)
 
@@ -793,7 +802,12 @@ def select_devices_oracle(scenario: Scenario, budgets: Budgets) -> SchedulePlan:
     lexicographically smallest id tuple (positions ascend with ids).
     """
 
-    fleet = fleet_costs(scenario)
+    return _select_oracle(fleet_costs(scenario), budgets)
+
+
+def _select_oracle(fleet: FleetCosts, budgets: Budgets) -> SchedulePlan:
+    """:func:`select_devices_oracle` over the devices and stage costs of ``fleet``."""
+
     n = len(fleet.ids)
     if n > ORACLE_MAX_DEVICES:
         raise ConfigurationError(
@@ -830,3 +844,8 @@ def select_devices_oracle(scenario: Scenario, budgets: Budgets) -> SchedulePlan:
 
     extend(0, 0.0, 0.0, 0)
     return _build_plan(fleet, best, fleet.totals(best), budgets, "oracle", None)
+
+
+# Each method's selector, called as selector(fleet, budgets) (see the module docstring).
+SELECTORS = {"dp": _select_dp, "oracle": _select_oracle, "no_ds": _select_no_ds}
+METHODS = tuple(SELECTORS)

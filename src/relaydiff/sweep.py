@@ -1,10 +1,12 @@
 """Budget sweeps comparing selection methods, emitted as flat CSV rows.
 
 One row per (t_max, e_max, method, scenario seed). Rows are failure-free,
-so ``replans`` is always 0. A pipeline method's row carries its plan's own
-totals (a plan is a :class:`~relaydiff.cost_model.CostTotals`, the fsums of
-its stage costs), which a failure-free simulation of the plan reproduces bit
-for bit; so the plan is not simulated. The split baseline is simulated, with
+so ``replans`` is always 0. A pipeline method's plan comes from
+:data:`~relaydiff.scheduler.SELECTORS` over the world's fleet costs, and its
+row carries the plan's own totals (a plan is a
+:class:`~relaydiff.cost_model.CostTotals`, the fsums of its stage costs),
+which a failure-free simulation of the plan reproduces bit for bit; so the
+plan is not simulated. The split baseline is simulated, with
 a fair step count (the scenario's K times the stage count the DP method
 achieved in the same cell, so both execute the same number of denoising
 steps). Rows are sorted and floats formatted to 6 significant digits, which
@@ -21,14 +23,9 @@ from .cost_model import CostTotals, fleet_costs
 from .errors import ConfigurationError, RelaydiffError, ValidationError
 from .quality import quality
 from .scenario import Scenario, generate_scenario
-from .scheduler import (
-    Budgets,
-    select_devices_dp,
-    select_devices_no_ds,
-    select_devices_oracle,
-)
+from .scheduler import METHODS, SELECTORS, Budgets
 
-SWEEP_METHODS = ("dp", "no_ds", "oracle", "split")
+SWEEP_METHODS = METHODS + ("split",)
 
 DEFAULT_T_MAX_GRID = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
 DEFAULT_E_MAX_GRID = (50.0, 100.0, 150.0, 200.0, 250.0, 300.0)
@@ -50,13 +47,6 @@ CSV_COLUMNS = (
     "feasible",
     "replans",
 )
-
-_SELECTORS = {
-    "dp": select_devices_dp,
-    "no_ds": select_devices_no_ds,
-    "oracle": select_devices_oracle,
-}
-
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -172,16 +162,16 @@ def run_sweep(
         # aborts the sweep with that error, whatever the methods. The split
         # pick scores per-step latency only, so one pick serves every cell;
         # without two available devices there is no pair.
-        candidates = len(fleet_costs(world).ids)
+        fleet = fleet_costs(world)
         try:
-            pair = pick_split_pair(world) if "split" in spec.methods and candidates > 1 else None
+            pair = pick_split_pair(world) if "split" in spec.methods and len(fleet.ids) > 1 else None
         except RelaydiffError as exc:
             pair = exc  # only the split cells that would run a pair fail
         for t_max in spec.t_max_grid:
             for e_max in spec.e_max_grid:
                 budgets = Budgets(t_max_s=t_max, e_max_j=e_max)
                 try:
-                    dp_plan = select_devices_dp(world, budgets)
+                    dp_plan = SELECTORS["dp"](fleet, budgets)
                 except RelaydiffError:
                     dp_plan = None
                 for method in spec.methods:
@@ -190,10 +180,9 @@ def run_sweep(
                             raise ConfigurationError("dp plan unavailable for this cell")
                         if method == "split":
                             metrics = _split_row(world, budgets, dp_plan.n_stages, pair)
-                        elif method == "dp":
-                            metrics = _pipeline_row(world, dp_plan, budgets)
                         else:
-                            metrics = _pipeline_row(world, _SELECTORS[method](world, budgets), budgets)
+                            plan = dp_plan if method == "dp" else SELECTORS[method](fleet, budgets)
+                            metrics = _pipeline_row(world, plan, budgets)
                     except RelaydiffError:
                         # A failing cell becomes an infeasible row, never an abort.
                         metrics = {**_IDLE, "feasible": False}

@@ -9,9 +9,10 @@ corpus:
   devices on the default grid, and 40 on a 1000x1000 grid;
 * DP plans of a 40-device world over the default sweep budgets;
 * no_ds and oracle plans of 12- and 16-device worlds;
-* traces of the 40-device seed-1 world's 3 s / 300 J DP plan: failure-free,
-  with injected failures, and with failures drawn at 0.3 per stage, whose
-  partial traces (``RecoveryInfeasible``) are written too;
+* traces of the 40-device seed-1 world's 3 s / 300 J DP plan, and of the
+  2 s / 200 J no_ds and oracle plans of a 12- and a 16-device world:
+  failure-free, with injected failures, and with failures drawn at 0.3 per
+  stage, whose partial traces (``RecoveryInfeasible``) are written too;
 * split-baseline traces of the same world;
 * ``relaydiff sweep --methods dp,no_ds,oracle,split`` CSVs.
 
@@ -45,6 +46,7 @@ AREA_M = (500.0, 500.0)
 PLAN_COLD_BUDGETS = [(t_max, e_max) for t_max in (1.0, 2.0, 3.0) for e_max in (100.0, 200.0, 300.0)]
 SMALL_BUDGETS = [(0.5, 50.0), (1.0, 100.0), (1.5, 300.0), (3.0, 100.0), (3.0, 300.0)]
 CHURN_BUDGETS = rd.Budgets(t_max_s=3.0, e_max_j=300.0)
+SMALL_RUN_BUDGETS = rd.Budgets(t_max_s=2.0, e_max_j=200.0)
 SWEEP_METHODS = "dp,no_ds,oracle,split"
 
 
@@ -75,11 +77,10 @@ def _plans():
             yield f"oracle n={n} seed={seed} t_max={t_max} e_max={e_max}", rd.select_devices_oracle(world, budgets)
 
 
-def _traces():
-    """(key, trace) of every trace of the corpus, partial ones included."""
+def _runs(world, plan, drawn: int):
+    """(name, trace) of ``plan``'s runs on ``world``: failure-free, injected
+    failures, and failures drawn at 0.3 per stage with ``drawn`` seeds."""
 
-    world = rd.generate_scenario(40, AREA_M, seed=1)
-    plan = rd.select_devices_dp(world, CHURN_BUDGETS)
     first, last = plan.device_ids[0], plan.device_ids[-1]
     failures = [("no failures", rd.NO_FAILURES)]
     failures += [(f"injected {first}:{phase}", rd.FailureSpec(injected=((first, phase),)))
@@ -87,13 +88,26 @@ def _traces():
     failures.append((f"injected {first}:compute {last}:upload",
                      rd.FailureSpec(injected=((first, "compute"), (last, "upload")))))
     failures += [(f"fail-prob 0.3 fail-seed {seed}", rd.FailureSpec(per_stage_prob=0.3, rng_seed=seed))
-                 for seed in range(30)]
+                 for seed in range(drawn)]
     for name, spec in failures:
         try:
-            trace = rd.simulate_pipeline(world, plan, spec)
+            yield name, rd.simulate_pipeline(world, plan, spec)
         except rd.RecoveryInfeasible as exc:
-            trace = exc.trace
+            yield name, exc.trace
+
+
+def _traces():
+    """(key, trace) of every trace of the corpus, partial ones included."""
+
+    world = rd.generate_scenario(40, AREA_M, seed=1)
+    plan = rd.select_devices_dp(world, CHURN_BUDGETS)
+    for name, trace in _runs(world, plan, 30):
         yield f"simulate seed=1 t_max=3.0 e_max=300.0 {name}", trace
+    for n, seed in ((12, 0), (16, 1)):
+        small = rd.generate_scenario(n, AREA_M, seed=seed)
+        for method, select in (("no_ds", rd.select_devices_no_ds), ("oracle", rd.select_devices_oracle)):
+            for name, trace in _runs(small, select(small, SMALL_RUN_BUDGETS), 6):
+                yield f"simulate {method} n={n} seed={seed} t_max=2.0 e_max=200.0 {name}", trace
     pair = rd.pick_split_pair(world)
     for steps, phi in ((pair.n_steps * plan.n_stages, 0.5), (pair.n_steps, 0.25)):
         config = rd.SplitConfig(pair.device_a_id, pair.device_b_id, phi, steps)

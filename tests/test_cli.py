@@ -100,12 +100,31 @@ def test_schedule_dt_requires_de(workdir, tmp_path):
     assert code == EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("method", ["no_ds", "oracle"])
+def test_schedule_grid_applies_to_dp_only(workdir, tmp_path, capsys, method):
+    out = tmp_path / "p.json"
+    code = main([
+        "schedule", "--method", method, "-s", str(workdir / "s.json"), "--t-max", "2.0",
+        "--e-max", "200", "--dt", "0.01", "--de", "1", "-o", str(out),
+    ])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: --dt and --de apply to --method dp only\n"
+    assert not out.exists()
+
+
+def test_the_oracle_subcommand_is_gone(workdir, tmp_path):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["oracle", "-s", str(workdir / "s.json"), "--t-max", "2.0", "--e-max", "200",
+              "-o", str(tmp_path / "oracle.json")])
+    assert excinfo.value.code == EXIT_USAGE
+
+
 def test_oracle_bounded_on_twenty_devices(workdir, tmp_path):
     # Up to 2^20 subsets, walked depth first; documented as well under a second
     started = time.perf_counter()
     code = main([
-        "oracle", "-s", str(workdir / "s.json"), "--t-max", "2.0", "--e-max", "200",
-        "-o", str(tmp_path / "oracle.json"),
+        "schedule", "--method", "oracle", "-s", str(workdir / "s.json"), "--t-max", "2.0",
+        "--e-max", "200", "-o", str(tmp_path / "oracle.json"),
     ])
     elapsed = time.perf_counter() - started
     assert code == EXIT_OK
@@ -352,6 +371,48 @@ def test_simulate_a_plan_with_a_changed_objective_exits_3(workdir, tmp_path, cap
     assert not out.exists()
 
 
+def test_simulate_a_plan_that_misses_its_own_budgets_exits_3(workdir, tmp_path, capsys):
+    assert main(["schedule", "-s", str(workdir / "s.json"), "--t-max", "3.0", "--e-max", "300",
+                 "-o", str(tmp_path / "p.json")]) == EXIT_OK
+    plan = load_plan(tmp_path / "p.json")
+    assert plan.t_total_s > 1
+    data = json.loads((tmp_path / "p.json").read_text())
+    data["budgets"]["t_max_s"] = 1
+    (tmp_path / "p.json").write_text(json.dumps(data))
+    expected = (f"error: plan.budgets: the stage costs' totals (t_total_s {plan.t_total_s}, "
+                f"e_total_j {plan.e_total_j}) do not fit t_max_s 1.0, e_max_j 300.0\n")
+    # Budget overrides judge the run; the plan is checked against its own budgets.
+    for overrides in ([], ["--t-max", "5"]):
+        out = tmp_path / "trace.json"
+        code = main(["simulate", "-s", str(workdir / "s.json"), "-p", str(tmp_path / "p.json"),
+                     *overrides, "-o", str(out)])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == expected
+        assert not out.exists()
+
+
+def test_a_tampered_oracle_plan_on_forty_devices_exits_3_at_its_first_replan(tmp_path, capsys):
+    # Only an edited file can claim the oracle on a fleet over its guard; a
+    # run re-plans with the plan's own method, so the guard refuses there.
+    world, plan = tmp_path / "s.json", tmp_path / "p.json"
+    assert main(["gen-scenario", "-n", "40", "--seed", "1", "-o", str(world)]) == EXIT_OK
+    assert main(["schedule", "-s", str(world), "--t-max", "3", "--e-max", "300",
+                 "-o", str(plan)]) == EXIT_OK
+    data = json.loads(plan.read_text())
+    data.update(method="oracle", discretization=None)
+    plan.write_text(json.dumps(data))
+    first = data["stages"][0]["device_id"]
+    assert main(["simulate", "-s", str(world), "-p", str(plan)]) == EXIT_OK
+    capsys.readouterr()
+    out = tmp_path / "trace.json"
+    code = main(["simulate", "-s", str(world), "-p", str(plan), "--fail", f"{first}:compute",
+                 "-o", str(out)])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        "error: oracle enumeration over 39 devices exceeds the 25-device guard\n")
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def silent_world(tmp_path_factory):
     """A world so wide that every device's link rate underflows to 0 bit/s."""
@@ -367,7 +428,7 @@ def silent_world(tmp_path_factory):
     ["sweep", "--methods", "dp,no_ds", "-o", "rows.csv"],
     ["schedule", "--t-max", "3", "--e-max", "300", "-o", "p.json"],
     ["schedule", "--method", "no_ds", "--t-max", "3", "--e-max", "300", "-o", "p.json"],
-    ["oracle", "--t-max", "3", "--e-max", "300", "-o", "p.json"],
+    ["schedule", "--method", "oracle", "--t-max", "3", "--e-max", "300", "-o", "p.json"],
 ], ids=["split", "sweep", "sweep-dp-no_ds", "schedule", "no_ds", "oracle"])
 def test_zero_link_rate_exits_3_naming_the_device(silent_world, tmp_path, monkeypatch, capsys,
                                                   command):

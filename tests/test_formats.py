@@ -20,8 +20,8 @@ from relaydiff import (
     aggregate_costs,
     formats,
     generate_scenario,
-    pipeline,
     run_sweep,
+    scheduler,
     select_devices_dp,
     select_devices_no_ds,
     select_devices_oracle,
@@ -212,6 +212,7 @@ def test_the_docs_quote_what_the_loaders_raise(saved):
         ("plan", lambda data: data.pop("method")),
         ("trace", lambda data: data.update(method="xyz")),
         ("plan", lambda data: data["stages"].__setitem__(1, [])),
+        ("plan", lambda data: data["budgets"].update(t_max_s=1)),
     ]
     raised = []
     for name, tamper in faults:
@@ -256,13 +257,13 @@ def test_sweep_simulates_no_pipeline_plan():
 
 
 def test_plans_and_traces_hold_their_own_totals_and_read_back_equal(tmp_path, monkeypatch):
-    replans, select_dp = [], pipeline._select_dp
+    replans, select_dp = [], scheduler.SELECTORS["dp"]
 
-    def replan(*args):  # records every re-plan a recovery makes
+    def replan(*args):  # records every re-plan a DP run's recovery makes
         replans.append(select_dp(*args))
         return replans[-1]
 
-    monkeypatch.setattr(pipeline, "_select_dp", replan)
+    monkeypatch.setitem(scheduler.SELECTORS, "dp", replan)
     small = generate_scenario(12, seed=3)
     plans = [select(small, Budgets(1.5, 150.0))
              for select in (select_devices_dp, select_devices_no_ds, select_devices_oracle)]

@@ -26,6 +26,8 @@ from relaydiff import (
     mark_unavailable,
     save_trace,
     select_devices_dp,
+    select_devices_no_ds,
+    select_devices_oracle,
     simulate_pipeline,
     trace_summary,
 )
@@ -344,6 +346,11 @@ def test_trace_loader_recounts_stages_and_replans(recovery_scenario, recovery_bu
         assert str(info.value) == f"trace.completed: {completed} inconsistent with events ({not completed})"
 
 
+# Each plan method's public selector, spelled out apart from the scheduler's table.
+_REFERENCE_SELECTORS = {"dp": select_devices_dp, "no_ds": select_devices_no_ds,
+                        "oracle": select_devices_oracle}
+
+
 budget_ulps = st.sampled_from([0, 1, 2, 64])
 
 
@@ -361,14 +368,15 @@ def _ulps_above(value, count):
     rng_seed=st.integers(min_value=0, max_value=10**6),
     t_ulps=budget_ulps,
     e_ulps=budget_ulps,
+    method=st.sampled_from(sorted(_REFERENCE_SELECTORS)),
 )
 def test_recovery_stays_within_budgets_near_exhaustion(
-    world, n_devices, per_stage_prob, rng_seed, t_ulps, e_ulps
+    world, n_devices, per_stage_prob, rng_seed, t_ulps, e_ulps, method
 ):
     # Budgets at or a few ulps above the plan's own totals leave re-plans
     # residual budgets near zero, where a 1-ulp fsum split would show.
     scenario = generate_scenario(n_devices, seed=world)
-    plan = select_devices_dp(scenario, Budgets(3.0, 300.0))
+    plan = _REFERENCE_SELECTORS[method](scenario, Budgets(3.0, 300.0))
     budgets = Budgets(_ulps_above(plan.t_total_s, t_ulps), _ulps_above(plan.e_total_j, e_ulps))
     failures = FailureSpec(per_stage_prob=per_stage_prob, rng_seed=rng_seed)
     try:
@@ -397,10 +405,10 @@ def test_timeline_accounts_by_kind_and_keeps_nonzero_energy():
 
 
 def _reference_run(scenario, plan, failures):
-    """The recovery rule, spelled out: after each failure, ``select_devices_dp``
-    plans the residual budgets on a copy of the scenario whose used and
-    failed devices are marked unavailable. Returns the trace and whether the
-    run completed."""
+    """The recovery rule, spelled out: after each failure, the public selector
+    of ``plan.method`` plans the residual budgets on a copy of the scenario
+    whose used and failed devices are marked unavailable (DP on its default
+    grid). Returns the trace and whether the run completed."""
 
     rng = np.random.default_rng(failures.rng_seed)
     timeline = Timeline()
@@ -429,7 +437,8 @@ def _reference_run(scenario, plan, failures):
         spent = timeline.totals()
         residual = Budgets(max(plan.budgets.t_max_s - spent.t_total_s, 0.0),
                            max(plan.budgets.e_max_j - spent.e_total_j, 0.0))
-        queue = list(select_devices_dp(mark_unavailable(scenario, retired), residual).stages)
+        select = _REFERENCE_SELECTORS[plan.method]
+        queue = list(select(mark_unavailable(scenario, retired), residual).stages)
         replans += 1
         timeline.emit("replan", None, 0.0, 0)
         if not queue:
@@ -452,20 +461,25 @@ def _churn_worlds():
 
 @pytest.mark.parametrize("name, scenario", list(_churn_worlds()))
 def test_recovery_replans_as_the_reference_rule(name, scenario):
-    plan = select_devices_dp(scenario, Budgets(3.0, 300.0))
-    assert plan.stages
-    replans = 0
-    for rng_seed in range(25):
-        failures = FailureSpec(per_stage_prob=0.4, rng_seed=rng_seed)
-        expected, completed = _reference_run(scenario, plan, failures)
-        if completed:
-            assert simulate_pipeline(scenario, plan, failures) == expected
-        else:
-            with pytest.raises(RecoveryInfeasible) as info:
-                simulate_pipeline(scenario, plan, failures)
-            assert info.value.trace == expected
-        replans += expected.replans
-    assert replans > 0
+    # Every method's run re-plans with that method.
+    for method, select in _REFERENCE_SELECTORS.items():
+        plan = select(scenario, Budgets(3.0, 300.0))
+        # Alone among these plans, no_ds's is empty on overrides-0: its first
+        # device misses the budgets.
+        assert plan.method == method
+        assert bool(plan.stages) is not ((name, method) == ("overrides-0", "no_ds"))
+        replans = 0
+        for rng_seed in range(25):
+            failures = FailureSpec(per_stage_prob=0.4, rng_seed=rng_seed)
+            expected, completed = _reference_run(scenario, plan, failures)
+            if completed:
+                assert simulate_pipeline(scenario, plan, failures) == expected
+            else:
+                with pytest.raises(RecoveryInfeasible) as info:
+                    simulate_pipeline(scenario, plan, failures)
+                assert info.value.trace == expected
+            replans += expected.replans
+        assert replans > 0 or not plan.stages
 
 
 _NOT_GIVEN = object()
