@@ -14,10 +14,15 @@ corpus:
   failure-free, with injected failures, and with failures drawn at 0.3 per
   stage, whose partial traces (``RecoveryInfeasible``) are written too;
 * split-baseline traces of the same world;
-* ``relaydiff sweep --methods dp,no_ds,oracle,split`` CSVs.
+* ``relaydiff sweep --methods dp,no_ds,oracle,split`` CSVs;
+* the picks of seeded random ``knapsack_2d`` instances, or the message it
+  refuses one with (the digest of that JSON list or that text): zero costs,
+  costs over a capacity, slack axes, zero sizes and sizes from 1 to past
+  2**63, plus a few tables just over ``MAX_DP_BYTES`` and value bounds on
+  either side of 64 bits.
 
 ``tests/test_golden.py`` recomputes every entry and also counts which DP
-table each plan filled, through ``reduce_knapsack``. The digests depend on
+table each plan and each kernel instance filled, through ``reduce_knapsack``. The digests depend on
 libm's ``log2`` and ``pow`` (the link rates), so they hold on hosts whose
 libm rounds as the one that wrote them. Rewrite the file only with an output
 change that CHANGES.md states; from the repository root:
@@ -32,9 +37,12 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 import relaydiff as rd
 from relaydiff import scheduler
@@ -48,6 +56,8 @@ SMALL_BUDGETS = [(0.5, 50.0), (1.0, 100.0), (1.5, 300.0), (3.0, 100.0), (3.0, 30
 CHURN_BUDGETS = rd.Budgets(t_max_s=3.0, e_max_j=300.0)
 SMALL_RUN_BUDGETS = rd.Budgets(t_max_s=2.0, e_max_j=200.0)
 SWEEP_METHODS = "dp,no_ds,oracle,split"
+KERNEL_INSTANCES = 2000
+PROFILE_SIZES = [10**9 * bits // 8 for bits in (4, 8, 16, 32)]
 
 
 def _plans():
@@ -123,6 +133,71 @@ def _sweep_args():
     yield ["-n", "8", "--seed", "44", "--reps", "2", "--t-grid", "0.5,2,4", "--e-grid", "20,150,400"]
 
 
+def _kernel_instance(seed: int):
+    """The ``knapsack_2d`` arguments of random instance ``seed``, and its kind."""
+
+    rng = random.Random(seed)
+    n = rng.randint(0, 30)
+    size_kind = rng.choice(("small", "profile", "wide", "huge"))
+    if size_kind == "small":
+        sizes = [rng.randint(0, 9) for _ in range(n)]
+    elif size_kind == "profile":
+        sizes = [rng.choice(PROFILE_SIZES) for _ in range(n)]
+    elif size_kind == "wide":
+        sizes = [rng.randint(1, 10**12) for _ in range(n)]
+    else:  # from 2**56 to past 2**73, most with a large gcd
+        shift = rng.randint(56, 70)
+        sizes = [rng.randint(1, 9) << shift | (rng.random() < 0.1) for _ in range(n)]
+    sizes = [0 if rng.random() < 0.05 else size for size in sizes]
+    units, caps, kinds = [], [], []
+    for axis in "te":
+        if rng.random() < 0.2:  # slack: every subset fits this axis
+            costs = [rng.randint(0, 3) for _ in range(n)]
+            cap = sum(costs) + rng.randint(0, 2)
+            kinds.append(f"slack-{axis}")
+        else:
+            cap = rng.choice((0, rng.randint(1, 12), rng.randint(13, 120), rng.randint(13, 120)))
+            costs = [0 if (r := rng.random()) < 0.1 else cap + rng.randint(1, 9) if r > 0.95
+                     else rng.randint(1, max(1, cap // rng.choice((2, 4, 8)))) for _ in range(n)]
+        units.append(np.array(costs, dtype=np.int64))
+        caps.append(cap)
+    kind = " ".join([f"n={n}", f"sizes={size_kind}", *kinds])
+    return kind, (*units, sizes, *caps)
+
+
+def _kernel_limits():
+    """(kind, arguments) of instances at the kernel's byte and 64-bit limits."""
+
+    # Three devices on two live axes, of which only the first two fit both
+    # together, with a value bound of 16 or more energy units, so the grid
+    # is the table. On 17 energy cells it (one take-bit plane, one shift byte
+    # and two uint8 value layers per cell) needs 4 * 17 * (cap_t + 1) bytes,
+    # 4 over the limit at cap_t + 1 = 2**28 // 17 + 1. One time cell less
+    # would allocate the limit.
+    for cap_t in (2**28 // 17, 2**28 // 17 + 1000):
+        q = cap_t // 10
+        yield (f"bytes cap_t={cap_t}",
+               (np.array([6 * q, q, 5 * q]), np.array([2, 10, 8]), [7, 7, 20], cap_t, 16))
+    # Two devices that fit together: the value bound is the sum of their
+    # sizes, whose gcd is 1, on either side of 2**64.
+    for sizes in ([2**63, 2**63 - 1], [2**63 + 1, 2**63 - 1], [2**63, 2**63 + 1]):
+        yield (f"value bound={sum(sizes)}",
+               (np.array([1, 2]), np.array([2, 1]), sizes, 3, 3))
+
+
+def _kernel_picks():
+    """(key, text) of each kernel instance: its picks as JSON, or its refusal."""
+
+    instances = [(f"seed={seed} {kind}", args) for seed in range(KERNEL_INSTANCES)
+                 for kind, args in [_kernel_instance(seed)]]
+    for name, args in instances + list(_kernel_limits()):
+        try:
+            text = json.dumps(scheduler.knapsack_2d(*args))
+        except rd.ConfigurationError as exc:
+            text = f"refused: {exc}"
+        yield f"knapsack_2d {name}", text
+
+
 @contextlib.contextmanager
 def counted_tables(tables: collections.Counter):
     """Count in ``tables`` the DP table each ``reduce_knapsack`` call picks, while inside."""
@@ -145,11 +220,18 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def digests(tables: collections.Counter | None = None) -> dict[str, str]:
-    """The digest of every input of the corpus, by key; ``tables`` counts the DP tables filled."""
+def digests(tables: dict | None = None) -> dict[str, str]:
+    """The digest of every input of the corpus, by key.
 
+    ``tables["plans"]`` counts the DP tables the plans, traces and sweeps
+    filled, and ``tables["knapsack_2d"]`` those the kernel instances filled,
+    with ``"refused"`` for each instance refused.
+    """
+
+    if tables is None:
+        tables = {"plans": collections.Counter(), "knapsack_2d": collections.Counter()}
     entries = {}
-    with tempfile.TemporaryDirectory() as tmp, counted_tables(collections.Counter() if tables is None else tables):
+    with tempfile.TemporaryDirectory() as tmp, counted_tables(tables["plans"]):
         path = Path(tmp) / "out"
         for key, plan in _plans():
             rd.save_plan(plan, path)
@@ -164,6 +246,10 @@ def digests(tables: collections.Counter | None = None) -> dict[str, str]:
             if code != 0:
                 raise RuntimeError(f"relaydiff {' '.join(argv)} exited {code}")
             entries[" ".join(["sweep", *args, "--methods", SWEEP_METHODS])] = _sha256(path)
+    with counted_tables(tables["knapsack_2d"]):
+        for key, text in _kernel_picks():
+            tables["knapsack_2d"]["refused"] += text.startswith("refused: ")
+            entries[key] = hashlib.sha256(text.encode()).hexdigest()
     return entries
 
 

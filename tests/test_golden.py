@@ -17,7 +17,7 @@ _spec.loader.exec_module(golden)
 
 
 def test_every_golden_digest_is_unchanged():
-    tables = collections.Counter()
+    tables = {"plans": collections.Counter(), "knapsack_2d": collections.Counter()}
     new = golden.digests(tables)
     old = json.loads(golden.DIGESTS.read_text())
     moved = [f"{key}\n  old {old.get(key)}\n  new {new.get(key)}"
@@ -26,4 +26,6 @@ def test_every_golden_digest_is_unchanged():
         print(f"{len(moved)} golden entries moved:", *moved, sep="\n")
     assert not moved, f"{len(moved)} golden entries moved, first: {moved[0]}"
     # Each DP table filled at least one plan of the corpus.
-    assert set(tables) == {"bits", "grid", "value"}, tables
+    assert set(tables["plans"]) == {"bits", "grid", "value"}, tables
+    # How many kernel instances each table filled, and how many were refused.
+    assert tables["knapsack_2d"] == {"bits": 1218, "grid": 553, "value": 67, "refused": 167}, tables
