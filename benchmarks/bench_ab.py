@@ -19,7 +19,8 @@ Each input does the work of one job of each workload relaybench gates:
 * recover-churn: on the fixed 40-device seed-1 world and its 3 s / 300 J DP
   plan, each written once by each side, ``load_scenario``, ``load_plan``,
   ``simulate_pipeline`` with a per-stage failure probability of 0.3 and a
-  per-input seed, ``save_trace`` and ``load_trace``. A run that finds no
+  per-input seed, ``save_trace`` and ``load_trace``. The trace file is
+  removed before each save, as relaybench removes it before each job. A run that finds no
   feasible continuation ends with its partial trace, as ``relaydiff
   simulate`` does with exit 4; that is an outcome like a recovered run.
 
@@ -87,17 +88,21 @@ def load_sides(base: Path, tmp: Path) -> dict:
 
 
 def record_tables(rd) -> list:
-    """A list to which ``rd``'s ``reduce_knapsack``, wrapped, appends the table of each reduction."""
+    """A list to which ``rd``'s ``reduce_knapsack``, wrapped, appends the table of each reduction.
 
-    scheduler, seen = rd.scheduler, []
-    reduce_knapsack = scheduler.reduce_knapsack
+    The kernel is wrapped in whichever module defines it: ``kernel``, or
+    ``scheduler`` in a checkout that predates ``kernel``.
+    """
+
+    module = rd.scheduler if hasattr(rd.scheduler, "reduce_knapsack") else rd.kernel
+    reduce_knapsack, seen = module.reduce_knapsack, []
 
     def recorded(*args):
         facts = reduce_knapsack(*args)
         seen.append(facts.table)
         return facts
 
-    scheduler.reduce_knapsack = recorded
+    module.reduce_knapsack = recorded
     return seen
 
 
@@ -179,6 +184,7 @@ def run_input(rd, files, seed: int, i: int, times: dict) -> dict:
     failures = rd.FailureSpec(per_stage_prob=FAIL_PROB, rng_seed=seed * 1_000_003 + i)
     completed, trace = timed(times["simulate_pipeline"],
                              lambda: simulate(rd, churn, churn_plan, failures))
+    trace_path.unlink(missing_ok=True)
     timed(times["save_trace"], lambda: rd.save_trace(trace, trace_path))
     loaded = timed(times["load_trace"], lambda: rd.load_trace(trace_path))
     formats = rd.formats

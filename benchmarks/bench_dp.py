@@ -43,7 +43,7 @@ import tracemalloc
 
 import numpy as np
 
-from relaydiff.scheduler import knapsack_2d, reduce_knapsack
+from relaydiff.kernel import knapsack_2d, reduce_knapsack
 
 PARAM_COUNT = 1_000_000_000
 SIZES = np.array([PARAM_COUNT * bits // 8 for bits in (4, 8, 16, 32)], dtype=np.int64)

@@ -23,7 +23,7 @@ from relaydiff import (
     Scenario,
     generate_scenario,
 )
-from relaydiff import scheduler
+from relaydiff import kernel
 
 # One latent is 2**18 bytes = 2**21 bits, so a 2**m bps link moves it in
 # exactly 2**(21 - m) seconds.
@@ -222,12 +222,12 @@ def table_calls(monkeypatch):
 
     calls = TableCalls()
     for name in ("_grid_dp", "_value_dp", "_bits_dp"):
-        fill = getattr(scheduler, name)
+        fill = getattr(kernel, name)
 
         def counted(*args, _fill=fill, _name=name):
             calls[_name] += 1
             calls.fills.append((_name, *args[3:5]))
             return _fill(*args)
 
-        monkeypatch.setattr(scheduler, name, counted)
+        monkeypatch.setattr(kernel, name, counted)
     return calls

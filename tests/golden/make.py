@@ -45,7 +45,7 @@ from pathlib import Path
 import numpy as np
 
 import relaydiff as rd
-from relaydiff import scheduler
+from relaydiff import kernel
 from relaydiff.cli import main as cli_main
 
 DIGESTS = Path(__file__).resolve().parent / "digests.json"
@@ -192,7 +192,7 @@ def _kernel_picks():
                  for kind, args in [_kernel_instance(seed)]]
     for name, args in instances + list(_kernel_limits()):
         try:
-            text = json.dumps(scheduler.knapsack_2d(*args))
+            text = json.dumps(kernel.knapsack_2d(*args))
         except rd.ConfigurationError as exc:
             text = f"refused: {exc}"
         yield f"knapsack_2d {name}", text
@@ -202,18 +202,18 @@ def _kernel_picks():
 def counted_tables(tables: collections.Counter):
     """Count in ``tables`` the DP table each ``reduce_knapsack`` call picks, while inside."""
 
-    reduce_knapsack = scheduler.reduce_knapsack
+    reduce_knapsack = kernel.reduce_knapsack
 
     def counted(*args):
         reduction = reduce_knapsack(*args)
         tables[reduction.table] += 1
         return reduction
 
-    scheduler.reduce_knapsack = counted
+    kernel.reduce_knapsack = counted
     try:
         yield tables
     finally:
-        scheduler.reduce_knapsack = reduce_knapsack
+        kernel.reduce_knapsack = reduce_knapsack
 
 
 def _sha256(path: Path) -> str:

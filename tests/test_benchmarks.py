@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 import relaydiff
-from relaydiff.scheduler import reduce_knapsack
+from relaydiff.kernel import reduce_knapsack
 
 ROOT = Path(__file__).resolve().parent.parent
 

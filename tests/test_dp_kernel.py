@@ -19,8 +19,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from relaydiff import Budgets, ConfigurationError, generate_scenario, scheduler, select_devices_dp
-from relaydiff.scheduler import (
+from relaydiff import Budgets, ConfigurationError, generate_scenario, kernel, select_devices_dp
+from relaydiff.kernel import (
     knapsack_2d,
     lp_bound,
     prune_dominated,
@@ -97,7 +97,7 @@ def test_kernel_matches_reference(table_calls, monkeypatch):
     # The bit table would take the one-axis instances below whose kept
     # devices have a small value range; with it off they run the numpy
     # tables, whose late test over the survivors this test pins.
-    monkeypatch.setattr(scheduler, "_BITS_MAX", 0)
+    monkeypatch.setattr(kernel, "_BITS_MAX", 0)
     rng = np.random.default_rng(1234)
     for _ in range(25):
         assert_matches_reference(*random_instance(rng))
@@ -130,7 +130,7 @@ def test_kernel_matches_reference_on_larger_instances():
 def test_zero_cost_items_are_always_taken(table_calls, monkeypatch):
     # 20 devices spread their take-bits over three byte planes. Both axes
     # are slack, so with the bit table on they would fill one row of bits.
-    monkeypatch.setattr(scheduler, "_BITS_MAX", 0)
+    monkeypatch.setattr(kernel, "_BITS_MAX", 0)
     unit_t = np.zeros(20, dtype=np.int64)
     unit_e = np.zeros(20, dtype=np.int64)
     sizes = np.arange(5, 25, dtype=np.int64)
@@ -255,13 +255,13 @@ def scans(monkeypatch):
     """Counts the calls to prune_dominated's one-axis pass."""
 
     calls = []
-    scan = scheduler._scan_one_axis
+    scan = kernel._scan_one_axis
 
     def counted(*args):
         calls.append(len(args[0]))
         return scan(*args)
 
-    monkeypatch.setattr(scheduler, "_scan_one_axis", counted)
+    monkeypatch.setattr(kernel, "_scan_one_axis", counted)
     return calls
 
 
@@ -290,8 +290,8 @@ def test_rank_order_prune_matches_all_pairs_counting(scans):
         pruned += n - kept_counts[0]
         most_kept = max(most_kept, kept_counts[0])
     assert pruned > 0
-    assert most_kept > 2 * scheduler._PRUNE_BLOCK  # three or more blocks decide keeps
-    assert len(scans) >= 40 and max(scans) > 2 * scheduler._PRUNE_BLOCK
+    assert most_kept > 2 * kernel._PRUNE_BLOCK  # three or more blocks decide keeps
+    assert len(scans) >= 40 and max(scans) > 2 * kernel._PRUNE_BLOCK
 
 
 def reference_lp_bound(costs, sizes, cap):
@@ -315,13 +315,13 @@ def exact_sorts(monkeypatch):
     """Counts the calls to _dantzig's exact ratio sort, one per call of its key."""
 
     calls = []
-    by_ratio = scheduler._BY_RATIO
+    by_ratio = kernel._BY_RATIO
 
     def counted(item):
         calls.append(item)
         return by_ratio(item)
 
-    monkeypatch.setattr(scheduler, "_BY_RATIO", counted)
+    monkeypatch.setattr(kernel, "_BY_RATIO", counted)
     return calls
 
 
@@ -462,7 +462,7 @@ def test_kernel_matches_reference_where_the_reduction_fires(monkeypatch):
         reduced.append(len(scaled) - len(survivors))
         return survivors, lb
 
-    monkeypatch.setattr(scheduler, "reduce_by_bounds", counted)
+    monkeypatch.setattr(kernel, "reduce_by_bounds", counted)
     rng = np.random.default_rng(808)
     fired = 0
     for _ in range(40):
@@ -517,7 +517,7 @@ def test_one_of_two_mutually_implied_axes_is_dropped(table_calls):
     # coprime, so a bit layer of 11 cost rows of 30002 values is over
     # _BITS_MAX and the grid runs.
     unit_t, unit_e, sizes = np.array([6, 5]), np.array([5, 6]), np.array([30001, 30000])
-    assert 11 * 30002 > scheduler._BITS_MAX
+    assert 11 * 30002 > kernel._BITS_MAX
     facts = reduce_knapsack(unit_t, unit_e, sizes, 10, 10)
     assert facts.survivors == [0, 1] and facts.caps == (10, 0)
     assert implied_drops(unit_t, unit_e, 10, 10, facts) == 1
@@ -732,7 +732,7 @@ def test_one_axis_plan_on_a_5000_unit_grid_fills_the_grid(table_calls):
     unit_t = np.array([2594, 1473, 1351, 781, 891, 518, 489, 463, 467, 2680])
     unit_e = np.zeros(10, dtype=np.int64)
     sizes = np.array([8, 4, 4, 2, 2, 1, 1, 1, 1, 8]) * 500_000_000
-    assert 5001 * 30 > scheduler._BITS_MAX
+    assert 5001 * 30 > kernel._BITS_MAX
     facts = reduce_knapsack(unit_t, unit_e, sizes, 5000, 0)
     assert facts.table == "grid" and facts.caps == (5000, 0)
     assert_matches_reference(unit_t, unit_e, sizes, 5000, 0)
@@ -748,7 +748,7 @@ def test_bit_table_over_the_byte_limit_falls_back_to_the_grid(monkeypatch, table
     unit_t, unit_e, sizes = np.array([3, 5, 2, 4, 6]), np.zeros(5, dtype=np.int64), [4, 7, 3, 5, 6]
     picks = {}
     for limit, table in ((189, "bits"), (188, "grid")):
-        monkeypatch.setattr(scheduler, "MAX_DP_BYTES", limit)
+        monkeypatch.setattr(kernel, "MAX_DP_BYTES", limit)
         assert reduce_knapsack(unit_t, unit_e, sizes, 10, 0).table == table
         picks[table] = assert_matches_reference(unit_t, unit_e, sizes, 10, 0)
     assert picks["bits"] == picks["grid"] == [0, 1, 2]

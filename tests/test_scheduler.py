@@ -30,13 +30,13 @@ from relaydiff import (
     select_devices_no_ds,
     select_devices_oracle,
 )
-from relaydiff import scheduler
+from relaydiff import kernel
 from relaydiff.cost_model import aggregate_costs, fleet_costs, stage_cost_for
 from relaydiff.cli import EXIT_VALIDATION, main
 from relaydiff.formats import plan_from_dict, plan_to_dict
+from relaydiff.kernel import MAX_DP_BYTES
 from relaydiff.scheduler import (
     DEFAULT_GRID_UNITS,
-    MAX_DP_BYTES,
     ORACLE_MAX_DEVICES,
     capacity_units,
     cost_units,
@@ -287,10 +287,10 @@ def test_dp_byte_guard_refuses_before_allocating(
          (1 + 1 + 2 * 1) * 131073 * 1),
     ]
     for scenario, budgets, disc, needed in cases:
-        monkeypatch.setattr(scheduler, "MAX_DP_BYTES", needed)
+        monkeypatch.setattr(kernel, "MAX_DP_BYTES", needed)
         assert select_devices_dp(scenario, budgets, disc).device_ids == (0, 2)
 
-        monkeypatch.setattr(scheduler, "MAX_DP_BYTES", needed - 1)
+        monkeypatch.setattr(kernel, "MAX_DP_BYTES", needed - 1)
         tracemalloc.start()
         try:
             with pytest.raises(ConfigurationError, match=f"allocate {needed} bytes"):
@@ -307,7 +307,7 @@ def test_dp_byte_guard_refuses_before_allocating(
     # With both axes the last two instances would run the value table: three
     # layers, the empty one and a scratch one, each of 131073 time by 8
     # value cells of uint16 energies. One byte less still plans them.
-    monkeypatch.setattr(scheduler, "MAX_DP_BYTES", (3 + 2) * 131073 * 8 * 2 - 1)
+    monkeypatch.setattr(kernel, "MAX_DP_BYTES", (3 + 2) * 131073 * 8 * 2 - 1)
     for case in cases[-2:]:
         assert select_devices_dp(three_device_scenario, *case[1:3]).device_ids == (0, 2)
 
@@ -325,8 +325,8 @@ def test_dp_falls_back_to_the_grid_when_the_value_table_is_too_big(
     free = select_devices_dp(crossed_scenario, budgets, disc)
     assert table_calls.fills == [("_value_dp", 256, 10)]
 
-    monkeypatch.setattr(scheduler, "MAX_DP_BYTES", (1 + 1 + 2 * 1) * 257 * 11)
-    assert (4 + 2) * 257 * 9 > scheduler.MAX_DP_BYTES
+    monkeypatch.setattr(kernel, "MAX_DP_BYTES", (1 + 1 + 2 * 1) * 257 * 11)
+    assert (4 + 2) * 257 * 9 > kernel.MAX_DP_BYTES
     assert select_devices_dp(crossed_scenario, budgets, disc) == free
     assert table_calls == {"_value_dp": 1, "_grid_dp": 1}
     assert free.device_ids == select_devices_oracle(crossed_scenario, budgets).device_ids == (0, 2)
@@ -345,12 +345,12 @@ def test_dp_drops_the_energy_axis_the_time_budget_implies(three_device_scenario,
     disc = Discretization(2**-12, 1.0)
     cap_t, cap_e = capacity_units(2.0, disc.dt_s), capacity_units(200.0, disc.de_j)
     unit_e = cost_units(fleet.e_total_j, disc.de_j, cap_e)
-    facts = scheduler.reduce_knapsack(
+    facts = kernel.reduce_knapsack(
         cost_units(fleet.t_total_s, disc.dt_s, cap_t), unit_e, fleet.size_bytes, cap_t, cap_e
     )
     assert facts.survivors == [0, 1, 2] and sum(unit_e) > cap_e
     assert facts.caps == (cap_t, 0) and facts.table == "grid"
-    assert (cap_t + 1) * (4 + 3 + 1) > scheduler._BITS_MAX
+    assert (cap_t + 1) * (4 + 3 + 1) > kernel._BITS_MAX
 
     plan = select_devices_dp(three_device_scenario, budgets, disc)
     assert table_calls.fills == [("_grid_dp", cap_t, 0)]
