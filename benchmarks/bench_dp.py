@@ -1,4 +1,4 @@
-"""Time the scheduler's DP kernel and report its peak traced memory.
+"""Time the DP kernel (``relaydiff.kernel``) and report its peak traced memory.
 
 ``knapsack_2d`` first drops each capacity axis that every subset fitting
 the other axis fits and the devices that can never be in the returned plan,

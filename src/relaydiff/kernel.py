@@ -214,11 +214,10 @@ def _greedy_value(order, ct, ce, scaled, cap_t: int, cap_e: int) -> int:
 def reduce_by_bounds(ct, ce, scaled, cap_t: int, cap_e: int) -> tuple[list[int], int]:
     """Ascending positions of the devices an optimal subset can hold, and the lower bound used.
 
-    The lower bound LB is the value of the best of four greedy fills, which
+    The lower bound LB is the value of the best of three greedy fills, which
     take every device that still fits in one order: descending size (lower
-    position first among equals), size per time unit, size per energy unit,
-    and size per combined cost ``ct·cap_e + ce·cap_t`` (each axis's cost as a
-    share of its capacity). Device j's upper bound UB_j is its size plus the
+    position first among equals), size per time unit and size per energy
+    unit. Device j's upper bound UB_j is its size plus the
     lesser Dantzig bound (:func:`lp_bound`) of the two capacities left after
     its own costs, taken over all devices, j included: a set holding j is j
     plus a set fitting that room, and the fractional fill over a larger pool
@@ -227,20 +226,13 @@ def reduce_by_bounds(ct, ce, scaled, cap_t: int, cap_e: int) -> tuple[list[int],
     over either capacity fits in no set and is dropped as well.
 
     An axis on which every device costs 0 is dead: its Dantzig bound is
-    every device's size and the combined order is the other axis's ratio
-    order, so those and its own ratio order are skipped.
+    every device's size, so that bound and its ratio order are skipped.
     """
 
     axes = [(costs, cap, *_dantzig(costs, scaled)) for costs, cap in ((ct, cap_t), (ce, cap_e))
             if any(costs)]
-    n = len(scaled)
-    orders = [sorted(range(n), key=scaled.__getitem__, reverse=True)]
+    orders = [sorted(range(len(scaled)), key=scaled.__getitem__, reverse=True)]
     orders += [order for _, _, order, _ in axes]
-    if len(axes) == 2:
-        weight_t, weight_e = max(cap_e, 1), max(cap_t, 1)
-        combined = [(t * weight_t + e * weight_e) / size if size else math.inf
-                    for t, e, size in zip(ct, ce, scaled)]
-        orders.append(sorted(range(n), key=combined.__getitem__))
     lb = max(_greedy_value(order, ct, ce, scaled, cap_t, cap_e) for order in orders)
     survivors = [j for j, (t, e) in enumerate(zip(ct, ce)) if t <= cap_t and e <= cap_e]
     for costs, cap, _, lp in axes:
