@@ -156,6 +156,7 @@ def run_sweep(
         ]
     )
 
+    uses_dp = not {"dp", "split"}.isdisjoint(spec.methods)
     rows = []
     for world in scenarios:
         # A world whose stages cannot be costed (a link rate that underflows)
@@ -170,8 +171,8 @@ def run_sweep(
         for t_max in spec.t_max_grid:
             for e_max in spec.e_max_grid:
                 budgets = Budgets(t_max_s=t_max, e_max_j=e_max)
-                try:
-                    dp_plan = SELECTORS["dp"](fleet, budgets)
+                try:  # only the dp and split rows use the DP plan
+                    dp_plan = SELECTORS["dp"](fleet, budgets) if uses_dp else None
                 except RelaydiffError:
                     dp_plan = None
                 for method in spec.methods:

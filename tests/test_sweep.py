@@ -127,6 +127,23 @@ def test_split_pair_is_picked_once_per_world(monkeypatch):
     assert len({row["n_stages"] for row in rows if row["method"] == "dp"}) > 1
 
 
+def test_dp_is_planned_only_for_the_dp_and_split_rows(monkeypatch):
+    calls = []
+    plan_dp = sweep.SELECTORS["dp"]
+
+    def counting_dp(fleet, budgets):
+        calls.append(budgets)
+        return plan_dp(fleet, budgets)
+
+    monkeypatch.setitem(sweep.SELECTORS, "dp", counting_dp)
+    rows = run_sweep(SweepSpec(methods=("no_ds",)), n_devices=6, base_seed=7)
+    assert len(rows) == 36 and calls == []
+    for methods in (("dp",), ("no_ds", "split"), ("dp", "no_ds", "oracle", "split")):
+        calls.clear()
+        run_sweep(SweepSpec(methods=methods), n_devices=6, base_seed=7)
+        assert len(calls) == 36  # one plan per cell
+
+
 def test_failing_cells_become_infeasible_rows():
     # the oracle guard trips on 26 devices; the sweep must keep going
     big = generate_scenario(26, seed=0)
