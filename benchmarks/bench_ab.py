@@ -20,9 +20,10 @@ Each input does the work of one job of each workload relaybench gates:
   plan, each written once by each side, ``load_scenario``, ``load_plan``,
   ``simulate_pipeline`` with a per-stage failure probability of 0.3 and a
   per-input seed, ``save_trace`` and ``load_trace``. The trace file is
-  removed before each save, as relaybench removes it before each job. A run that finds no
-  feasible continuation ends with its partial trace, as ``relaydiff
-  simulate`` does with exit 4; that is an outcome like a recovered run.
+  removed before each save, as relaybench removes it before each job. A
+  run that finds no feasible continuation ends with its partial trace, as
+  ``relaydiff simulate`` does with exit 4; that is an outcome like a
+  recovered run.
 
 The two sides' worlds (``scenario_to_dict`` and the values of the device
 columns), plans (``plan_to_dict``), run outcomes and traces
