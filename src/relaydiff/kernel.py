@@ -4,7 +4,8 @@ Every input is in whole units: each device's cost on the time and energy
 axes (``unit_t`` and ``unit_e``, ints from 0), its size (an int from 0, of
 any magnitude) and the two capacities. Budgets, seconds and joules stay in
 :mod:`relaydiff.scheduler`, which turns a fleet's stage costs into units
-and calls :func:`knapsack_2d`; this module needs only numpy.
+and calls :func:`knapsack_2d`. This module imports only the standard
+library, numpy and :mod:`relaydiff.errors`.
 
 :func:`knapsack_2d` returns the canonical optimum: the optimal subset whose
 membership, read from the highest index down, is lexicographically

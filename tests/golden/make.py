@@ -134,7 +134,7 @@ def _sweep_args():
 
 
 def _kernel_instance(seed: int):
-    """The ``knapsack_2d`` arguments of random instance ``seed``, and its kind."""
+    """The name of random instance ``seed`` and its ``knapsack_2d`` arguments."""
 
     rng = random.Random(seed)
     n = rng.randint(0, 30)
@@ -161,12 +161,11 @@ def _kernel_instance(seed: int):
                      else rng.randint(1, max(1, cap // rng.choice((2, 4, 8)))) for _ in range(n)]
         units.append(np.array(costs, dtype=np.int64))
         caps.append(cap)
-    kind = " ".join([f"n={n}", f"sizes={size_kind}", *kinds])
-    return kind, (*units, sizes, *caps)
+    return " ".join([f"seed={seed}", f"n={n}", f"sizes={size_kind}", *kinds]), (*units, sizes, *caps)
 
 
 def _kernel_limits():
-    """(kind, arguments) of instances at the kernel's byte and 64-bit limits."""
+    """(name, arguments) of instances at the kernel's byte and 64-bit limits."""
 
     # Three devices on two live axes, of which only the first two fit both
     # together, with a value bound of 16 or more energy units, so the grid
@@ -188,9 +187,7 @@ def _kernel_limits():
 def _kernel_picks():
     """(key, text) of each kernel instance: its picks as JSON, or its refusal."""
 
-    instances = [(f"seed={seed} {kind}", args) for seed in range(KERNEL_INSTANCES)
-                 for kind, args in [_kernel_instance(seed)]]
-    for name, args in instances + list(_kernel_limits()):
+    for name, args in [*map(_kernel_instance, range(KERNEL_INSTANCES)), *_kernel_limits()]:
         try:
             text = json.dumps(kernel.knapsack_2d(*args))
         except rd.ConfigurationError as exc:
