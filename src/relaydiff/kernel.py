@@ -218,11 +218,11 @@ def reduce_by_bounds(ct, ce, scaled, cap_t: int, cap_e: int) -> tuple[list[int],
     The lower bound LB is the value of the best of three greedy fills, which
     take every device that still fits in one order: descending size (lower
     position first among equals), size per time unit and size per energy
-    unit. Device j's upper bound UB_j is its size plus the
-    lesser Dantzig bound (:func:`lp_bound`) of the two capacities left after
-    its own costs, taken over all devices, j included: a set holding j is j
-    plus a set fitting that room, and the fractional fill over a larger pool
-    is no smaller. Device j is dropped iff UB_j < LB: every set holding it is
+    unit. Device j's upper bound UB_j is its size plus the lesser Dantzig
+    bound (:func:`lp_bound`) of the two capacities left after its own costs,
+    taken over all devices, j included: a set holding j is j plus a set
+    fitting that room, and the fractional fill over a larger pool is no
+    smaller. Device j is dropped iff UB_j < LB: every set holding it is
     worth less than a set that fits, so no optimal subset holds it. A device
     over either capacity fits in no set and is dropped as well.
 
